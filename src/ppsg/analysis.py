@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .degrees import DegreeSet, binom, validate_degree_set
-from .basis import binomial_field
+from .basis import binomial_field, tensor_field
 from .signal import RealField
 
 
@@ -118,12 +118,9 @@ def orthogonal_poly_field(k: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """q_k sampled over the full window [N]."""
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    axes = [np.array(_ortho_axis_int(kd, Nd), dtype=float) for kd, Nd in zip(k, N)]
-    out = axes[0].reshape(axes[0].shape + (1,) * (len(axes) - 1))
-    for d in range(1, len(axes)):
-        shape = (1,) * d + axes[d].shape + (1,) * (len(axes) - 1 - d)
-        out = out * axes[d].reshape(shape)
-    return out
+    return tensor_field(
+        [np.array(_ortho_axis_int(kd, Nd), dtype=float) for kd, Nd in zip(k, N)]
+    )
 
 
 def _inner_product_axis(m: int, k: int, N: int) -> int:

@@ -134,13 +134,15 @@ def _monomial_axis(n_count: int, m: int) -> np.ndarray:
     return out
 
 
-def _tensor_axes(axes: Sequence[np.ndarray]) -> np.ndarray:
-    dim = len(axes)
-    out = axes[0].reshape(axes[0].shape + (1,) * (dim - 1))
-    for d in range(1, dim):
-        shape = (1,) * d + axes[d].shape + (1,) * (dim - 1 - d)
-        out = out * axes[d].reshape(shape)
-    return np.ascontiguousarray(out) if dim > 1 else out.copy()
+def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Outer product of per-dimension axes, multiplied left to right.
+
+    A single axis is returned as is, so treat the result as read-only.
+    """
+    out = axes[0]
+    for ax in axes[1:]:
+        out = np.multiply.outer(out, ax)
+    return out
 
 
 # Fields bigger than this are rebuilt on demand instead of cached; the 1-D
@@ -150,7 +152,7 @@ _FIELD_CACHE_LIMIT = 1 << 17
 
 @lru_cache(maxsize=256)
 def _binomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    out = _tensor_axes([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
+    out = tensor_field([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
     out.setflags(write=False)
     return out
 
@@ -159,13 +161,13 @@ def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """C(n, m) sampled over the window [N]; shape N, treat as read-only."""
     m, N = tuple(int(v) for v in m), tuple(int(v) for v in N)
     if math.prod(N) > _FIELD_CACHE_LIMIT:
-        return _tensor_axes([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
+        return tensor_field([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
     return _binomial_field_cached(m, N)
 
 
 @lru_cache(maxsize=256)
 def _monomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    out = _tensor_axes([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
+    out = tensor_field([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
     out.setflags(write=False)
     return out
 
@@ -174,7 +176,7 @@ def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """n^m / m! sampled over the window [N]; shape N, treat as read-only."""
     m, N = tuple(int(v) for v in m), tuple(int(v) for v in N)
     if math.prod(N) > _FIELD_CACHE_LIMIT:
-        return _tensor_axes([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
+        return tensor_field([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
     return _monomial_field_cached(m, N)
 
 

@@ -151,14 +151,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             )
         T = binomial_to_monomial_matrix(degree_set)
         monomial = compute_new_coordinate(est.binomial, T)
-    payload = {
-        "binomial": est.binomial.to_json() if args.basis in ("binomial", "both") else None,
-        "monomial": monomial.to_json() if args.basis in ("monomial", "both") else None,
-        "diagnostics": [
-            {"degree": list(m), "lag": list(tau), "increment": v}
-            for (m, tau), v in est.diagnostics.items()
-        ],
-    }
+    payload = est.to_json()
+    if args.basis == "monomial":
+        payload["binomial"] = None
+    payload["monomial"] = monomial.to_json() if args.basis != "binomial" else None
     with _open_out(args.out) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -1,12 +1,16 @@
 """Sequential coefficient estimators for polynomial phase signals.
 
-The core loop walks the degree set in descending total order.  For each
-degree it collapses the signal to a near-constant field with composed phase
-differences, averages the residual argument with minimum-variance weights,
-and cancels the recovered term from the observation before moving on.
-Variants cover monomial-basis output, degree sets that are not downward
-closed (estimate over the closure, then project with Fisher weights), and
-multi-lag refinement schedules.
+One private kernel, :func:`_sequential`, holds the estimation loop.  It walks
+stages (m, tau), degrees in descending total order and lags inner.  Each
+stage collapses the running observation to a near-constant field with
+composed lagged phase differences, averages it with the closed-form
+minimum-variance weights, reads the increment off the argument, and cancels
+the recovered term before the next stage.  The public estimators differ only
+in the basis field they cancel and in how they finish: the plain and
+multi-lag estimators cancel binomial fields C(n, m); the direct estimator
+cancels monomials n^m / m! and maps back to the binomial basis.  Degree sets
+that are not downward closed are estimated over their closure, then
+projected with Fisher weights.
 
 All estimators are pure functions of (signal, config); a single run is
 inherently sequential across degrees, but independent signals can be
@@ -16,7 +20,10 @@ estimated concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
@@ -32,7 +39,14 @@ from .basis import (
     wrap_to_cell,
 )
 from .degrees import DegreeSet, MultiIndex, downward_closure, validate_degree_set
-from .signal import RealField, Signal, phase_diff_multi, principal_arg
+from .signal import (
+    RealField,
+    Signal,
+    as_lag,
+    phase_diff_multi,
+    principal_arg,
+    unit_project,
+)
 from .weights import WeightField, weight_multi
 
 TWO_PI = 2.0 * np.pi
@@ -73,22 +87,14 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     if kind is AveragingKind.KAY_COMPLEX:
         return complex(np.sum(w * s.data))
     if kind is AveragingKind.PROJECTED_LINEAR:
-        return complex(np.sum(w * _unit_project(s.data)))
+        return complex(np.sum(w * unit_project(s.data)))
     # CIRCULAR
-    resultant = complex(np.sum(_unit_project(s.data)))
+    resultant = complex(np.sum(unit_project(s.data)))
     if resultant == 0:
         return 0j
     anchor = resultant / abs(resultant)
     theta = float(np.sum(w * principal_arg(s.data * np.conj(anchor))))
     return anchor * complex(np.exp(1j * theta))
-
-
-def _unit_project(data: np.ndarray) -> np.ndarray:
-    mag = np.abs(data)
-    out = np.zeros_like(data)
-    nz = mag > 0
-    out[nz] = data[nz] / mag[nz]
-    return out
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,7 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         dim = self.degree_set.dim
-        lags = self.lags or ((1,) * dim,)
-        lags = tuple(tuple(int(v) for v in tau) for tau in lags)
-        for tau in lags:
-            if len(tau) != dim:
-                raise ValueError(f"lag {tau} does not match dimensionality {dim}")
-            if any(v < 1 for v in tau):
-                raise ValueError(f"lag {tau} has entries < 1")
+        lags = tuple(as_lag(tau, dim) for tau in self.lags or ((1,) * dim,))
         if lags[0] != (1,) * dim:
             raise ValueError(f"first lag must be all ones, got {lags[0]}")
         for prev, nxt in zip(lags, lags[1:]):
@@ -177,36 +177,52 @@ def _require_estimable(cfg: EstimatorConfig, window: tuple[int, ...]) -> None:
                 )
 
 
-def estimate_coefficients(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Single-pass sequential estimation with unit lags.
+def _sequential(
+    y: Signal,
+    cfg: EstimatorConfig,
+    basis_field: Callable[[MultiIndex, MultiIndex], np.ndarray],
+) -> tuple[np.ndarray, dict[tuple[MultiIndex, MultiIndex], float]]:
+    """The sequential loop shared by every estimator.
 
-    Walks degrees in descending order: averages the composed phase
-    difference of the running observation, reads the coefficient off the
-    argument, and cancels it before the next degree.  Each estimate lands in
-    [-1/2, 1/2) by the argument convention.
+    Stages (m, tau) run with degrees descending and lags inner.  Each stage
+    averages the lagged difference of the running observation, divides the
+    argument by 2*pi*tau^m, adds the increment to the coefficient of m, and
+    cancels ``increment * basis_field(m, N)``.  The last stage skips the
+    cancellation, since nothing reads the observation after it.
     """
-    if not cfg.single_unit_lag:
-        raise ValueError("multi-lag schedule set; use estimate_coefficients_multilag")
     _require_estimable(cfg, y.window)
     M = cfg.degree_set
     N = y.window
-    ones = (1,) * M.dim
+    stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
     values = np.zeros(len(M))
     diagnostics: dict[tuple[MultiIndex, MultiIndex], float] = {}
     data = y.data
-    for m in reversed(M.degrees):
-        diffed = phase_diff_multi(Signal(N, data), m, 1)
-        mean = average(cfg.averaging, diffed, weight_multi(m, 1, N))
-        b_m = principal_arg(mean) / TWO_PI
-        if b_m != 0.0:
-            data = data * np.exp(-2j * np.pi * b_m * binomial_field(m, N))
-        values[M.position(m)] = b_m
-        diagnostics[(m, ones)] = b_m
-    return Estimate(CoefficientVector(values, BINOMIAL, M), None, diagnostics)
+    for i, (m, tau) in enumerate(stages):
+        diffed = phase_diff_multi(Signal(N, data), m, tau)
+        mean = average(cfg.averaging, diffed, weight_multi(m, tau, N))
+        tau_pow = math.prod(td**md for td, md in zip(tau, m))
+        delta = principal_arg(mean) / (TWO_PI * tau_pow)
+        values[M.position(m)] += delta
+        diagnostics[(m, tau)] = delta
+        if delta != 0.0 and i < len(stages) - 1:
+            data = data * np.exp(-2j * np.pi * delta * basis_field(m, N))
+    return values, diagnostics
+
+
+def estimate_coefficients(y: Signal, cfg: EstimatorConfig) -> Estimate:
+    """Single-pass sequential estimation with unit lags.
+
+    Runs the shared loop, cancelling binomial fields C(n, m).  Each estimate
+    lands in [-1/2, 1/2) by the argument convention.
+    """
+    if not cfg.single_unit_lag:
+        raise ValueError("multi-lag schedule set; use estimate_coefficients_multilag")
+    values, diagnostics = _sequential(y, cfg, binomial_field)
+    return Estimate(CoefficientVector(values, BINOMIAL, cfg.degree_set), None, diagnostics)
 
 
 def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Monomial-basis variant: cancel n^m / m! terms instead of binomials.
+    """Monomial-basis variant: the shared loop cancels n^m / m! instead.
 
     With a rotation-equivariant averaging kind the reconstruction matches
     the two-stage path (binomial estimation followed by the lattice basis
@@ -215,60 +231,27 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """
     if not cfg.single_unit_lag:
         raise ValueError("direct estimation supports only the unit lag")
-    _require_estimable(cfg, y.window)
+    values, diagnostics = _sequential(y, cfg, monomial_field)
     M = cfg.degree_set
-    N = y.window
-    ones = (1,) * M.dim
-    values = np.zeros(len(M))
-    diagnostics: dict[tuple[MultiIndex, MultiIndex], float] = {}
-    data = y.data
-    for m in reversed(M.degrees):
-        diffed = phase_diff_multi(Signal(N, data), m, 1)
-        mean = average(cfg.averaging, diffed, weight_multi(m, 1, N))
-        a_m = principal_arg(mean) / TWO_PI
-        if a_m != 0.0:
-            data = data * np.exp(-2j * np.pi * a_m * monomial_field(m, N))
-        values[M.position(m)] = a_m
-        diagnostics[(m, ones)] = a_m
-    monomial = CoefficientVector(values, MONOMIAL, M)
     T = binomial_to_monomial_matrix(M)
     binomial = CoefficientVector(
         wrap_to_cell(solve_triangular(T.matrix, values)), BINOMIAL, M
     )
-    return Estimate(binomial, monomial, diagnostics)
+    return Estimate(binomial, CoefficientVector(values, MONOMIAL, M), diagnostics)
 
 
 def estimate_coefficients_multilag(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """Sequential estimation refined over an ascending lag schedule.
 
-    Per degree, each lag pass estimates the residual coefficient from the
-    lagged difference (the argument is divided by tau^m, which shrinks both
-    the noise and the identifiable cell), cancels it, and accumulates.  A
-    singleton all-ones schedule reproduces :func:`estimate_coefficients`
-    bit for bit.
+    Runs the shared loop with every lag of the schedule per degree; dividing
+    by tau^m shrinks both the noise and the identifiable cell.  The summed
+    increments are wrapped to the cell.  A singleton all-ones schedule
+    reproduces :func:`estimate_coefficients` bit for bit.
     """
-    _require_estimable(cfg, y.window)
-    M = cfg.degree_set
-    N = y.window
-    values = np.zeros(len(M))
-    diagnostics: dict[tuple[MultiIndex, MultiIndex], float] = {}
-    data = y.data
-    for m in reversed(M.degrees):
-        total = 0.0
-        for tau in cfg.lags:
-            diffed = phase_diff_multi(Signal(N, data), m, tau)
-            mean = average(cfg.averaging, diffed, weight_multi(m, tau, N))
-            tau_pow = 1
-            for td, md in zip(tau, m):
-                tau_pow *= td**md
-            delta = principal_arg(mean) / (TWO_PI * tau_pow)
-            total += delta
-            if delta != 0.0:
-                data = data * np.exp(-2j * np.pi * delta * binomial_field(m, N))
-            diagnostics[(m, tau)] = delta
-        values[M.position(m)] = total
-    values = wrap_to_cell(values)
-    return Estimate(CoefficientVector(values, BINOMIAL, M), None, diagnostics)
+    values, diagnostics = _sequential(y, cfg, binomial_field)
+    return Estimate(
+        CoefficientVector(wrap_to_cell(values), BINOMIAL, cfg.degree_set), None, diagnostics
+    )
 
 
 def estimate_coefficients_general(y: Signal, cfg: EstimatorConfig) -> Estimate:

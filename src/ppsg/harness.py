@@ -22,7 +22,14 @@ from .analysis import outlier_predicate, reconstruction_bound
 from .basis import BINOMIAL, CoefficientVector, phase_field, wrap_to_cell
 from .degrees import DegreeSet
 from .estimator import Estimate, EstimatorConfig, estimate
-from .signal import RealField, Signal, finite_difference, principal_arg, synthesize
+from .signal import (
+    RealField,
+    Signal,
+    complex_noise,
+    finite_difference,
+    principal_arg,
+    synthesize,
+)
 
 PARAMETER_MODES = ("fixed", "uniform_cell", "zero")
 
@@ -148,15 +155,10 @@ def run_trial(
     the signal reconstruction error sum_n |e^{j2pi xhat} - e^{j2pi x}|^2
     together with the ground-truth wrap flag.
     """
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
     rng = _trial_rng(cfg, snr_index, trial_index)
     b_true = _draw_coefficients(cfg, rng)
     clean = synthesize(b_true, cfg.window)
-    scale = math.sqrt(0.5 / snr)
-    noise = scale * (
-        rng.standard_normal(cfg.window) + 1j * rng.standard_normal(cfg.window)
-    )
+    noise = complex_noise(cfg.window, snr, rng)
     observed = Signal(cfg.window, clean.data + noise)
     est = estimate(observed, cfg.estimator_config)
     recon = np.exp(2j * np.pi * phase_field(est.binomial, cfg.window))

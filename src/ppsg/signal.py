@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .basis import CoefficientVector, phase_field
-from .degrees import multi_binom, validate_degree_set
+from .degrees import validate_degree_set
 
 _MAGIC = b"PPSG"
 
@@ -92,20 +92,24 @@ def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:
     return Signal(N, np.exp(2j * np.pi * phase_field(coeffs, N)))
 
 
-def add_noise(s: Signal, snr: float, rng: np.random.Generator) -> Signal:
-    """Add iid circularly-symmetric complex Gaussian noise of variance 1/snr.
+def complex_noise(
+    window: tuple[int, ...], snr: float, rng: np.random.Generator
+) -> np.ndarray:
+    """iid circularly-symmetric complex Gaussian noise of variance 1/snr.
 
-    snr is linear.  Each real component has variance 1/(2 snr); two
-    independent standard normals are drawn per sample, so results are
-    reproducible given the generator state.
+    snr is linear.  Each real component has variance 1/(2 snr); the real
+    parts are drawn before the imaginary parts, so results are reproducible
+    given the generator state.
     """
     if snr <= 0:
         raise ValueError(f"snr must be positive, got {snr}")
     scale = np.sqrt(0.5 / snr)
-    noise = scale * (
-        rng.standard_normal(s.window) + 1j * rng.standard_normal(s.window)
-    )
-    return Signal(s.window, s.data + noise)
+    return scale * (rng.standard_normal(window) + 1j * rng.standard_normal(window))
+
+
+def add_noise(s: Signal, snr: float, rng: np.random.Generator) -> Signal:
+    """Add :func:`complex_noise` of variance 1/snr (linear) to the signal."""
+    return Signal(s.window, s.data + complex_noise(s.window, snr, rng))
 
 
 def phase_diff(s: Signal, d: int, lag: int = 1) -> Signal:
@@ -141,7 +145,7 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
         raise ValueError(f"index length {len(k)} does not match signal dim {s.dim}")
     if any(v < 0 for v in k):
         raise ValueError(f"negative composition count in {k}")
-    tau = _as_lag(lag, s.dim)
+    tau = as_lag(lag, s.dim)
     if any(Nd < td * kd + 1 for Nd, td, kd in zip(s.window, tau, k)):
         raise ValueError(f"window {s.window} too small for k={k}, lag={tau}")
     out = s
@@ -151,25 +155,25 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     return out
 
 
-def _as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
-    if np.ndim(lag) == 0:
-        tau = (int(lag),) * dim
-    else:
-        tau = tuple(int(v) for v in lag)
+def as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
+    """Per-dimension lag from a scalar or a sequence; entries must be >= 1."""
+    tau = (int(lag),) * dim if np.ndim(lag) == 0 else tuple(int(v) for v in lag)
     if len(tau) != dim:
-        raise ValueError(f"lag length {len(tau)} does not match dim {dim}")
+        raise ValueError(f"lag {tau} does not match dimensionality {dim}")
     if any(v < 1 for v in tau):
-        raise ValueError(f"lags must be >= 1, got {tau}")
+        raise ValueError(f"lag {tau} has entries < 1")
     return tau
 
 
-def project_unit_circle(s: Signal) -> Signal:
+def unit_project(data: np.ndarray) -> np.ndarray:
     """Map each sample to exp(j arg(sample)); zero samples stay zero."""
-    mag = np.abs(s.data)
-    out = np.zeros_like(s.data)
-    nz = mag > 0
-    out[nz] = s.data[nz] / mag[nz]
-    return Signal(s.window, out)
+    mag = np.abs(data)
+    return np.divide(data, mag, out=np.zeros_like(data), where=mag > 0)
+
+
+def project_unit_circle(s: Signal) -> Signal:
+    """:func:`unit_project` applied to a signal."""
+    return Signal(s.window, unit_project(s.data))
 
 
 def arg_field(s: Signal) -> RealField:
@@ -200,25 +204,6 @@ def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
             tail[d] = slice(1, data.shape[d])
             data = data[tuple(tail)] - data[tuple(head)]
     return RealField(data.shape, data)
-
-
-def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
-    """Reference form of the difference: alternating binomial stencil.
-
-    (Delta^k x)(n) = sum_l (-1)^{|k+l|} C(k, l) x(n + l), l in [k+1].
-    Quadratic in the stencil size, kept for cross-checks.
-    """
-    k = tuple(int(v) for v in k)
-    if any(Nd < kd + 1 for Nd, kd in zip(x.window, k)):
-        raise ValueError(f"window {x.window} too small for order {k}")
-    out_shape = tuple(Nd - kd for Nd, kd in zip(x.window, k))
-    out = np.zeros(out_shape)
-    for ell in np.ndindex(*(kd + 1 for kd in k)):
-        sign = -1 if (sum(k) + sum(ell)) % 2 else 1
-        weight = sign * multi_binom(k, ell)
-        block = x.data[tuple(slice(ld, ld + sd) for ld, sd in zip(ell, out_shape))]
-        out += weight * block
-    return RealField(out_shape, out)
 
 
 # -- File formats ---------------------------------------------------------------

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
+from .basis import tensor_field
 from .degrees import binom
+from .signal import as_lag
 
 # Above this per-dimension window length the closed form switches from exact
 # integer products (which would overflow practical magnitudes around
@@ -121,25 +123,13 @@ def weight_multi(
     """Tensor product of per-dimension closed-form weights."""
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    tau = _normalize_lag(tau, len(k))
+    tau = as_lag(tau, len(k))
     if len(N) != len(k):
         raise ValueError(f"window length {len(N)} does not match index {k}")
     window = _diff_window(k, tau, N)
-    axes = [_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)]
-    data = axes[0]
-    for ax in axes[1:]:
-        data = np.multiply.outer(data, ax)
+    data = tensor_field([_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)])
     data = data / data.sum()  # counter accumulated rounding in high dims
     return WeightField(window, data)
-
-
-def _normalize_lag(tau: Sequence[int] | int, dim: int) -> tuple[int, ...]:
-    if np.ndim(tau) == 0:
-        return (int(tau),) * dim
-    out = tuple(int(v) for v in tau)
-    if len(out) != dim:
-        raise ValueError(f"lag length {len(out)} does not match dim {dim}")
-    return out
 
 
 def covariance_axis(k: int, tau: int, N: int) -> np.ndarray:
@@ -172,7 +162,7 @@ def covariance_matrix(
     """
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    tau = _normalize_lag(tau, len(k))
+    tau = as_lag(tau, len(k))
     _diff_window(k, tau, N)
     matrix = np.ones((1, 1))
     for kd, td, Nd in zip(k, tau, N):
@@ -190,7 +180,7 @@ def weight_via_inversion(
     """
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    tau = _normalize_lag(tau, len(k))
+    tau = as_lag(tau, len(k))
     window = _diff_window(k, tau, N)
     size = int(np.prod(window))
     if size > _ORACLE_GUARD:

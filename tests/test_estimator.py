@@ -1,6 +1,11 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ppsg.estimator as estimator_module
 from ppsg.analysis import crb
 from ppsg.basis import (
     BINOMIAL,
@@ -427,3 +432,46 @@ def test_estimate_dispatch():
                 M3, general_degree_handling=True, lags=((1,), (2,))
             ),
         )
+
+
+# -- Shared kernel ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "estimator, field_name, lags",
+    [
+        (estimate_coefficients, "binomial_field", ()),
+        (estimate_coefficients_multilag, "binomial_field", ((1, 1), (2, 2))),
+        (estimate_coefficients_direct, "monomial_field", ()),
+    ],
+)
+def test_kernel_skips_last_cancellation(monkeypatch, estimator, field_name, lags):
+    # Every stage of a noisy input has a nonzero increment, so all but the
+    # last one cancel: S stages make S - 1 basis-field calls.
+    calls = []
+    original = getattr(estimator_module, field_name)
+
+    def counting(m, N):
+        calls.append(m)
+        return original(m, N)
+
+    monkeypatch.setattr(estimator_module, field_name, counting)
+    y, _ = _noisy(_cv([0.1, -0.2, 0.3, 0.05], M2D), (12, 10), 5.0, 45)
+    cfg = EstimatorConfig(M2D, lags=lags)
+    est = estimator(y, cfg)
+    stages = len(M2D) * len(cfg.lags)
+    assert len(est.diagnostics) == stages
+    assert all(delta != 0.0 for delta in est.diagnostics.values())
+    assert len(calls) == stages - 1
+
+
+def test_benchmark_hooks_exist():
+    # The benchmark tracer rebinds these module attributes and only records a
+    # missing one, so a renamed attribute would silently zero its metric.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("ppsg_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.HOOKS
+    for module, attr, _ in spans.HOOKS:
+        assert hasattr(importlib.import_module(f"ppsg.{module}"), attr), (module, attr)

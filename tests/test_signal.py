@@ -11,7 +11,6 @@ from ppsg.signal import (
     add_noise,
     arg_field,
     finite_difference,
-    finite_difference_stencil,
     phase_diff,
     phase_diff_multi,
     principal_arg,
@@ -22,6 +21,8 @@ from ppsg.signal import (
     write_signal,
     write_signal_csv,
 )
+
+from oracles import finite_difference_stencil
 
 M01 = build_total_order([(0,), (1,)])
 
