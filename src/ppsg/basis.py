@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degrees import DegreeSet, MultiIndex, multi_binom
+from .degrees import DegreeSet, MultiIndex, diff_window, multi_binom
 
 BINOMIAL = "binomial"
 MONOMIAL = "monomial"
@@ -295,10 +295,7 @@ def binomial_transform(x: np.ndarray, k: Sequence[int]) -> float:
     """
     x = np.asarray(x, dtype=float)
     k = tuple(int(v) for v in k)
-    if len(k) != x.ndim:
-        raise ValueError(f"index length {len(k)} does not match field dim {x.ndim}")
-    if any(kd + 1 > Nd for kd, Nd in zip(k, x.shape)):
-        raise ValueError(f"window {x.shape} too small for degree {k}")
+    diff_window(x.shape, k)
     corner = x[tuple(slice(0, kd + 1) for kd in k)]
     total = 0.0
     for ell in np.ndindex(*corner.shape):

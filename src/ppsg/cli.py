@@ -55,12 +55,16 @@ def _degree_set(raw: str, name: str = "--degrees") -> DegreeSet:
         raise CliValidationError(f"flag {name}: {exc}") from exc
 
 
-def _window(raw: str, name: str = "--window") -> tuple[int, ...]:
+def _int_array(raw: str, name: str) -> tuple[int, ...]:
     data = _json_flag(name, raw)
     try:
-        window = tuple(int(v) for v in data)
+        return tuple(int(v) for v in data)
     except (TypeError, ValueError) as exc:
         raise CliValidationError(f"flag {name}: expected an integer array") from exc
+
+
+def _window(raw: str, name: str = "--window") -> tuple[int, ...]:
+    window = _int_array(raw, name)
     if not window or any(v < 1 for v in window):
         raise CliValidationError(f"flag {name}: entries must be positive")
     return window
@@ -131,7 +135,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "rb") as fh:
             sig = read_signal(fh)
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
         raise CliValidationError(f"flag --input: {exc}") from exc
     try:
         cfg = EstimatorConfig(
@@ -161,10 +165,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_field(config: dict, name: str):
+_REQUIRED = object()
+
+
+def _config_field(config: dict, name: str, convert=lambda v: v, default=_REQUIRED):
+    """One simulate-config field, converted; any failure names the field."""
     if name not in config:
-        raise CliValidationError(f"config field {name!r} is missing")
-    return config[name]
+        if default is _REQUIRED:
+            raise CliValidationError(f"config field {name!r} is missing")
+        return default
+    try:
+        return convert(config[name])
+    except (TypeError, ValueError) as exc:
+        raise CliValidationError(f"config field {name!r}: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -176,37 +189,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"flag --config: invalid JSON ({exc})") from exc
 
-    degree_set = _degree_set(json.dumps(_require_field(config, "degrees")), "degrees")
-    window = _window(json.dumps(_require_field(config, "window")), "window")
-    averaging_name = config.get("averaging", "circular")
-    if averaging_name not in _AVERAGING_NAMES:
-        raise CliValidationError(f"config field 'averaging': unknown kind {averaging_name!r}")
-    lags = tuple(tuple(int(v) for v in tau) for tau in config.get("lags", []))
+    degree_set = _degree_set(json.dumps(_config_field(config, "degrees")), "degrees")
+    window = _window(json.dumps(_config_field(config, "window")), "window")
+    averaging = _config_field(config, "averaging", AveragingKind, AveragingKind.CIRCULAR)
+    lags = _config_field(
+        config, "lags", lambda raw: tuple(tuple(int(v) for v in tau) for tau in raw), ()
+    )
+    snr_db_grid = _config_field(config, "snr_db_grid", lambda raw: tuple(float(v) for v in raw))
+    trials = _config_field(config, "trials", int)
+    parameter_mode = _config_field(config, "parameter_mode", str)
+    master_seed = _config_field(config, "master_seed", int, _effective_seed(args))
+    fixed_coefficients = _config_field(config, "fixed_coefficients", tuple, None)
     try:
         est_cfg = EstimatorConfig(
             degree_set=degree_set,
-            averaging=_AVERAGING_NAMES[averaging_name],
+            averaging=averaging,
             lags=lags,
             general_degree_handling=bool(config.get("general_degree_handling", False)),
         )
         exp_cfg = ExperimentConfig(
             degree_set=degree_set,
             window=window,
-            snr_db_grid=tuple(_require_field(config, "snr_db_grid")),
-            trials=int(_require_field(config, "trials")),
-            parameter_mode=str(_require_field(config, "parameter_mode")),
+            snr_db_grid=snr_db_grid,
+            trials=trials,
+            parameter_mode=parameter_mode,
             estimator_config=est_cfg,
-            master_seed=int(config.get("master_seed", _effective_seed(args))),
-            fixed_coefficients=(
-                tuple(config["fixed_coefficients"])
-                if "fixed_coefficients" in config
-                else None
-            ),
+            master_seed=master_seed,
+            fixed_coefficients=fixed_coefficients,
         )
     except ValueError as exc:
         raise CliValidationError(f"config: {exc}") from exc
 
-    result = run_sweep(exp_cfg, workers=max(1, args.threads))
+    result = run_sweep(exp_cfg)
     with _open_out(args.out) as fh:
         result.write_csv(fh)
     if args.out is not None:
@@ -223,7 +237,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     if exp_cfg.fixed_coefficients
                     else None
                 ),
-                "averaging": averaging_name,
+                "averaging": averaging.value,
                 "lags": [list(t) for t in est_cfg.lags],
                 "general_degree_handling": est_cfg.general_degree_handling,
                 "master_seed": exp_cfg.master_seed,
@@ -257,13 +271,9 @@ def _cmd_crb(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    degree = tuple(int(v) for v in _json_flag("--degree", args.degree))
+    degree = _int_array(args.degree, "--degree")
     window = _window(args.window)
-    lag = (
-        tuple(int(v) for v in _json_flag("--lag", args.lag))
-        if args.lag is not None
-        else (1,) * len(window)
-    )
+    lag = 1 if args.lag is None else _int_array(args.lag, "--lag")
     try:
         field = weight_multi(degree, lag, window)
     except ValueError as exc:
@@ -307,7 +317,9 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(handler=_cmd_simulate)
 

@@ -112,10 +112,17 @@ class DegreeSet:
         """Index of degree ``m`` in the stored total order."""
         return self._positions[tuple(m)]
 
+    @cached_property
+    def max_degree(self) -> MultiIndex:
+        """Highest degree along each dimension; the window must exceed it."""
+        return tuple(map(max, zip(*self.degrees)))
+
     def is_downward_closed(self) -> bool:
-        return all(
-            ell in self._positions for m in self.degrees for ell in _below(m)
-        )
+        return self._downward_closed
+
+    @cached_property
+    def _downward_closed(self) -> bool:
+        return all(ell in self._positions for m in self.degrees for ell in _below(m))
 
     def to_json(self) -> list[list[int]]:
         """JSON form: array of integer arrays in the stored total order."""
@@ -161,10 +168,48 @@ def validate_degree_set(M: DegreeSet, N: Sequence[int]) -> DegreeSetReport:
     N = tuple(int(v) for v in N)
     if len(N) != M.dim:
         raise ValueError(f"window length {len(N)} does not match dim {M.dim}")
-    window_ok = all(
-        all(Nd >= md + 1 for Nd, md in zip(N, m)) for m in M.degrees
-    )
+    try:
+        diff_window(N, M.max_degree)
+        window_ok = True
+    except ValueError:
+        window_ok = False
     return DegreeSetReport(window_ok=window_ok, downward_closed=M.is_downward_closed())
+
+
+def as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
+    """Per-dimension lag from a scalar or a sequence; entries must be >= 1."""
+    try:
+        tau = (lag,) * dim if type(lag) is int else tuple(map(int, lag))
+    except TypeError:  # any other scalar applies to every dimension
+        tau = (int(lag),) * dim
+    if len(tau) != dim:
+        raise ValueError(f"lag {tau} does not match dimensionality {dim}")
+    if min(tau, default=1) < 1:
+        raise ValueError(f"lag {tau} has entries < 1")
+    return tau
+
+
+def diff_window(
+    N: Sequence[int], k: Sequence[int], lag: Sequence[int] | int = 1
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Window and lag left after k_d differences at lag tau_d along each dim d.
+
+    This is the package's one window rule: every dimension must keep a
+    sample, N_d >= tau_d * k_d + 1 (for unit lags, more samples than the
+    degree), else ValueError.  Returns (N - tau*k, tau).
+    """
+    if len(k) != len(N):
+        raise ValueError(f"index {tuple(k)} does not match the {len(N)}-d window {tuple(N)}")
+    if min(k, default=0) < 0:
+        raise ValueError(f"negative order in {tuple(k)}")
+    tau = as_lag(lag, len(N))
+    window = tuple([Nd - td * kd for Nd, td, kd in zip(N, tau, k)])
+    if min(window, default=1) < 1:
+        raise ValueError(
+            f"window {tuple(N)} too small for order {tuple(k)} at lag {tau}: "
+            "need N >= lag*order + 1 in every dimension"
+        )
+    return window, tau
 
 
 def downward_closure(M: DegreeSet) -> DegreeSet:

@@ -38,15 +38,15 @@ from .basis import (
     monomial_field,
     wrap_to_cell,
 )
-from .degrees import DegreeSet, MultiIndex, downward_closure, validate_degree_set
-from .signal import (
-    RealField,
-    Signal,
+from .degrees import (
+    DegreeSet,
+    MultiIndex,
     as_lag,
-    phase_diff_multi,
-    principal_arg,
-    unit_project,
+    diff_window,
+    downward_closure,
+    validate_degree_set,
 )
+from .signal import RealField, Signal, phase_diff_multi, principal_arg, unit_project
 from .weights import WeightField, weight_multi
 
 TWO_PI = 2.0 * np.pi
@@ -145,7 +145,7 @@ class Estimate:
 
     def __post_init__(self) -> None:
         v = self.binomial.values
-        if np.any((v < -0.5) | (v >= 0.5)):
+        if not np.all((v >= -0.5) & (v < 0.5)):  # NaN fails too
             raise ValueError(f"binomial estimate left the cell [-1/2, 1/2): {v}")
 
     def to_json(self) -> dict:
@@ -159,22 +159,13 @@ class Estimate:
         }
 
 
-def _require_estimable(cfg: EstimatorConfig, window: tuple[int, ...]) -> None:
-    report = validate_degree_set(cfg.degree_set, window)
-    if not report.window_ok:
-        raise ValueError(
-            f"window {window} too small for degrees {cfg.degree_set.degrees}"
-        )
-    if not report.downward_closed:
-        raise ValueError(
-            "degree set is not downward closed; use the general-degree path"
-        )
-    for tau in cfg.lags:
-        for m in cfg.degree_set:
-            if any(Nd < td * md + 1 for Nd, td, md in zip(window, tau, m)):
-                raise ValueError(
-                    f"lag {tau} leaves no samples for degree {m} in window {window}"
-                )
+def _require_estimable(cfg: EstimatorConfig, y: Signal) -> None:
+    if not np.isfinite(y.data).all():
+        raise ValueError("signal has non-finite samples")
+    # The last lag is the largest in every dimension, so it bounds the window.
+    diff_window(y.window, cfg.degree_set.max_degree, cfg.lags[-1])
+    if not validate_degree_set(cfg.degree_set, y.window).downward_closed:
+        raise ValueError("degree set is not downward closed; use the general-degree path")
 
 
 def _sequential(
@@ -190,7 +181,7 @@ def _sequential(
     cancels ``increment * basis_field(m, N)``.  The last stage skips the
     cancellation, since nothing reads the observation after it.
     """
-    _require_estimable(cfg, y.window)
+    _require_estimable(cfg, y)
     M = cfg.degree_set
     N = y.window
     stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]

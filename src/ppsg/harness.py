@@ -2,17 +2,16 @@
 estimation, wrap segregation, and sweep aggregation.
 
 Every trial derives its generator from (master_seed, snr_index, trial_index),
-so results are independent of execution order and worker count.  Wrapping
-detection follows the ground-truth segregation methodology: the noise
-realization is synthesized explicitly and the outlier predicate is evaluated
-on the true multiplicative phase noise, not on estimates.
+so results are independent of execution order.  Wrapping detection follows
+the ground-truth segregation methodology: the noise realization is
+synthesized explicitly and the outlier predicate is evaluated on the true
+multiplicative phase noise, not on estimates.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .analysis import outlier_predicate, reconstruction_bound
 from .basis import BINOMIAL, CoefficientVector, phase_field, wrap_to_cell
-from .degrees import DegreeSet
+from .degrees import DegreeSet, diff_window
 from .estimator import Estimate, EstimatorConfig, estimate
 from .signal import (
     RealField,
@@ -75,8 +74,12 @@ class ExperimentConfig:
             object.__setattr__(self, "fixed_coefficients", coeffs)
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.estimator_config.degree_set != self.degree_set:
+        M, est = self.degree_set, self.estimator_config
+        if est.degree_set != M:
             raise ValueError("estimator_config degree set differs from experiment's")
+        if not (M.is_downward_closed() or (est.general_degree_handling and est.single_unit_lag)):
+            raise ValueError("non-closed degrees need general_degree_handling and a unit lag")
+        diff_window(self.window, M.max_degree, est.lags[-1])
 
 
 @dataclass(frozen=True)
@@ -189,18 +192,15 @@ def _wrap_event(
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run the full SNR grid; deterministic regardless of worker count."""
+    """Run the full SNR grid, one trial after another.
+
+    ``workers`` is accepted for compatibility and has no effect: trials run
+    in the calling thread, and each seeds its own generator.
+    """
     records = []
     for snr_index, snr_db in enumerate(cfg.snr_db_grid):
         snr = snr_db_to_linear(snr_db)
-        trial_ids = range(cfg.trials)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda t: run_trial(cfg, snr, t, snr_index), trial_ids)
-                )
-        else:
-            results = [run_trial(cfg, snr, t, snr_index) for t in trial_ids]
+        results = [run_trial(cfg, snr, t, snr_index) for t in range(cfg.trials)]
         records.append(_aggregate(snr_db, snr, cfg, results))
     return ExperimentResult(tuple(records), cfg)
 

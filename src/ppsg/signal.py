@@ -8,6 +8,7 @@ output arrays; inputs are never mutated, so concurrent reads are safe.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -15,28 +16,23 @@ from typing import IO, Sequence
 import numpy as np
 
 from .basis import CoefficientVector, phase_field
-from .degrees import validate_degree_set
+from .degrees import diff_window, validate_degree_set
 
 _MAGIC = b"PPSG"
 
 
-def _check_window(window: Sequence[int]) -> tuple[int, ...]:
-    w = tuple(int(v) for v in window)
-    if not w or any(v < 1 for v in w):
-        raise ValueError(f"window must have positive entries, got {w}")
-    return w
-
-
 @dataclass(frozen=True)
-class Signal:
-    """Complex field over the window [N], shape == window."""
+class _Field:
+    """Field over the window [N], shape == window; subclasses fix the dtype."""
 
     window: tuple[int, ...]
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        window = _check_window(self.window)
-        data = np.ascontiguousarray(self.data, dtype=complex)
+        window = tuple(int(v) for v in self.window)
+        if not window or min(window) < 1:
+            raise ValueError(f"window must have positive entries, got {window}")
+        data = np.ascontiguousarray(self.data, dtype=self._dtype)
         if data.shape != window:
             raise ValueError(f"data shape {data.shape} != window {window}")
         object.__setattr__(self, "window", window)
@@ -52,23 +48,17 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class RealField:
+class Signal(_Field):
+    """Complex field over the window [N], shape == window."""
+
+    _dtype = complex
+
+
+@dataclass(frozen=True)
+class RealField(_Field):
     """Real field over the window [N], shape == window."""
 
-    window: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        window = _check_window(self.window)
-        data = np.ascontiguousarray(self.data, dtype=float)
-        if data.shape != window:
-            raise ValueError(f"data shape {data.shape} != window {window}")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dim(self) -> int:
-        return len(self.window)
+    _dtype = float
 
 
 def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
@@ -85,7 +75,7 @@ def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
 
 def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:
     """Unit-modulus signal exp(j 2 pi x(n)) over [N] from phase coefficients."""
-    N = _check_window(N)
+    N = tuple(int(v) for v in N)
     report = validate_degree_set(coeffs.degree_set, N)
     if not report.window_ok:
         raise ValueError(f"window {N} too small for degrees {coeffs.degree_set.degrees}")
@@ -112,6 +102,24 @@ def add_noise(s: Signal, snr: float, rng: np.random.Generator) -> Signal:
     return Signal(s.window, s.data + complex_noise(s.window, snr, rng))
 
 
+def _difference(data: np.ndarray, k: Sequence[int], tau: Sequence[int], step) -> np.ndarray:
+    """Apply ``step(data[n + tau_d e_d], data[n])`` k_d times along each dim d.
+
+    The loop works on raw arrays and walks the dimensions in order, so it
+    costs O(|k|) passes; each step shortens dim d by tau_d.
+    """
+    for d, (kd, td) in enumerate(zip(k, tau)):
+        lead = (slice(None),) * d
+        for _ in range(kd):
+            n = data.shape[d]
+            data = step(data[lead + (slice(td, n),)], data[lead + (slice(0, n - td),)])
+    return data
+
+
+def _conj_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    return later * np.conj(earlier)
+
+
 def phase_diff(s: Signal, d: int, lag: int = 1) -> Signal:
     """Lagged phase difference along dimension d: s(n + lag e_d) conj(s(n)).
 
@@ -120,18 +128,7 @@ def phase_diff(s: Signal, d: int, lag: int = 1) -> Signal:
     """
     if not 0 <= d < s.dim:
         raise ValueError(f"dimension {d} out of range for {s.dim}-d signal")
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
-    if s.window[d] <= lag:
-        raise ValueError(f"window {s.window} too small for lag {lag} along dim {d}")
-    head = [slice(None)] * s.dim
-    tail = [slice(None)] * s.dim
-    head[d] = slice(0, s.window[d] - lag)
-    tail[d] = slice(lag, s.window[d])
-    data = s.data[tuple(tail)] * np.conj(s.data[tuple(head)])
-    window = list(s.window)
-    window[d] -= lag
-    return Signal(tuple(window), data)
+    return phase_diff_multi(s, tuple(int(i == d) for i in range(s.dim)), lag)
 
 
 def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) -> Signal:
@@ -141,28 +138,8 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     matter; output window is N - tau*k elementwise.
     """
     k = tuple(int(v) for v in k)
-    if len(k) != s.dim:
-        raise ValueError(f"index length {len(k)} does not match signal dim {s.dim}")
-    if any(v < 0 for v in k):
-        raise ValueError(f"negative composition count in {k}")
-    tau = as_lag(lag, s.dim)
-    if any(Nd < td * kd + 1 for Nd, td, kd in zip(s.window, tau, k)):
-        raise ValueError(f"window {s.window} too small for k={k}, lag={tau}")
-    out = s
-    for d, (kd, td) in enumerate(zip(k, tau)):
-        for _ in range(kd):
-            out = phase_diff(out, d, td)
-    return out
-
-
-def as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
-    """Per-dimension lag from a scalar or a sequence; entries must be >= 1."""
-    tau = (int(lag),) * dim if np.ndim(lag) == 0 else tuple(int(v) for v in lag)
-    if len(tau) != dim:
-        raise ValueError(f"lag {tau} does not match dimensionality {dim}")
-    if any(v < 1 for v in tau):
-        raise ValueError(f"lag {tau} has entries < 1")
-    return tau
+    window, tau = diff_window(s.window, k, lag)
+    return Signal(window, _difference(s.data, k, tau, _conj_product))
 
 
 def unit_project(data: np.ndarray) -> np.ndarray:
@@ -189,21 +166,8 @@ def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
     array.
     """
     k = tuple(int(v) for v in k)
-    if len(k) != x.dim:
-        raise ValueError(f"index length {len(k)} does not match field dim {x.dim}")
-    if any(v < 0 for v in k):
-        raise ValueError(f"negative difference order in {k}")
-    if any(Nd < kd + 1 for Nd, kd in zip(x.window, k)):
-        raise ValueError(f"window {x.window} too small for order {k}")
-    data = x.data
-    for d, kd in enumerate(k):
-        for _ in range(kd):
-            head = [slice(None)] * x.dim
-            tail = [slice(None)] * x.dim
-            head[d] = slice(0, data.shape[d] - 1)
-            tail[d] = slice(1, data.shape[d])
-            data = data[tuple(tail)] - data[tuple(head)]
-    return RealField(data.shape, data)
+    window, tau = diff_window(x.window, k)
+    return RealField(window, _difference(x.data, k, tau, np.subtract))
 
 
 # -- File formats ---------------------------------------------------------------
@@ -218,15 +182,26 @@ def write_signal(s: Signal, fh: IO[bytes]) -> None:
 
 
 def read_signal(fh: IO[bytes]) -> Signal:
-    magic, dim = struct.unpack("<4sI", fh.read(8))
+    """Read the :func:`write_signal` format.
+
+    The file is read whole and every length in the header is checked against
+    it, so a truncated file raises ValueError instead of allocating for the
+    window it declares.
+    """
+    raw = fh.read()
+    if len(raw) < 8:
+        raise ValueError(f"truncated signal file: {len(raw)} bytes, the header needs 8")
+    magic, dim = struct.unpack_from("<4sI", raw)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    window = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-    count = int(np.prod(window))
-    raw = fh.read(16 * count)
-    if len(raw) != 16 * count:
-        raise ValueError("truncated signal file")
-    data = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(window)
+    start = 8 + 4 * dim
+    if len(raw) < start:
+        raise ValueError(f"truncated signal file: the header declares {dim} dimensions")
+    window = struct.unpack_from(f"<{dim}I", raw, 8)
+    count = math.prod(window)
+    if len(raw) < start + 16 * count:
+        raise ValueError(f"truncated signal file: window {window} needs {16 * count} bytes")
+    data = np.frombuffer(raw, "<c16", count, start).astype(complex).reshape(window)
     return Signal(window, data)
 
 

@@ -18,8 +18,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .basis import tensor_field
-from .degrees import binom
-from .signal import as_lag
+from .degrees import binom, diff_window
+from .signal import RealField
 
 # Above this per-dimension window length the closed form switches from exact
 # integer products (which would overflow practical magnitudes around
@@ -30,23 +30,15 @@ _ORACLE_GUARD = 4096
 
 
 @dataclass(frozen=True)
-class WeightField:
+class WeightField(RealField):
     """Normalized nonnegative weights over the difference window N - tau*k."""
 
-    window: tuple[int, ...]
-    data: np.ndarray
-
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        window = tuple(int(v) for v in self.window)
-        if data.shape != window:
-            raise ValueError(f"data shape {data.shape} != window {window}")
-        if np.any(data < 0):
+        super().__post_init__()
+        if np.any(self.data < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(data.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {data.sum()}, expected 1")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "data", data)
+        if abs(self.data.sum() - 1.0) > 1e-9:
+            raise ValueError(f"weights sum to {self.data.sum()}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -67,13 +59,6 @@ class NoiseCovariance:
         if not np.array_equal(matrix, matrix.T):
             raise ValueError("covariance kernel must be symmetric")
         object.__setattr__(self, "matrix", matrix)
-
-
-def _diff_window(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(Nd - td * kd for Nd, td, kd in zip(N, tau, k))
-    if any(v < 1 for v in out):
-        raise ValueError(f"window {tuple(N)} too small for k={tuple(k)}, lag={tuple(tau)}")
-    return out
 
 
 def _weight_1d_exact(k: int, tau: int, N: int) -> np.ndarray:
@@ -101,8 +86,7 @@ def _log_binom(n: np.ndarray, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
-    if k < 0 or tau < 1 or N <= tau * k:
-        raise ValueError(f"invalid weight parameters k={k}, tau={tau}, N={N}")
+    """Cached read-only :func:`weight_1d`; callers check the window first."""
     out = _weight_1d_exact(k, tau, N) if N <= _EXACT_LIMIT else _weight_1d_log(k, tau, N)
     out.setflags(write=False)
     return out
@@ -114,7 +98,9 @@ def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
     u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
     with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
     """
-    return np.array(_weight_axis(int(k), int(tau), int(N)))
+    k, tau, N = int(k), int(tau), int(N)
+    diff_window((N,), (k,), tau)
+    return np.array(_weight_axis(k, tau, N))
 
 
 def weight_multi(
@@ -123,10 +109,7 @@ def weight_multi(
     """Tensor product of per-dimension closed-form weights."""
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    tau = as_lag(tau, len(k))
-    if len(N) != len(k):
-        raise ValueError(f"window length {len(N)} does not match index {k}")
-    window = _diff_window(k, tau, N)
+    window, tau = diff_window(N, k, tau)
     data = tensor_field([_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)])
     data = data / data.sum()  # counter accumulated rounding in high dims
     return WeightField(window, data)
@@ -139,9 +122,7 @@ def covariance_axis(k: int, tau: int, N: int) -> np.ndarray:
     is (-1)^d C(2k, k + d) with d = (n - n')/tau, i.e. the lag-1 kernel of
     that class.
     """
-    size = N - tau * k
-    if size < 1:
-        raise ValueError(f"window {N} too small for k={k}, tau={tau}")
+    (size,), (tau,) = diff_window((N,), (k,), tau)
     n = np.arange(size)
     delta = n[:, None] - n[None, :]
     out = np.zeros((size, size))
@@ -162,8 +143,7 @@ def covariance_matrix(
     """
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    tau = as_lag(tau, len(k))
-    _diff_window(k, tau, N)
+    _, tau = diff_window(N, k, tau)
     matrix = np.ones((1, 1))
     for kd, td, Nd in zip(k, tau, N):
         matrix = np.kron(matrix, covariance_axis(kd, td, Nd))
@@ -180,8 +160,7 @@ def weight_via_inversion(
     """
     k = tuple(int(v) for v in k)
     N = tuple(int(v) for v in N)
-    tau = as_lag(tau, len(k))
-    window = _diff_window(k, tau, N)
+    window, tau = diff_window(N, k, tau)
     size = int(np.prod(window))
     if size > _ORACLE_GUARD:
         raise ValueError(f"oracle limited to {_ORACLE_GUARD} unknowns, got {size}")

@@ -5,6 +5,7 @@ as they complete.  Monte-Carlo counts follow the stated protocols, so the
 module takes a few minutes in total; everything is deterministically seeded.
 """
 
+import gc
 import itertools
 import time
 from contextlib import contextmanager
@@ -311,12 +312,18 @@ def test_criterion_7_linear_complexity():
             w = 0.1 * (rng.standard_normal((n,)) + 1j * rng.standard_normal((n,)))
             y = Signal((n,), s.data + w)
             estimate_coefficients(y, cfg)  # warm caches
-            reps = int(np.clip(2**16 // n, 3, 20))
+            # The large sizes dominate the fit, so they get at least 7 reps;
+            # a collection pause inside a timed call would bend the line.
+            reps = int(np.clip(2**16 // n, 7, 20))
             best = np.inf
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                estimate_coefficients(y, cfg)
-                best = min(best, time.perf_counter() - t0)
+            gc.disable()
+            try:
+                for _ in range(reps):
+                    t0 = time.perf_counter()
+                    estimate_coefficients(y, cfg)
+                    best = min(best, time.perf_counter() - t0)
+            finally:
+                gc.enable()
             times.append(best)
         x = np.array(sizes, dtype=float)
         t = np.array(times)

@@ -227,3 +227,65 @@ def test_seed_env_override(tmp_path, monkeypatch):
     )
     sidecar = json.loads((tmp_path / "flag.csv.meta.json").read_text())
     assert sidecar["config"]["master_seed"] == 7
+
+
+_SIM_CONFIG = {
+    "degrees": [[0], [1]],
+    "window": [16],
+    "snr_db_grid": [10.0],
+    "trials": 2,
+    "parameter_mode": "zero",
+}
+
+
+@pytest.mark.parametrize(
+    "args,config,field",
+    [
+        (["simulate"], {"lags": [1, 2]}, "lags"),
+        (["simulate"], {"parameter_mode": "fixed", "fixed_coefficients": 5}, "fixed_coefficients"),
+        (["simulate"], {"snr_db_grid": 5}, "snr_db_grid"),
+        (["simulate"], {"trials": [2]}, "trials"),
+        (["simulate"], {"averaging": ["kay"]}, "averaging"),
+        (["simulate"], {"degrees": [[0], [1], [2]], "window": [2]}, "window"),
+        (["simulate"], {"degrees": [[0], [2]]}, "general_degree_handling"),
+        (["weights", "--degree", "5", "--window", "[8]"], None, "--degree"),
+        (["weights", "--degree", '["a"]', "--window", "[8]"], None, "--degree"),
+        (["weights", "--degree", "[1]", "--lag", "3", "--window", "[8]"], None, "--lag"),
+    ],
+    ids=[
+        "scalar-lags",
+        "scalar-fixed-coefficients",
+        "scalar-snr-grid",
+        "list-trials",
+        "list-averaging",
+        "small-window",
+        "non-closed-degrees",
+        "scalar-degree",
+        "string-degree",
+        "scalar-lag",
+    ],
+)
+def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_SIM_CONFIG, **config}))
+        args = args + ["--config", str(path), "--out", str(tmp_path / "r.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("case", ["empty", "short_header", "short_payload", "nan_sample"])
+def test_estimate_bad_signal_file_exits_1(tmp_path, capsys, case):
+    sig = tmp_path / "sig.ppsg"
+    _write_test_signal(sig)
+    raw = sig.read_bytes()
+    if case == "nan_sample":
+        raw = raw[:-16] + np.array([np.nan + 0j], dtype="<c16").tobytes()
+    else:
+        raw = {"empty": b"", "short_header": raw[:5], "short_payload": raw[:-16]}[case]
+    sig.write_bytes(raw)
+    assert main(["estimate", "--input", str(sig), "--degrees", "[[0],[1]]"]) == 1
+    err = capsys.readouterr().err
+    assert ("non-finite" if case == "nan_sample" else "--input") in err

@@ -1,18 +1,25 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppsg.basis import binomial_transform
 from ppsg.degrees import (
     DegreeSet,
+    as_lag,
     binom,
     build_total_order,
+    diff_window,
     downward_closure,
     multi_binom,
     partial_leq,
     validate_degree_set,
 )
+from ppsg.estimator import EstimatorConfig, estimate
+from ppsg.signal import RealField, Signal, finite_difference, phase_diff, phase_diff_multi
+from ppsg.weights import covariance_matrix, weight_1d, weight_multi, weight_via_inversion
 
 # Degree pattern of a 2-D set that is NOT downward closed: the full staircase
 # minus the interior point (2, 2), while (3, 2) stays in.
@@ -172,3 +179,76 @@ def test_closure_matches_box_union():
     M = build_total_order([(2, 0), (0, 1)])
     expected = set(itertools.product(range(3), range(1))) | {(0, 1)} | {(0, 0)}
     assert set(downward_closure(M).degrees) == expected
+
+
+def test_as_lag_scalar_and_sequence_forms():
+    assert as_lag(2, 3) == (2, 2, 2)
+    assert as_lag(np.int64(2), 2) == (2, 2)
+    assert as_lag(np.array(3), 1) == (3,)
+    assert as_lag((1, np.int64(4)), 2) == (1, 4)
+    assert as_lag([2, 3], 2) == (2, 3)
+    with pytest.raises(ValueError):
+        as_lag((1, 2), 3)
+    with pytest.raises(ValueError):
+        as_lag(0, 1)
+
+
+def test_diff_window_returns_window_and_resolved_lag():
+    assert diff_window((9, 7), (2, 1), 3) == ((3, 4), (3, 3))
+    assert diff_window((9, 7), (2, 1), (4, 6)) == ((1, 1), (4, 6))
+    assert diff_window((5,), (0,)) == ((5,), (1,))
+    with pytest.raises(ValueError):
+        diff_window((9, 7), (2, 1), (4, 7))
+    with pytest.raises(ValueError):
+        diff_window((9,), (2, 1))
+    with pytest.raises(ValueError):
+        diff_window((9,), (-1,))
+
+
+def _ones(N):
+    return Signal(N, np.ones(N, dtype=complex))
+
+
+M012 = build_total_order([(0,), (1,), (2,)])
+BOX = build_total_order([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+# (entry point, order k, lag tau, call on a window N).  Every entry point
+# must accept N = tau*k + 1 and reject N = tau*k in any one dimension.
+WINDOW_RULE_CASES = [
+    ("phase_diff", (1,), (3,), lambda N: phase_diff(_ones(N), 0, 3)),
+    ("phase_diff_multi", (2, 1), (3, 2), lambda N: phase_diff_multi(_ones(N), (2, 1), (3, 2))),
+    (
+        "finite_difference",
+        (2, 1),
+        (1, 1),
+        lambda N: finite_difference(RealField(N, np.zeros(N)), (2, 1)),
+    ),
+    ("weight_1d", (2,), (3,), lambda N: weight_1d(2, 3, N[0])),
+    ("weight_multi", (2, 1), (3, 2), lambda N: weight_multi((2, 1), (3, 2), N)),
+    ("covariance_matrix", (2, 1), (3, 2), lambda N: covariance_matrix((2, 1), (3, 2), N)),
+    ("weight_via_inversion", (2, 1), (3, 2), lambda N: weight_via_inversion((2, 1), (3, 2), N)),
+    ("binomial_transform", (2, 1), (1, 1), lambda N: binomial_transform(np.zeros(N), (2, 1))),
+    (
+        "estimate_1d_lags",
+        (2,),
+        (4,),
+        lambda N: estimate(_ones(N), EstimatorConfig(M012, lags=((1,), (2,), (4,)))),
+    ),
+    (
+        "estimate_2d_lags",
+        (1, 1),
+        (2, 3),
+        lambda N: estimate(_ones(N), EstimatorConfig(BOX, lags=((1, 1), (2, 3)))),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "k,tau,call", [case[1:] for case in WINDOW_RULE_CASES], ids=[c[0] for c in WINDOW_RULE_CASES]
+)
+def test_window_rule_at_every_entry_point(k, tau, call):
+    fits = tuple(td * kd + 1 for td, kd in zip(tau, k))
+    call(fits)
+    for d in range(len(fits)):
+        with pytest.raises(ValueError):
+            call(fits[:d] + (fits[d] - 1,) + fits[d + 1 :])

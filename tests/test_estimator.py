@@ -18,6 +18,7 @@ from ppsg.basis import (
 from ppsg.degrees import DegreeSet, build_total_order
 from ppsg.estimator import (
     AveragingKind,
+    Estimate,
     EstimatorConfig,
     average,
     estimate,
@@ -164,6 +165,20 @@ def test_estimator_window_guard():
     s = Signal((2,), np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
         estimate_coefficients(s, EstimatorConfig(M012))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_estimator_rejects_non_finite_samples(bad):
+    data = np.ones(8, dtype=complex)
+    data[3] = bad
+    for cfg in (EstimatorConfig(M01), EstimatorConfig(M01, lags=((1,), (2,)))):
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate(Signal((8,), data), cfg)
+
+
+def test_estimate_cell_check_rejects_nan():
+    with pytest.raises(ValueError):
+        Estimate(_cv([0.0, np.nan], M01))
 
 
 def test_variance_tracks_crb():

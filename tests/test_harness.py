@@ -54,6 +54,20 @@ def test_config_validation():
         _config(estimator_config=EstimatorConfig(build_total_order([(0,)])))
 
 
+def test_config_rejects_what_the_first_trial_would():
+    M012 = build_total_order([(0,), (1,), (2,)])
+    with pytest.raises(ValueError, match="window"):
+        _config(degree_set=M012, window=(2,), estimator_config=EstimatorConfig(M012))
+    lagged = EstimatorConfig(M012, lags=((1,), (2,)))
+    with pytest.raises(ValueError, match="window"):
+        _config(degree_set=M012, window=(4,), estimator_config=lagged)
+    _config(degree_set=M012, window=(5,), estimator_config=lagged)
+    M02 = build_total_order([(0,), (2,)])
+    with pytest.raises(ValueError, match="general_degree_handling"):
+        _config(degree_set=M02, estimator_config=EstimatorConfig(M02))
+    _config(degree_set=M02, estimator_config=EstimatorConfig(M02, general_degree_handling=True))
+
+
 def test_trial_noiseless_limit():
     out = run_trial(_config(), 1e12, trial_index=0)
     assert out.reconstruction_error < 1e-6

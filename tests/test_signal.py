@@ -235,6 +235,37 @@ def test_signal_binary_magic_guard():
         read_signal(buf)
 
 
+def _signal_bytes(window=(3, 2)):
+    buf = io.BytesIO()
+    write_signal(Signal(window, np.arange(np.prod(window)).reshape(window) * (1 + 1j)), buf)
+    return buf.getvalue()
+
+
+# 0: empty, 5: inside the magic/dim header, 8: no extents, 11: half the
+# extents, -16: one sample short, -1: one byte short.
+@pytest.mark.parametrize("cut", [0, 5, 8, 11, -16, -1])
+def test_signal_binary_rejects_truncated_file(cut):
+    raw = _signal_bytes()
+    with pytest.raises(ValueError, match="truncated"):
+        read_signal(io.BytesIO(raw[:cut]))
+
+
+def test_signal_binary_rejects_header_overrun():
+    # The header claims one more row (2 samples) than the payload holds.
+    raw = bytearray(_signal_bytes())
+    raw[8:12] = (4).to_bytes(4, "little")
+    with pytest.raises(ValueError, match="truncated"):
+        read_signal(io.BytesIO(bytes(raw)))
+
+
+def test_phase_diff_is_phase_diff_multi_with_unit_index():
+    rng = np.random.default_rng(10)
+    s = Signal((5, 7), np.exp(1j * rng.normal(size=(5, 7))))
+    for d, lag in [(0, 1), (1, 2), (1, 6)]:
+        k = tuple(int(i == d) for i in range(2))
+        assert np.array_equal(phase_diff(s, d, lag).data, phase_diff_multi(s, k, lag).data)
+
+
 def test_signal_csv_roundtrip():
     rng = np.random.default_rng(9)
     s = Signal((2, 3), rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
