@@ -182,12 +182,23 @@ def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
 
 def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:
     """Evaluate the phase polynomial over the full window [N]."""
+    return phase_fields(coeffs.values[None], coeffs.degree_set, N, coeffs.basis)[0]
+
+
+def phase_fields(
+    values: np.ndarray, degree_set: DegreeSet, N: Sequence[int], basis: str = BINOMIAL
+) -> np.ndarray:
+    """Phase polynomials of a batch of coefficient rows, shape (B, *N).
+
+    ``values`` has shape (B, |M|).  Terms are added in degree-set order, and
+    a degree whose coefficient is zero in every row is skipped.
+    """
     N = tuple(int(v) for v in N)
-    sample = binomial_field if coeffs.basis == BINOMIAL else monomial_field
-    out = np.zeros(N)
-    for c, m in zip(coeffs.values, coeffs.degree_set):
-        if c != 0.0:
-            out += c * sample(m, N)
+    sample = binomial_field if basis == BINOMIAL else monomial_field
+    out = np.zeros((len(values),) + N)
+    for c, m in zip(values.T, degree_set):
+        if c.any():
+            out += c.reshape((-1,) + (1,) * len(N)) * sample(m, N)
     return out
 
 

@@ -180,6 +180,20 @@ def _config_field(config: dict, name: str, convert=lambda v: v, default=_REQUIRE
         raise CliValidationError(f"config field {name!r}: {exc}") from exc
 
 
+def _json_bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
+def _json_numbers(raw) -> tuple:
+    if not isinstance(raw, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
+    ):
+        raise TypeError(f"expected a list of numbers, got {raw!r}")
+    return tuple(raw)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as fh:
@@ -195,17 +209,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     lags = _config_field(
         config, "lags", lambda raw: tuple(tuple(int(v) for v in tau) for tau in raw), ()
     )
-    snr_db_grid = _config_field(config, "snr_db_grid", lambda raw: tuple(float(v) for v in raw))
+    snr_db_grid = _config_field(config, "snr_db_grid", _json_numbers)
     trials = _config_field(config, "trials", int)
     parameter_mode = _config_field(config, "parameter_mode", str)
     master_seed = _config_field(config, "master_seed", int, _effective_seed(args))
-    fixed_coefficients = _config_field(config, "fixed_coefficients", tuple, None)
+    fixed_coefficients = _config_field(config, "fixed_coefficients", _json_numbers, None)
+    general = _config_field(config, "general_degree_handling", _json_bool, False)
     try:
         est_cfg = EstimatorConfig(
             degree_set=degree_set,
             averaging=averaging,
             lags=lags,
-            general_degree_handling=bool(config.get("general_degree_handling", False)),
+            general_degree_handling=general,
         )
         exp_cfg = ExperimentConfig(
             degree_set=degree_set,

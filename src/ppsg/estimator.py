@@ -1,20 +1,26 @@
 """Sequential coefficient estimators for polynomial phase signals.
 
-One private kernel, :func:`_sequential`, holds the estimation loop.  It walks
+One private kernel, :func:`_sequential`, holds the estimation loop.  It takes
+a batch of signals, shape (B, *N) with the trial axis leading, and walks
 stages (m, tau), degrees in descending total order and lags inner.  Each
-stage collapses the running observation to a near-constant field with
-composed lagged phase differences, averages it with the closed-form
-minimum-variance weights, reads the increment off the argument, and cancels
-the recovered term before the next stage.  The public estimators differ only
-in the basis field they cancel and in how they finish: the plain and
-multi-lag estimators cancel binomial fields C(n, m); the direct estimator
-cancels monomials n^m / m! and maps back to the binomial basis.  Degree sets
-that are not downward closed are estimated over their closure, then
-projected with Fisher weights.
+stage collapses the running observations to near-constant fields with
+composed lagged phase differences, averages them with the closed-form
+minimum-variance weights, reads the increments off the arguments, and
+cancels the recovered terms before the next stage.  The public estimators
+differ only in the basis field they cancel and in how they finish: the
+plain and multi-lag estimators cancel binomial fields C(n, m); the direct
+estimator cancels monomials n^m / m! and maps back to the binomial basis.
+Degree sets that are not downward closed are estimated over their closure,
+then projected with Fisher weights.
 
-All estimators are pure functions of (signal, config); a single run is
-inherently sequential across degrees, but independent signals can be
-estimated concurrently.
+A single signal is the batch of one.  :func:`estimate_batch` estimates many
+signals in one pass, and for batches under 2^14 samples row t of its result
+equals ``estimate`` of signal t bit for bit: the window reductions sum each
+row exactly as a lone signal is summed, and the last scalar step of each
+average stays per-signal Python ``complex`` arithmetic, whose last bit
+numpy's array divide and multiply do not reproduce.  All estimators are pure
+functions of (signal, config); a run is inherently sequential across
+degrees.
 """
 
 from __future__ import annotations
@@ -46,10 +52,14 @@ from .degrees import (
     downward_closure,
     validate_degree_set,
 )
-from .signal import RealField, Signal, phase_diff_multi, principal_arg, unit_project
+from .signal import RealField, Signal, _conj_product, _difference, principal_arg, unit_project
+from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .weights import WeightField, weight_multi
 
 TWO_PI = 2.0 * np.pi
+
+# Per (degree, lag) stage, the increment of every signal of a batch, shape (B,).
+Diagnostics = dict[tuple[MultiIndex, MultiIndex], np.ndarray]
 
 
 class AveragingKind(enum.Enum):
@@ -81,20 +91,29 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     """
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
-    w = u.data
+    return complex(_average(kind, s.data[None], u.data)[0])
+
+
+def _average(kind: AveragingKind, data: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`average` of each field of a batch, shape (B, *window) -> (B,)."""
+    axes = tuple(range(1, data.ndim))
+    # With the batch axis on the weights too, numpy can reuse a temporary
+    # for ``w * f(data)`` when B = 1, which it does only for equal shapes.
+    w = w[None]
     if kind is AveragingKind.LINEAR:
-        return complex(np.exp(1j * float(np.sum(w * principal_arg(s.data)))))
+        return np.exp(1j * np.sum(w * principal_arg(data), axis=axes))
     if kind is AveragingKind.KAY_COMPLEX:
-        return complex(np.sum(w * s.data))
+        return np.sum(w * data, axis=axes)
     if kind is AveragingKind.PROJECTED_LINEAR:
-        return complex(np.sum(w * unit_project(s.data)))
-    # CIRCULAR
-    resultant = complex(np.sum(unit_project(s.data)))
-    if resultant == 0:
-        return 0j
-    anchor = resultant / abs(resultant)
-    theta = float(np.sum(w * principal_arg(s.data * np.conj(anchor))))
-    return anchor * complex(np.exp(1j * theta))
+        return np.sum(w * unit_project(data), axis=axes)
+    # CIRCULAR.  The anchor and the final rotation are Python complex
+    # arithmetic per field; a zero resultant averages to 0.
+    resultants = np.sum(unit_project(data), axis=axes).tolist()
+    anchors = [r / abs(r) if r else 1.0 for r in resultants]
+    lead = (-1,) + (1,) * len(axes)
+    theta = np.sum(w * principal_arg(data * np.conj(anchors).reshape(lead)), axis=axes)
+    turns = np.exp(1j * theta).tolist()
+    return np.array([a * t if r else 0j for r, a, t in zip(resultants, anchors, turns)])
 
 
 @dataclass(frozen=True)
@@ -144,9 +163,12 @@ class Estimate:
     diagnostics: dict[tuple[MultiIndex, MultiIndex], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        v = self.binomial.values
-        if not np.all((v >= -0.5) & (v < 0.5)):  # NaN fails too
-            raise ValueError(f"binomial estimate left the cell [-1/2, 1/2): {v}")
+        _check_cell(self.binomial.values)
+
+    @classmethod
+    def from_batch(cls, M: DegreeSet, values: np.ndarray, diagnostics: Diagnostics) -> Estimate:
+        """The first signal's estimate in an :func:`estimate_batch` result."""
+        return cls(CoefficientVector(values[0], BINOMIAL, M), None, _first(diagnostics))
 
     def to_json(self) -> dict:
         return {
@@ -159,45 +181,93 @@ class Estimate:
         }
 
 
-def _require_estimable(cfg: EstimatorConfig, y: Signal) -> None:
-    if not np.isfinite(y.data).all():
+def _first(diagnostics: Diagnostics) -> dict[tuple[MultiIndex, MultiIndex], float]:
+    return {key: float(delta[0]) for key, delta in diagnostics.items()}
+
+
+def _check_cell(values: np.ndarray) -> None:
+    if not np.all((values >= -0.5) & (values < 0.5)):  # NaN fails too
+        raise ValueError(f"binomial estimate left the cell [-1/2, 1/2): {values}")
+
+
+def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
         raise ValueError("signal has non-finite samples")
+    window = data.shape[1:]
     # The last lag is the largest in every dimension, so it bounds the window.
-    diff_window(y.window, cfg.degree_set.max_degree, cfg.lags[-1])
-    if not validate_degree_set(cfg.degree_set, y.window).downward_closed:
+    diff_window(window, cfg.degree_set.max_degree, cfg.lags[-1])
+    if not validate_degree_set(cfg.degree_set, window).downward_closed:
         raise ValueError("degree set is not downward closed; use the general-degree path")
 
 
 def _sequential(
-    y: Signal,
+    data: np.ndarray,
     cfg: EstimatorConfig,
     basis_field: Callable[[MultiIndex, MultiIndex], np.ndarray],
-) -> tuple[np.ndarray, dict[tuple[MultiIndex, MultiIndex], float]]:
-    """The sequential loop shared by every estimator.
+) -> tuple[np.ndarray, Diagnostics]:
+    """The sequential loop shared by every estimator, over a batch (B, *N).
 
     Stages (m, tau) run with degrees descending and lags inner.  Each stage
-    averages the lagged difference of the running observation, divides the
-    argument by 2*pi*tau^m, adds the increment to the coefficient of m, and
-    cancels ``increment * basis_field(m, N)``.  The last stage skips the
-    cancellation, since nothing reads the observation after it.
+    averages the lagged differences of the running observations, divides
+    the arguments by 2*pi*tau^m, adds the increments to the coefficients of
+    m, and cancels ``increment * basis_field(m, N)`` from each signal whose
+    increment is nonzero.  The last stage skips the cancellation, since
+    nothing reads the observations after it.  The window rule is checked
+    once, up front, so the stages difference the raw batch directly rather
+    than through ``phase_diff_multi``, which would copy at degree 0.
+    Returns the coefficients, shape (B, |M|), and each stage's increments.
     """
-    _require_estimable(cfg, y)
+    _require_estimable(cfg, data)
     M = cfg.degree_set
-    N = y.window
+    N = data.shape[1:]
+    lead = (-1,) + (1,) * len(N)
     stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
-    values = np.zeros(len(M))
-    diagnostics: dict[tuple[MultiIndex, MultiIndex], float] = {}
-    data = y.data
+    values = np.zeros((len(data), len(M)))
+    diagnostics: Diagnostics = {}
     for i, (m, tau) in enumerate(stages):
-        diffed = phase_diff_multi(Signal(N, data), m, tau)
-        mean = average(cfg.averaging, diffed, weight_multi(m, tau, N))
+        diffed = _difference(data, m, tau, _conj_product)
+        mean = _average(cfg.averaging, diffed, weight_multi(m, tau, N).data)
         tau_pow = math.prod(td**md for td, md in zip(tau, m))
         delta = principal_arg(mean) / (TWO_PI * tau_pow)
-        values[M.position(m)] += delta
+        values[:, M.position(m)] += delta
         diagnostics[(m, tau)] = delta
-        if delta != 0.0 and i < len(stages) - 1:
-            data = data * np.exp(-2j * np.pi * delta * basis_field(m, N))
+        moved = delta != 0.0
+        if moved.any() and i < len(stages) - 1:
+            if moved.all():
+                data = data * np.exp(-2j * np.pi * delta.reshape(lead) * basis_field(m, N))
+            else:  # a signal with a zero increment keeps its samples bit for bit
+                data = data.copy()
+                turn = -2j * np.pi * delta[moved].reshape(lead) * basis_field(m, N)
+                data[moved] *= np.exp(turn)
     return values, diagnostics
+
+
+def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
+    """The loop cancelling binomial fields; a lag schedule's sums are wrapped."""
+    values, diagnostics = _sequential(data, cfg, binomial_field)
+    return (values if cfg.single_unit_lag else wrap_to_cell(values)), diagnostics
+
+
+def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
+    """Closure estimate, then a Fisher-weighted projection of each row."""
+    M = cfg.degree_set
+    if M.is_downward_closed():
+        return _binomial(data, cfg)
+    closure = downward_closure(M)
+    closure_cfg = replace(cfg, degree_set=closure, lags=(), general_degree_handling=False)
+    closure_values, diagnostics = _binomial(data, closure_cfg)
+    selector = np.zeros((len(closure), len(M)))
+    for j, m in enumerate(M.degrees):
+        selector[closure.position(m), j] = 1.0
+    J = fisher_matrix(closure, data.shape[1:], 1.0).matrix  # SNR scale cancels
+    factor = cho_factor(selector.T @ J @ selector)
+    weighted = selector.T @ J
+    projected = np.array([cho_solve(factor, weighted @ v) for v in closure_values])
+    return wrap_to_cell(projected), diagnostics
+
+
+def _one(y: Signal, cfg: EstimatorConfig, run) -> Estimate:
+    return Estimate.from_batch(cfg.degree_set, *run(y.data[None], cfg))
 
 
 def estimate_coefficients(y: Signal, cfg: EstimatorConfig) -> Estimate:
@@ -208,8 +278,7 @@ def estimate_coefficients(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """
     if not cfg.single_unit_lag:
         raise ValueError("multi-lag schedule set; use estimate_coefficients_multilag")
-    values, diagnostics = _sequential(y, cfg, binomial_field)
-    return Estimate(CoefficientVector(values, BINOMIAL, cfg.degree_set), None, diagnostics)
+    return _one(y, cfg, _binomial)
 
 
 def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
@@ -222,13 +291,13 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """
     if not cfg.single_unit_lag:
         raise ValueError("direct estimation supports only the unit lag")
-    values, diagnostics = _sequential(y, cfg, monomial_field)
+    values, diagnostics = _sequential(y.data[None], cfg, monomial_field)
     M = cfg.degree_set
     T = binomial_to_monomial_matrix(M)
     binomial = CoefficientVector(
-        wrap_to_cell(solve_triangular(T.matrix, values)), BINOMIAL, M
+        wrap_to_cell(solve_triangular(T.matrix, values[0])), BINOMIAL, M
     )
-    return Estimate(binomial, CoefficientVector(values, MONOMIAL, M), diagnostics)
+    return Estimate(binomial, CoefficientVector(values[0], MONOMIAL, M), _first(diagnostics))
 
 
 def estimate_coefficients_multilag(y: Signal, cfg: EstimatorConfig) -> Estimate:
@@ -239,10 +308,7 @@ def estimate_coefficients_multilag(y: Signal, cfg: EstimatorConfig) -> Estimate:
     increments are wrapped to the cell.  A singleton all-ones schedule
     reproduces :func:`estimate_coefficients` bit for bit.
     """
-    values, diagnostics = _sequential(y, cfg, binomial_field)
-    return Estimate(
-        CoefficientVector(wrap_to_cell(values), BINOMIAL, cfg.degree_set), None, diagnostics
-    )
+    return _one(y, cfg, _binomial)
 
 
 def estimate_coefficients_general(y: Signal, cfg: EstimatorConfig) -> Estimate:
@@ -256,37 +322,34 @@ def estimate_coefficients_general(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """
     if not cfg.single_unit_lag:
         raise ValueError("general-degree handling supports only the unit lag")
-    M = cfg.degree_set
-    if M.is_downward_closed():
-        return estimate_coefficients(y, cfg)
-    closure = downward_closure(M)
-    closure_cfg = replace(cfg, degree_set=closure, lags=(), general_degree_handling=False)
-    closure_est = estimate_coefficients(y, closure_cfg)
-    selector = np.zeros((len(closure), len(M)))
-    for j, m in enumerate(M.degrees):
-        selector[closure.position(m), j] = 1.0
-    J = fisher_matrix(closure, y.window, 1.0).matrix  # SNR scale cancels
-    normal = selector.T @ J @ selector
-    projected = cho_solve(
-        cho_factor(normal), selector.T @ J @ closure_est.binomial.values
-    )
-    values = wrap_to_cell(projected)
-    return Estimate(
-        CoefficientVector(values, BINOMIAL, M), None, dict(closure_est.diagnostics)
-    )
+    return _one(y, cfg, _general)
 
 
-def estimate(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Dispatch on the config: general-degree path, multi-lag, or plain."""
+def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
+    """:func:`estimate` of every signal of a batch, shape (B, *N).
+
+    Returns the binomial coefficients, shape (B, |M|), every row checked to
+    lie in the cell, and each (degree, lag) stage's increments, shape (B,).
+    Row t equals ``estimate(Signal(N, data[t]), cfg)`` bit for bit while the
+    batch holds fewer than 2^14 samples.  From 256 KiB up, numpy computes
+    some complex products in place on temporaries, which can change their
+    last bit.
+    """
     if cfg.general_degree_handling and not cfg.degree_set.is_downward_closed():
         if not cfg.single_unit_lag:
             raise ValueError(
                 "general-degree handling cannot be combined with a multi-lag schedule"
             )
-        return estimate_coefficients_general(y, cfg)
-    if cfg.single_unit_lag:
-        return estimate_coefficients(y, cfg)
-    return estimate_coefficients_multilag(y, cfg)
+        values, diagnostics = _general(data, cfg)
+    else:
+        values, diagnostics = _binomial(data, cfg)
+    _check_cell(values)
+    return values, diagnostics
+
+
+def estimate(y: Signal, cfg: EstimatorConfig) -> Estimate:
+    """Dispatch on the config: general-degree path, multi-lag, or plain."""
+    return _one(y, cfg, estimate_batch)
 
 
 def parameter_invariance_witness(

@@ -105,15 +105,23 @@ def add_noise(s: Signal, snr: float, rng: np.random.Generator) -> Signal:
 def _difference(data: np.ndarray, k: Sequence[int], tau: Sequence[int], step) -> np.ndarray:
     """Apply ``step(data[n + tau_d e_d], data[n])`` k_d times along each dim d.
 
+    ``data`` has shape (B, *N): a batch of fields, the batch axis leading.
     The loop works on raw arrays and walks the dimensions in order, so it
-    costs O(|k|) passes; each step shortens dim d by tau_d.
+    costs O(|k|) passes; each step shortens dim d by tau_d.  With k = 0 the
+    input itself is returned.
     """
-    for d, (kd, td) in enumerate(zip(k, tau)):
+    for d, (kd, td) in enumerate(zip(k, tau), start=1):
         lead = (slice(None),) * d
         for _ in range(kd):
             n = data.shape[d]
             data = step(data[lead + (slice(td, n),)], data[lead + (slice(0, n - td),)])
     return data
+
+
+def _fresh_difference(data: np.ndarray, k: tuple[int, ...], tau, step) -> np.ndarray:
+    """:func:`_difference` of one field, always into a new array."""
+    out = _difference(data[None], k, tau, step)[0]
+    return out if any(k) else out.copy()
 
 
 def _conj_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -139,7 +147,7 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     """
     k = tuple(int(v) for v in k)
     window, tau = diff_window(s.window, k, lag)
-    return Signal(window, _difference(s.data, k, tau, _conj_product))
+    return Signal(window, _fresh_difference(s.data, k, tau, _conj_product))
 
 
 def unit_project(data: np.ndarray) -> np.ndarray:
@@ -167,7 +175,7 @@ def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
     """
     k = tuple(int(v) for v in k)
     window, tau = diff_window(x.window, k)
-    return RealField(window, _difference(x.data, k, tau, np.subtract))
+    return RealField(window, _fresh_difference(x.data, k, tau, np.subtract))
 
 
 # -- File formats ---------------------------------------------------------------

@@ -4,8 +4,27 @@ from typing import Sequence
 
 import numpy as np
 
+from ppsg.analysis import outlier_predicate
+from ppsg.basis import BINOMIAL, CoefficientVector, phase_field
 from ppsg.degrees import multi_binom
-from ppsg.signal import RealField
+from ppsg.estimator import estimate
+from ppsg.harness import (
+    ExperimentConfig,
+    ExperimentResult,
+    TrialResult,
+    _aggregate,
+    _draw_coefficients,
+    _trial_rng,
+    snr_db_to_linear,
+)
+from ppsg.signal import (
+    RealField,
+    Signal,
+    complex_noise,
+    finite_difference,
+    principal_arg,
+    synthesize,
+)
 
 
 def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
@@ -25,3 +44,34 @@ def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
         block = x.data[tuple(slice(ld, ld + sd) for ld, sd in zip(ell, out_shape))]
         out += weight * block
     return RealField(out_shape, out)
+
+
+def reference_trial(cfg: ExperimentConfig, snr: float, trial_index: int, snr_index: int = 0):
+    """One Monte-Carlo trial through the single-signal functions, one step at a
+    time: the per-trial pipeline that batched sweeps must reproduce."""
+    rng = _trial_rng(cfg, snr_index, trial_index)
+    b_true = CoefficientVector(_draw_coefficients(cfg, rng), BINOMIAL, cfg.degree_set)
+    clean = synthesize(b_true, cfg.window)
+    noise = complex_noise(cfg.window, snr, rng)
+    est = estimate(Signal(cfg.window, clean.data + noise), cfg.estimator_config)
+    recon = np.exp(2j * np.pi * phase_field(est.binomial, cfg.window))
+    error = float(np.sum(np.abs(recon - clean.data) ** 2))
+    rotated = np.conj(clean.data) * noise
+    increments = RealField(cfg.window, principal_arg(1.0 + rotated) / (2.0 * np.pi))
+    wrapped = any(
+        outlier_predicate(finite_difference(increments, k), b_true[k])
+        for k in cfg.degree_set.degrees
+    )
+    return TrialResult(error, wrapped, est, b_true)
+
+
+def reference_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+    """The SNR grid run one :func:`reference_trial` after another."""
+    records = []
+    for snr_index, snr_db in enumerate(cfg.snr_db_grid):
+        snr = snr_db_to_linear(snr_db)
+        results = [reference_trial(cfg, snr, t, snr_index) for t in range(cfg.trials)]
+        errors = np.array([r.reconstruction_error for r in results])
+        wrapped = np.array([r.wrapped for r in results], dtype=bool)
+        records.append(_aggregate(snr_db, snr, cfg, errors, wrapped))
+    return ExperimentResult(tuple(records), cfg)

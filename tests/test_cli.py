@@ -248,6 +248,17 @@ _SIM_CONFIG = {
         (["simulate"], {"averaging": ["kay"]}, "averaging"),
         (["simulate"], {"degrees": [[0], [1], [2]], "window": [2]}, "window"),
         (["simulate"], {"degrees": [[0], [2]]}, "general_degree_handling"),
+        (
+            ["simulate"],
+            {"degrees": [[0], [2]], "general_degree_handling": "false"},
+            "general_degree_handling",
+        ),
+        (
+            ["simulate"],
+            {"parameter_mode": "fixed", "fixed_coefficients": "01"},
+            "fixed_coefficients",
+        ),
+        (["simulate"], {"snr_db_grid": "05"}, "snr_db_grid"),
         (["weights", "--degree", "5", "--window", "[8]"], None, "--degree"),
         (["weights", "--degree", '["a"]', "--window", "[8]"], None, "--degree"),
         (["weights", "--degree", "[1]", "--lag", "3", "--window", "[8]"], None, "--lag"),
@@ -260,6 +271,9 @@ _SIM_CONFIG = {
         "list-averaging",
         "small-window",
         "non-closed-degrees",
+        "string-general-flag",
+        "string-fixed-coefficients",
+        "string-snr-grid",
         "scalar-degree",
         "string-degree",
         "scalar-lag",

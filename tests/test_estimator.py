@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from ppsg.estimator import (
     EstimatorConfig,
     average,
     estimate,
+    estimate_batch,
     estimate_coefficients,
     estimate_coefficients_direct,
     estimate_coefficients_general,
@@ -452,6 +455,31 @@ def test_estimate_dispatch():
 # -- Shared kernel ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_estimate_batch_rows_equal_single_estimates(kind):
+    # Constant rows have zero increments, so their samples must not be
+    # touched while the noisy rows of the same batch are cancelled: a
+    # multiply by 1 turns -0.0 into 0.0, and arg(-0 - 0j) = -pi but
+    # arg(0 - 0j) = -0.
+    N = (12, 10)
+    rows = [_noisy(_cv([0.1, -0.2, 0.3, 0.05], M2D), N, 5.0, seed)[0].data for seed in (1, 2)]
+    rows += [np.full(N, complex(-0.0, -0.0)), np.ones(N, dtype=complex)]
+    M2 = build_total_order([(0, 0), (1, 1)])
+    configs = [
+        EstimatorConfig(M2D, kind),
+        EstimatorConfig(M2D, kind, lags=((1, 1), (2, 2))),
+        EstimatorConfig(M2, kind, general_degree_handling=True),
+    ]
+    for cfg in configs:
+        values, diagnostics = estimate_batch(np.stack(rows), cfg)
+        for t, row in enumerate(rows):
+            one = estimate(Signal(N, row), cfg)
+            assert one.binomial.values.tobytes() == values[t].tobytes()
+            assert repr(one.diagnostics) == repr({k: float(d[t]) for k, d in diagnostics.items()})
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_batch(np.stack(rows[:1] + [np.full(N, np.nan + 0j)]), configs[0])
+
+
 @pytest.mark.parametrize(
     "estimator, field_name, lags",
     [
@@ -490,3 +518,17 @@ def test_benchmark_hooks_exist():
     assert spans.HOOKS
     for module, attr, _ in spans.HOOKS:
         assert hasattr(importlib.import_module(f"ppsg.{module}"), attr), (module, attr)
+
+
+def test_benchmark_selftest():
+    # The benchmark checks every output it times; a library change that
+    # breaks one of those checks fails here too, not only in a benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/selftest.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from ppsg import harness
 from ppsg.analysis import fisher_matrix, tr_kj
 from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.degrees import build_total_order
-from ppsg.estimator import EstimatorConfig
+from ppsg.estimator import AveragingKind, EstimatorConfig
 from ppsg.harness import (
     ExperimentConfig,
     empirical_covariance,
@@ -17,7 +18,12 @@ from ppsg.harness import (
     snr_db_to_linear,
 )
 
+from oracles import reference_sweep, reference_trial
+
 M01 = build_total_order([(0,), (1,)])
+M012 = build_total_order([(0,), (1,), (2,)])
+M2D = build_total_order([(0, 0), (0, 1), (1, 0), (1, 1)])
+M02 = build_total_order([(0,), (2,)])
 
 
 def _config(**overrides):
@@ -190,3 +196,61 @@ def test_covariance_tracks_crb_at_high_snr():
     )
     J = fisher_matrix(M01, (64,), snr)
     assert 2.0 <= tr_kj(K, J) <= 2.4
+
+
+def _csv(result):
+    buf = io.StringIO()
+    result.write_csv(buf)
+    return buf.getvalue()
+
+
+# Trials per chunk at the default 64-sample window.
+_PER_CHUNK = harness._CHUNK_SAMPLES // 64
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        *[dict(estimator_config=EstimatorConfig(M01, kind)) for kind in AveragingKind],
+        dict(
+            degree_set=M012,
+            window=(24,),
+            estimator_config=EstimatorConfig(M012, lags=((1,), (2,), (4,))),
+        ),
+        dict(degree_set=M2D, window=(8, 9), estimator_config=EstimatorConfig(M2D)),
+        dict(
+            degree_set=M02,
+            window=(12,),
+            estimator_config=EstimatorConfig(M02, general_degree_handling=True),
+        ),
+        dict(parameter_mode="fixed", fixed_coefficients=(0.21, -0.37)),
+        dict(parameter_mode="zero"),
+        dict(parameter_mode="zero", trials=2 * _PER_CHUNK + 3, snr_db_grid=(3.0,)),
+    ],
+    ids=[
+        *[kind.value for kind in AveragingKind],
+        "multilag",
+        "2d",
+        "general-non-closed",
+        "fixed",
+        "zero",
+        "chunks-and-remainder",
+    ],
+)
+def test_sweep_matches_per_trial_reference(overrides):
+    cfg = _config(**{"trials": 40, "snr_db_grid": (0.0, 8.0), **overrides})
+    assert _csv(run_sweep(cfg)) == _csv(reference_sweep(cfg))
+
+
+def test_run_trial_is_a_row_of_the_batch():
+    cfg = _config(degree_set=M012, window=(20,), estimator_config=EstimatorConfig(M012))
+    snr = snr_db_to_linear(4.0)
+    trials = range(3, 12)
+    truths, values, diagnostics, errors, wrapped = harness._run_chunk(cfg, snr, 1, trials)
+    for row, t in enumerate(trials):
+        for one in (run_trial(cfg, snr, t, snr_index=1), reference_trial(cfg, snr, t, 1)):
+            assert one.reconstruction_error == errors[row]
+            assert one.wrapped == wrapped[row]
+            assert one.estimate.binomial.values.tobytes() == values[row].tobytes()
+            assert one.estimate.diagnostics == {k: d[row] for k, d in diagnostics.items()}
+            assert one.coefficients.values.tobytes() == truths[row].tobytes()

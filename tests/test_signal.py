@@ -109,6 +109,17 @@ def test_phase_diff_multi_identity():
     assert np.array_equal(out.data, s.data)
 
 
+def test_zero_order_differences_return_fresh_arrays():
+    # Writing into a zero-order result must leave the input untouched.
+    s = Signal((3, 4), np.exp(1j * np.arange(12.0)).reshape(3, 4))
+    x = RealField((5,), np.arange(5.0))
+    before_s, before_x = s.data.copy(), x.data.copy()
+    phase_diff_multi(s, (0, 0)).data[...] = 0
+    finite_difference(x, (0,)).data[...] = 0
+    assert np.array_equal(s.data, before_s)
+    assert np.array_equal(x.data, before_x)
+
+
 def test_phase_diff_multi_extracts_top_coefficient():
     M = build_total_order([(0, 0), (0, 1), (1, 0), (1, 1)])
     rng = np.random.default_rng(3)
