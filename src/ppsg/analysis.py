@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .degrees import DegreeSet, binom, validate_degree_set
+from .degrees import DegreeSet, as_index, binom, diff_window
 from .basis import binomial_field, tensor_field
 from .signal import RealField
 
@@ -57,9 +57,8 @@ def _design_matrix(M: DegreeSet, N: tuple[int, ...]) -> np.ndarray:
 
 def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> FisherMatrix:
     """Entries 8 pi^2 snr sum_n C(n, m) C(n, m')."""
-    N = tuple(int(v) for v in N)
-    if not validate_degree_set(M, N).window_ok:
-        raise ValueError(f"window {N} too small for degrees {M.degrees}")
+    N = as_index(N)
+    diff_window(N, M.max_degree)
     B = _design_matrix(M, N)
     return FisherMatrix(8 * np.pi**2 * snr * (B.T @ B), M, float(snr))
 
@@ -100,9 +99,7 @@ def _ortho_axis_int(k: int, N: int) -> tuple[int, ...]:
 
 def orthogonal_poly(k: Sequence[int], N: Sequence[int], n: Sequence[int]) -> int:
     """q_k(n): product over dimensions of the 1-D orthogonal polynomials."""
-    k = tuple(int(v) for v in k)
-    N = tuple(int(v) for v in N)
-    n = tuple(int(v) for v in n)
+    k, N, n = as_index(k), as_index(N), as_index(n)
     if not (len(k) == len(N) == len(n)):
         raise ValueError("k, N, n must have equal lengths")
     result = 1
@@ -116,8 +113,7 @@ def orthogonal_poly(k: Sequence[int], N: Sequence[int], n: Sequence[int]) -> int
 
 def orthogonal_poly_field(k: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """q_k sampled over the full window [N]."""
-    k = tuple(int(v) for v in k)
-    N = tuple(int(v) for v in N)
+    k, N = as_index(k), as_index(N)
     return tensor_field(
         [np.array(_ortho_axis_int(kd, Nd), dtype=float) for kd, Nd in zip(k, N)]
     )
@@ -139,11 +135,9 @@ def _inner_product_axis(m: int, k: int, N: int) -> int:
 
 def decomposition(M: DegreeSet, N: Sequence[int]) -> DecompositionPair:
     """Build S and Q for the Fisher decomposition over a downward-closed set."""
-    N = tuple(int(v) for v in N)
-    report = validate_degree_set(M, N)
-    if not report.window_ok:
-        raise ValueError(f"window {N} too small for degrees {M.degrees}")
-    if not report.downward_closed:
+    N = as_index(N)
+    diff_window(N, M.max_degree)
+    if not M.is_downward_closed():
         raise ValueError(
             "decomposition requires a downward-closed degree set; the lower "
             "degrees carry nonzero inner products that S must capture"

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degrees import DegreeSet, MultiIndex, diff_window, multi_binom
+from .degrees import DegreeSet, MultiIndex, as_index, diff_window, multi_binom
 
 BINOMIAL = "binomial"
 MONOMIAL = "monomial"
@@ -89,7 +89,7 @@ def eval_binomial(b: CoefficientVector, n: Sequence[int]) -> float:
     """Evaluate sum_m b_m C(n, m) at a single multi-index."""
     if b.basis != BINOMIAL:
         raise ValueError(f"expected binomial basis, got {b.basis!r}")
-    n = tuple(int(v) for v in n)
+    n = as_index(n)
     return float(
         sum(bm * multi_binom(n, m) for bm, m in zip(b.values, b.degree_set))
     )
@@ -99,7 +99,7 @@ def eval_monomial(a: CoefficientVector, n: Sequence[int]) -> float:
     """Evaluate sum_m a_m n^m / m! at a single multi-index."""
     if a.basis != MONOMIAL:
         raise ValueError(f"expected monomial basis, got {a.basis!r}")
-    n = tuple(int(v) for v in n)
+    n = as_index(n)
     total = 0.0
     for am, m in zip(a.values, a.degree_set):
         term = 1.0
@@ -159,7 +159,7 @@ def _binomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
 
 def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """C(n, m) sampled over the window [N]; shape N, treat as read-only."""
-    m, N = tuple(int(v) for v in m), tuple(int(v) for v in N)
+    m, N = as_index(m), as_index(N)
     if math.prod(N) > _FIELD_CACHE_LIMIT:
         return tensor_field([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
     return _binomial_field_cached(m, N)
@@ -174,7 +174,7 @@ def _monomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
 
 def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """n^m / m! sampled over the window [N]; shape N, treat as read-only."""
-    m, N = tuple(int(v) for v in m), tuple(int(v) for v in N)
+    m, N = as_index(m), as_index(N)
     if math.prod(N) > _FIELD_CACHE_LIMIT:
         return tensor_field([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
     return _monomial_field_cached(m, N)
@@ -193,7 +193,7 @@ def phase_fields(
     ``values`` has shape (B, |M|).  Terms are added in degree-set order, and
     a degree whose coefficient is zero in every row is skipped.
     """
-    N = tuple(int(v) for v in N)
+    N = as_index(N)
     sample = binomial_field if basis == BINOMIAL else monomial_field
     out = np.zeros((len(values),) + N)
     for c, m in zip(values.T, degree_set):
@@ -305,7 +305,7 @@ def binomial_transform(x: np.ndarray, k: Sequence[int]) -> float:
     the box [k+1], so only that corner of the window is read.
     """
     x = np.asarray(x, dtype=float)
-    k = tuple(int(v) for v in k)
+    k = as_index(k)
     diff_window(x.shape, k)
     corner = x[tuple(slice(0, kd + 1) for kd in k)]
     total = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from . import __version__
 from .analysis import crb as crb_matrix
 from .analysis import reconstruction_bound
 from .basis import binomial_to_monomial_matrix, compute_new_coordinate
-from .degrees import DegreeSet, build_total_order, validate_degree_set
+from .degrees import DegreeSet, as_index, diff_window
 from .estimator import AveragingKind, EstimatorConfig, estimate
 from .harness import ExperimentConfig, run_sweep
 from .signal import read_signal
@@ -40,34 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(f"{message}\n{self.format_usage()}")
 
 
-def _json_flag(name: str, raw: str):
+def _flag(name: str, raw: str, convert):
+    """One JSON flag, decoded and converted; any failure names the flag."""
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliValidationError(f"flag {name}: invalid JSON ({exc})") from exc
-
-
-def _degree_set(raw: str, name: str = "--degrees") -> DegreeSet:
-    data = _json_flag(name, raw)
-    try:
-        return build_total_order(tuple(tuple(m) for m in data))
-    except (TypeError, ValueError) as exc:
+        return convert(json.loads(raw))
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise CliValidationError(f"flag {name}: {exc}") from exc
 
 
-def _int_array(raw: str, name: str) -> tuple[int, ...]:
-    data = _json_flag(name, raw)
-    try:
-        return tuple(int(v) for v in data)
-    except (TypeError, ValueError) as exc:
-        raise CliValidationError(f"flag {name}: expected an integer array") from exc
-
-
-def _window(raw: str, name: str = "--window") -> tuple[int, ...]:
-    window = _int_array(raw, name)
-    if not window or any(v < 1 for v in window):
-        raise CliValidationError(f"flag {name}: entries must be positive")
+def _window(raw) -> tuple[int, ...]:
+    window = as_index(raw)
+    if not window or min(window) < 1:
+        raise ValueError(f"window entries must be positive, got {window}")
     return window
+
+
+def _lags(raw) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(as_index, raw))
 
 
 def _snr_range(raw: str) -> tuple[float, ...]:
@@ -122,16 +112,10 @@ def _version_string() -> str:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    degree_set = _degree_set(args.degrees)
+    degree_set = _flag("--degrees", args.degrees, DegreeSet.from_json)
     if args.averaging not in _AVERAGING_NAMES:
         raise CliValidationError(f"flag --averaging: unknown kind {args.averaging!r}")
-    lags = ()
-    if args.lags is not None:
-        raw = _json_flag("--lags", args.lags)
-        try:
-            lags = tuple(tuple(int(v) for v in tau) for tau in raw)
-        except (TypeError, ValueError) as exc:
-            raise CliValidationError("flag --lags: expected an array of lag arrays") from exc
+    lags = () if args.lags is None else _flag("--lags", args.lags, _lags)
     try:
         with open(args.input, "rb") as fh:
             sig = read_signal(fh)
@@ -147,18 +131,16 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         est = estimate(sig, cfg)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
-    monomial = est.monomial
-    if args.basis in ("monomial", "both") and monomial is None:
+    payload = est.to_json()  # estimate fills only the binomial basis
+    if args.basis != "binomial":
         if not degree_set.is_downward_closed():
             raise CliValidationError(
                 "flag --basis: monomial output needs a downward-closed degree set"
             )
         T = binomial_to_monomial_matrix(degree_set)
-        monomial = compute_new_coordinate(est.binomial, T)
-    payload = est.to_json()
+        payload["monomial"] = compute_new_coordinate(est.binomial, T).to_json()
     if args.basis == "monomial":
         payload["binomial"] = None
-    payload["monomial"] = monomial.to_json() if args.basis != "binomial" else None
     with _open_out(args.out) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -203,16 +185,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"flag --config: invalid JSON ({exc})") from exc
 
-    degree_set = _degree_set(json.dumps(_config_field(config, "degrees")), "degrees")
-    window = _window(json.dumps(_config_field(config, "window")), "window")
+    degree_set = _config_field(config, "degrees", DegreeSet.from_json)
+    window = _config_field(config, "window", _window)
     averaging = _config_field(config, "averaging", AveragingKind, AveragingKind.CIRCULAR)
-    lags = _config_field(
-        config, "lags", lambda raw: tuple(tuple(int(v) for v in tau) for tau in raw), ()
-    )
+    lags = _config_field(config, "lags", _lags, ())
     snr_db_grid = _config_field(config, "snr_db_grid", _json_numbers)
-    trials = _config_field(config, "trials", int)
+    trials = _config_field(config, "trials", operator.index)
     parameter_mode = _config_field(config, "parameter_mode", str)
-    master_seed = _config_field(config, "master_seed", int, _effective_seed(args))
+    master_seed = _config_field(config, "master_seed", operator.index, _effective_seed(args))
     fixed_coefficients = _config_field(config, "fixed_coefficients", _json_numbers, None)
     general = _config_field(config, "general_degree_handling", _json_bool, False)
     try:
@@ -265,14 +245,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_crb(args: argparse.Namespace) -> int:
-    degree_set = _degree_set(args.degrees)
-    window = _window(args.window)
+    degree_set = _flag("--degrees", args.degrees, DegreeSet.from_json)
+    window = _flag("--window", args.window, _window)
     grid = _snr_range(args.snr_db_range)
-    report = validate_degree_set(degree_set, window)
-    if not report.window_ok:
-        raise CliValidationError(
-            f"flag --window: {window} too small for degrees {degree_set.degrees}"
-        )
+    try:
+        diff_window(window, degree_set.max_degree)
+    except ValueError as exc:
+        raise CliValidationError(f"flag --window: {exc}") from exc
     labels = ["crb_" + "_".join(str(v) for v in m) for m in degree_set.degrees]
     with _open_out(args.out) as fh:
         fh.write(",".join(["snr_db"] + labels + ["reconstruction_bound"]) + "\n")
@@ -286,9 +265,9 @@ def _cmd_crb(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    degree = _int_array(args.degree, "--degree")
-    window = _window(args.window)
-    lag = 1 if args.lag is None else _int_array(args.lag, "--lag")
+    degree = _flag("--degree", args.degree, as_index)
+    window = _flag("--window", args.window, _window)
+    lag = 1 if args.lag is None else _flag("--lag", args.lag, as_index)
     try:
         field = weight_multi(degree, lag, window)
     except ValueError as exc:

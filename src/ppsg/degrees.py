@@ -9,6 +9,7 @@ partial order; estimators and coefficient vectors index into that order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -49,8 +50,20 @@ def partial_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(ad <= bd for ad, bd in zip(a, b))
 
 
+def as_index(values: Iterable[int]) -> MultiIndex:
+    """Integer multi-index from Python or numpy integers, else ValueError.
+
+    The package's one reader of integer indices: floats (even 8.0) and
+    strings are rejected, never truncated.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"expected a sequence of integers, got {values!r}") from exc
+
+
 def _check_degree(m: Sequence[int], dim: int) -> MultiIndex:
-    t = tuple(int(v) for v in m)
+    t = as_index(m)
     if len(t) != dim:
         raise ValueError(f"degree {t} has length {len(t)}, expected {dim}")
     if any(v < 0 for v in t):
@@ -130,7 +143,7 @@ class DegreeSet:
 
     @classmethod
     def from_json(cls, data: Iterable[Sequence[int]]) -> "DegreeSet":
-        return build_total_order(tuple(tuple(m) for m in data))
+        return build_total_order(data)
 
 
 def _below(m: MultiIndex) -> Iterable[MultiIndex]:
@@ -146,7 +159,7 @@ def build_total_order(degrees: Iterable[Sequence[int]]) -> DegreeSet:
     exactly that sequence, because the (|m|, m)-smallest remaining element
     is always minimal: anything strictly below it would have smaller |m|.
     """
-    unique = set(tuple(int(v) for v in m) for m in degrees)
+    unique = set(map(as_index, degrees))
     ordered = sorted(unique, key=lambda m: (sum(m), m))
     return DegreeSet(tuple(ordered))
 
@@ -165,7 +178,7 @@ def validate_degree_set(M: DegreeSet, N: Sequence[int]) -> DegreeSetReport:
     dimension.  ``downward_closed`` holds iff every degree's lower box is
     contained in the set.
     """
-    N = tuple(int(v) for v in N)
+    N = as_index(N)
     if len(N) != M.dim:
         raise ValueError(f"window length {len(N)} does not match dim {M.dim}")
     try:
@@ -177,11 +190,11 @@ def validate_degree_set(M: DegreeSet, N: Sequence[int]) -> DegreeSetReport:
 
 
 def as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
-    """Per-dimension lag from a scalar or a sequence; entries must be >= 1."""
+    """Per-dimension lag from an integer or a sequence; entries must be >= 1."""
     try:
-        tau = (lag,) * dim if type(lag) is int else tuple(map(int, lag))
-    except TypeError:  # any other scalar applies to every dimension
-        tau = (int(lag),) * dim
+        tau = (lag,) * dim if type(lag) is int else as_index(lag)
+    except ValueError:  # not a sequence: one integer applies to every dimension
+        tau = as_index((lag,)) * dim
     if len(tau) != dim:
         raise ValueError(f"lag {tau} does not match dimensionality {dim}")
     if min(tau, default=1) < 1:

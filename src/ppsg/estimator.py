@@ -124,7 +124,8 @@ class EstimatorConfig:
     must be all ones so the full coefficient cell stays identifiable, and
     later entries refine with shrunken cells.  ``general_degree_handling``
     enables the closure-then-project path for degree sets that are not
-    downward closed.
+    downward closed; such a set is rejected without it, or with a lag
+    schedule.
     """
 
     degree_set: DegreeSet
@@ -143,6 +144,9 @@ class EstimatorConfig:
                     f"lags must be strictly ascending componentwise: {prev} -> {nxt}"
                 )
         object.__setattr__(self, "lags", lags)
+        M = self.degree_set
+        if not (M.is_downward_closed() or (self.general_degree_handling and self.single_unit_lag)):
+            raise ValueError("non-closed degrees need general_degree_handling and a unit lag")
 
     @property
     def single_unit_lag(self) -> bool:
@@ -335,14 +339,7 @@ def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, 
     some complex products in place on temporaries, which can change their
     last bit.
     """
-    if cfg.general_degree_handling and not cfg.degree_set.is_downward_closed():
-        if not cfg.single_unit_lag:
-            raise ValueError(
-                "general-degree handling cannot be combined with a multi-lag schedule"
-            )
-        values, diagnostics = _general(data, cfg)
-    else:
-        values, diagnostics = _binomial(data, cfg)
+    values, diagnostics = (_general if cfg.general_degree_handling else _binomial)(data, cfg)
     _check_cell(values)
     return values, diagnostics
 

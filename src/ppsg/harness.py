@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import reconstruction_bound
 from .basis import BINOMIAL, CoefficientVector, phase_fields, wrap_to_cell
-from .degrees import DegreeSet, diff_window
+from .degrees import DegreeSet, as_index, diff_window
 from .estimator import Estimate, EstimatorConfig, estimate_batch
 from .signal import _difference, complex_noise, principal_arg
 
@@ -59,7 +59,10 @@ class ExperimentConfig:
     fixed_coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window", tuple(int(v) for v in self.window))
+        object.__setattr__(self, "window", as_index(self.window))
+        trials, master_seed = as_index((self.trials, self.master_seed))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "master_seed", master_seed)
         object.__setattr__(
             self, "snr_db_grid", tuple(float(v) for v in self.snr_db_grid)
         )
@@ -86,8 +89,6 @@ class ExperimentConfig:
         M, est = self.degree_set, self.estimator_config
         if est.degree_set != M:
             raise ValueError("estimator_config degree set differs from experiment's")
-        if not (M.is_downward_closed() or (est.general_degree_handling and est.single_unit_lag)):
-            raise ValueError("non-closed degrees need general_degree_handling and a unit lag")
         diff_window(self.window, M.max_degree, est.lags[-1])
 
 

@@ -7,7 +7,6 @@ output arrays; inputs are never mutated, so concurrent reads are safe.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .basis import CoefficientVector, phase_field
-from .degrees import diff_window, validate_degree_set
+from .degrees import as_index, diff_window, validate_degree_set
 
 _MAGIC = b"PPSG"
 
@@ -29,7 +28,7 @@ class _Field:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        window = tuple(int(v) for v in self.window)
+        window = as_index(self.window)
         if not window or min(window) < 1:
             raise ValueError(f"window must have positive entries, got {window}")
         data = np.ascontiguousarray(self.data, dtype=self._dtype)
@@ -75,7 +74,7 @@ def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
 
 def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:
     """Unit-modulus signal exp(j 2 pi x(n)) over [N] from phase coefficients."""
-    N = tuple(int(v) for v in N)
+    N = as_index(N)
     report = validate_degree_set(coeffs.degree_set, N)
     if not report.window_ok:
         raise ValueError(f"window {N} too small for degrees {coeffs.degree_set.degrees}")
@@ -145,7 +144,7 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     The per-dimension operators commute, so the application order does not
     matter; output window is N - tau*k elementwise.
     """
-    k = tuple(int(v) for v in k)
+    k = as_index(k)
     window, tau = diff_window(s.window, k, lag)
     return Signal(window, _fresh_difference(s.data, k, tau, _conj_product))
 
@@ -173,7 +172,7 @@ def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
     repeated first differences, keeping the cost at O(|k|) passes over the
     array.
     """
-    k = tuple(int(v) for v in k)
+    k = as_index(k)
     window, tau = diff_window(x.window, k)
     return RealField(window, _fresh_difference(x.data, k, tau, np.subtract))
 
@@ -210,28 +209,4 @@ def read_signal(fh: IO[bytes]) -> Signal:
     if len(raw) < start + 16 * count:
         raise ValueError(f"truncated signal file: window {window} needs {16 * count} bytes")
     data = np.frombuffer(raw, "<c16", count, start).astype(complex).reshape(window)
-    return Signal(window, data)
-
-
-def write_signal_csv(s: Signal, fh: IO[str]) -> None:
-    """Debug format: one row per sample, columns n_0..n_{D-1}, re, im."""
-    writer = csv.writer(fh)
-    writer.writerow([f"n_{d}" for d in range(s.dim)] + ["re", "im"])
-    for idx in np.ndindex(*s.window):
-        v = s.data[idx]
-        writer.writerow(list(idx) + [repr(float(v.real)), repr(float(v.imag))])
-
-
-def read_signal_csv(fh: IO[str]) -> Signal:
-    reader = csv.reader(fh)
-    header = next(reader)
-    dim = len(header) - 2
-    entries = {}
-    for row in reader:
-        idx = tuple(int(v) for v in row[:dim])
-        entries[idx] = complex(float(row[dim]), float(row[dim + 1]))
-    window = tuple(max(idx[d] for idx in entries) + 1 for d in range(dim))
-    data = np.zeros(window, dtype=complex)
-    for idx, v in entries.items():
-        data[idx] = v
     return Signal(window, data)

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .basis import tensor_field
-from .degrees import binom, diff_window
+from .degrees import as_index, binom, diff_window
 from .signal import RealField
 
 # Above this per-dimension window length the closed form switches from exact
@@ -98,7 +98,7 @@ def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
     u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
     with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
     """
-    k, tau, N = int(k), int(tau), int(N)
+    k, tau, N = as_index((k, tau, N))
     diff_window((N,), (k,), tau)
     return np.array(_weight_axis(k, tau, N))
 
@@ -107,8 +107,7 @@ def weight_multi(
     k: Sequence[int], tau: Sequence[int] | int, N: Sequence[int]
 ) -> WeightField:
     """Tensor product of per-dimension closed-form weights."""
-    k = tuple(int(v) for v in k)
-    N = tuple(int(v) for v in N)
+    k, N = as_index(k), as_index(N)
     window, tau = diff_window(N, k, tau)
     data = tensor_field([_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)])
     data = data / data.sum()  # counter accumulated rounding in high dims
@@ -141,8 +140,7 @@ def covariance_matrix(
     Built as a Kronecker product of per-dimension kernels, matching the
     row-major flattening of the window.
     """
-    k = tuple(int(v) for v in k)
-    N = tuple(int(v) for v in N)
+    k, N = as_index(k), as_index(N)
     _, tau = diff_window(N, k, tau)
     matrix = np.ones((1, 1))
     for kd, td, Nd in zip(k, tau, N):
@@ -158,8 +156,7 @@ def weight_via_inversion(
     Desk-scale only (guarded at 4096 unknowns); a Cholesky failure means the
     kernel construction is wrong, not a tolerance problem, so it propagates.
     """
-    k = tuple(int(v) for v in k)
-    N = tuple(int(v) for v in N)
+    k, N = as_index(k), as_index(N)
     window, tau = diff_window(N, k, tau)
     size = int(np.prod(window))
     if size > _ORACLE_GUARD:

@@ -22,19 +22,20 @@ from ppsg.basis import (
     binomial_transform,
     compute_new_coordinate,
     phase_field,
+    phase_fields,
     wrap_to_cell,
 )
 from ppsg.degrees import binom, build_total_order, downward_closure
 from ppsg.estimator import (
     AveragingKind,
     EstimatorConfig,
+    estimate_batch,
     estimate_coefficients,
     estimate_coefficients_direct,
-    estimate_coefficients_general,
     estimate_coefficients_multilag,
     parameter_invariance_witness,
 )
-from ppsg.harness import ExperimentConfig, run_sweep, run_trial, snr_db_to_linear
+from ppsg.harness import ExperimentConfig, _run_chunk, run_sweep, run_trial, snr_db_to_linear
 from ppsg.analysis import orthogonal_poly_field
 from ppsg.signal import RealField, Signal, synthesize
 from ppsg.weights import covariance_matrix, weight_multi, weight_via_inversion
@@ -149,12 +150,13 @@ def test_criterion_2_crb_attainment():
         )
         errors = np.empty(trials)
         diffs = np.empty((trials, 2))
-        for t in range(trials):
-            out = run_trial(cfg, snr, t, snr_index=0)
-            errors[t] = out.reconstruction_error
-            diffs[t] = wrap_to_cell(
-                out.estimate.binomial.values - out.coefficients.values
-            )
+        # Chunks of 128 independently seeded trials, each row bit for bit
+        # the trial run alone (run_trial).
+        for start in range(0, trials, 128):
+            chunk = range(start, min(start + 128, trials))
+            truths, values, _, chunk_errors, _ = _run_chunk(cfg, snr, 0, chunk)
+            errors[start : chunk.stop] = chunk_errors
+            diffs[start : chunk.stop] = wrap_to_cell(values - truths)
         bound = len(M01) / (2.0 * snr)
         assert abs(errors.mean() - bound) <= 0.15 * bound
         centered = diffs - diffs.mean(axis=0)
@@ -219,16 +221,24 @@ def test_criterion_4_naive_penalty():
         errs_naive = np.empty(trials)
         errs_proposed = np.empty(trials)
         cubic = binomial_field((3,), N)
-        for t in range(trials):
-            rng = np.random.default_rng(40_000 + t)
-            b = CoefficientVector(rng.uniform(-0.5, 0.5, 1), BINOMIAL, M3)
-            y, clean = _noisy_signal(b, N, snr, 80_000 + t)
-            naive_b3 = estimate_coefficients(y, cfg_closure).binomial[(3,)]
-            recon_naive = np.exp(2j * np.pi * naive_b3 * cubic)
-            errs_naive[t] = np.sum(np.abs(recon_naive - clean.data) ** 2)
-            proposed = estimate_coefficients_general(y, cfg_general)
-            recon = np.exp(2j * np.pi * phase_field(proposed.binomial, N))
-            errs_proposed[t] = np.sum(np.abs(recon - clean.data) ** 2)
+        # Batches of 32 independently seeded signals, estimated in one call
+        # each; every row is bit for bit the signal estimated alone.
+        for start in range(0, trials, 32):
+            chunk = range(start, min(start + 32, trials))
+            pairs = []
+            for t in chunk:
+                rng = np.random.default_rng(40_000 + t)
+                b = CoefficientVector(rng.uniform(-0.5, 0.5, 1), BINOMIAL, M3)
+                pairs.append(_noisy_signal(b, N, snr, 80_000 + t))
+            y = np.stack([noisy.data for noisy, _ in pairs])
+            clean = np.stack([s.data for _, s in pairs])
+            naive, _ = estimate_batch(y, cfg_closure)
+            naive_b3 = naive[:, closure.position((3,))]
+            recon_naive = np.exp(2j * np.pi * naive_b3[:, None] * cubic)
+            errs_naive[start : chunk.stop] = np.sum(np.abs(recon_naive - clean) ** 2, axis=1)
+            proposed, _ = estimate_batch(y, cfg_general)
+            recon = np.exp(2j * np.pi * phase_fields(proposed, M3, N))
+            errs_proposed[start : chunk.stop] = np.sum(np.abs(recon - clean) ** 2, axis=1)
         ratio = errs_naive.mean() / errs_proposed.mean()
         assert ratio > 100.0
         bound = 1.0 / (2.0 * snr)
@@ -265,11 +275,13 @@ def test_criterion_5_multilag_gain():
             **base,
         )
         # identical seeds produce identical observations: paired comparison
+        # chunks of 128 trials, each row bit for bit the trial run alone
         diff = np.empty(trials)
-        for t in range(trials):
-            single = run_trial(cfg_single, snr, t).reconstruction_error
-            multi = run_trial(cfg_multi, snr, t).reconstruction_error
-            diff[t] = single - multi
+        for start in range(0, trials, 128):
+            chunk = range(start, min(start + 128, trials))
+            single = _run_chunk(cfg_single, snr, 0, chunk)[3]
+            multi = _run_chunk(cfg_multi, snr, 0, chunk)[3]
+            diff[start : chunk.stop] = single - multi
         mean = diff.mean()
         stderr = diff.std(ddof=1) / np.sqrt(trials)
         assert mean - 1.645 * stderr > 0.0  # one-sided 95%

@@ -229,6 +229,8 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert sidecar["config"]["master_seed"] == 7
 
 
+_CRB = ["crb", "--snr-db-range", "0:10:5"]
+
 _SIM_CONFIG = {
     "degrees": [[0], [1]],
     "window": [16],
@@ -262,6 +264,15 @@ _SIM_CONFIG = {
         (["weights", "--degree", "5", "--window", "[8]"], None, "--degree"),
         (["weights", "--degree", '["a"]', "--window", "[8]"], None, "--degree"),
         (["weights", "--degree", "[1]", "--lag", "3", "--window", "[8]"], None, "--lag"),
+        (["weights", "--degree", "[1.9]", "--window", "[8.7]"], None, "--degree"),
+        (["weights", "--degree", "[1]", "--window", "[8.7]"], None, "--window"),
+        (_CRB + ["--degrees", "[[0],[1.5]]", "--window", "[8]"], None, "--degrees"),
+        (_CRB + ["--degrees", "[[0],[1]]", "--window", "[8,8]"], None, "--window"),
+        (["simulate"], {"trials": 2.9}, "trials"),
+        (["simulate"], {"master_seed": "7"}, "master_seed"),
+        (["simulate"], {"lags": [[1], "2"]}, "lags"),
+        (["simulate"], {"window": ["8"]}, "window"),
+        (["simulate"], {"degrees": [[0], [1.5]]}, "degrees"),
     ],
     ids=[
         "scalar-lags",
@@ -277,6 +288,15 @@ _SIM_CONFIG = {
         "scalar-degree",
         "string-degree",
         "scalar-lag",
+        "float-degree-and-window",
+        "float-window",
+        "crb-float-degree",
+        "crb-window-dim-mismatch",
+        "float-trials",
+        "string-master-seed",
+        "string-lag-entry",
+        "string-window-entry",
+        "float-degree-entry",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsg.basis import binomial_transform
+from ppsg.basis import binomial_field, binomial_transform
 from ppsg.degrees import (
     DegreeSet,
+    as_index,
     as_lag,
     binom,
     build_total_order,
@@ -18,6 +19,7 @@ from ppsg.degrees import (
     validate_degree_set,
 )
 from ppsg.estimator import EstimatorConfig, estimate
+from ppsg.harness import ExperimentConfig
 from ppsg.signal import RealField, Signal, finite_difference, phase_diff, phase_diff_multi
 from ppsg.weights import covariance_matrix, weight_1d, weight_multi, weight_via_inversion
 
@@ -191,6 +193,53 @@ def test_as_lag_scalar_and_sequence_forms():
         as_lag((1, 2), 3)
     with pytest.raises(ValueError):
         as_lag(0, 1)
+
+
+def test_as_index_accepts_integers_only():
+    assert as_index([1, np.int64(2), np.int32(3)]) == (1, 2, 3)
+    assert as_index(np.arange(3)) == (0, 1, 2)
+    assert all(type(v) is int for v in as_index(np.arange(3)))
+    for bad in ([8.0], ["8"], "8", [1.9], 5, [None]):
+        with pytest.raises(ValueError):
+            as_index(bad)
+
+
+M01 = build_total_order([(0,), (1,)])
+
+
+def _experiment(**kwargs):
+    base = dict(
+        degree_set=M01,
+        window=(8,),
+        snr_db_grid=(10.0,),
+        trials=2,
+        parameter_mode="zero",
+        estimator_config=EstimatorConfig(M01),
+    )
+    return ExperimentConfig(**{**base, **kwargs})
+
+
+# Each call truncated a float entry to an integer before indices were read
+# through as_index; now each must refuse it.
+NON_INTEGER_CASES = [
+    ("weight_multi", lambda: weight_multi((1.9,), 1, (8.7,))),
+    ("weight_1d", lambda: weight_1d(1, 1, 8.5)),
+    ("binomial_field", lambda: binomial_field((2.5,), (6,))),
+    ("build_total_order", lambda: build_total_order([(0,), (1.5,)])),
+    ("Signal", lambda: Signal((4.9,), np.ones(4, dtype=complex))),
+    ("EstimatorConfig_lags", lambda: EstimatorConfig(M01, lags=((1,), (2.5,)))),
+    ("ExperimentConfig_window", lambda: _experiment(window=(64.5,))),
+    ("ExperimentConfig_trials", lambda: _experiment(trials=2.5)),
+    ("ExperimentConfig_master_seed", lambda: _experiment(master_seed=7.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [c[1] for c in NON_INTEGER_CASES], ids=[c[0] for c in NON_INTEGER_CASES]
+)
+def test_non_integer_index_raises(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_diff_window_returns_window_and_resolved_lag():

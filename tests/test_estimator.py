@@ -452,6 +452,16 @@ def test_estimate_dispatch():
         )
 
 
+def test_config_checks_the_route_rule_at_construction():
+    M02 = build_total_order([(0,), (2,)])
+    with pytest.raises(ValueError, match="general_degree_handling"):
+        EstimatorConfig(M02)
+    with pytest.raises(ValueError, match="general_degree_handling"):
+        EstimatorConfig(M02, general_degree_handling=True, lags=((1,), (2,)))
+    EstimatorConfig(M02, general_degree_handling=True)
+    EstimatorConfig(M012, general_degree_handling=True, lags=((1,), (2,)))
+
+
 # -- Shared kernel ----------------------------------------------------------------
 
 

@@ -16,10 +16,8 @@ from ppsg.signal import (
     principal_arg,
     project_unit_circle,
     read_signal,
-    read_signal_csv,
     synthesize,
     write_signal,
-    write_signal_csv,
 )
 
 from oracles import finite_difference_stencil
@@ -275,17 +273,6 @@ def test_phase_diff_is_phase_diff_multi_with_unit_index():
     for d, lag in [(0, 1), (1, 2), (1, 6)]:
         k = tuple(int(i == d) for i in range(2))
         assert np.array_equal(phase_diff(s, d, lag).data, phase_diff_multi(s, k, lag).data)
-
-
-def test_signal_csv_roundtrip():
-    rng = np.random.default_rng(9)
-    s = Signal((2, 3), rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
-    buf = io.StringIO()
-    write_signal_csv(s, buf)
-    buf.seek(0)
-    back = read_signal_csv(buf)
-    assert back.window == s.window
-    assert np.array_equal(back.data, s.data)
 
 
 def test_signal_shape_validation():
