@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import operator
 import os
 import subprocess
 import sys
@@ -23,7 +22,7 @@ from . import __version__
 from .analysis import crb as crb_matrix
 from .analysis import reconstruction_bound
 from .basis import binomial_to_monomial_matrix, compute_new_coordinate
-from .degrees import DegreeSet, as_index, diff_window
+from .degrees import DegreeSet, as_index, as_int, diff_window
 from .estimator import AveragingKind, EstimatorConfig, estimate
 from .harness import ExperimentConfig, run_sweep
 from .signal import read_signal
@@ -190,9 +189,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     averaging = _config_field(config, "averaging", AveragingKind, AveragingKind.CIRCULAR)
     lags = _config_field(config, "lags", _lags, ())
     snr_db_grid = _config_field(config, "snr_db_grid", _json_numbers)
-    trials = _config_field(config, "trials", operator.index)
+    trials = _config_field(config, "trials", as_int)
     parameter_mode = _config_field(config, "parameter_mode", str)
-    master_seed = _config_field(config, "master_seed", operator.index, _effective_seed(args))
+    master_seed = _config_field(config, "master_seed", as_int, _effective_seed(args))
     fixed_coefficients = _config_field(config, "fixed_coefficients", _json_numbers, None)
     general = _config_field(config, "general_degree_handling", _json_bool, False)
     try:

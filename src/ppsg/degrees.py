@@ -50,16 +50,31 @@ def partial_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(ad <= bd for ad, bd in zip(a, b))
 
 
+def _integer(value) -> int:
+    # operator.index reads True as 1; numpy 2's bool has no __index__.
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def as_index(values: Iterable[int]) -> MultiIndex:
     """Integer multi-index from Python or numpy integers, else ValueError.
 
-    The package's one reader of integer indices: floats (even 8.0) and
-    strings are rejected, never truncated.
+    The package's one reader of integer indices: booleans, floats (even
+    8.0) and strings are rejected, never truncated.
     """
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(_integer, values))
     except TypeError as exc:
         raise ValueError(f"expected a sequence of integers, got {values!r}") from exc
+
+
+def as_int(value, name: str = "value") -> int:
+    """One integer, read as :func:`as_index` reads an entry; errors name ``name``."""
+    try:
+        return _integer(value)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def _check_degree(m: Sequence[int], dim: int) -> MultiIndex:
@@ -191,10 +206,14 @@ def validate_degree_set(M: DegreeSet, N: Sequence[int]) -> DegreeSetReport:
 
 def as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
     """Per-dimension lag from an integer or a sequence; entries must be >= 1."""
-    try:
-        tau = (lag,) * dim if type(lag) is int else as_index(lag)
-    except ValueError:  # not a sequence: one integer applies to every dimension
-        tau = as_index((lag,)) * dim
+    if type(lag) is int:
+        tau = (lag,) * dim
+    else:
+        try:
+            iter(lag)
+        except TypeError:  # not a sequence: one integer applies to every dimension
+            lag = (lag,) * dim
+        tau = as_index(lag)
     if len(tau) != dim:
         raise ValueError(f"lag {tau} does not match dimensionality {dim}")
     if min(tau, default=1) < 1:

@@ -6,12 +6,14 @@ stages (m, tau), degrees in descending total order and lags inner.  Each
 stage collapses the running observations to near-constant fields with
 composed lagged phase differences, averages them with the closed-form
 minimum-variance weights, reads the increments off the arguments, and
-cancels the recovered terms before the next stage.  The public estimators
-differ only in the basis field they cancel and in how they finish: the
-plain and multi-lag estimators cancel binomial fields C(n, m); the direct
-estimator cancels monomials n^m / m! and maps back to the binomial basis.
-Degree sets that are not downward closed are estimated over their closure,
-then projected with Fisher weights.
+cancels the recovered terms before the next stage.  The cancellation drops
+the whole turns of each phase exactly before the trig, which spares cos and
+sin the slow, lossy ~1e12 rad arguments of large windows.  The public
+estimators differ only in the basis field they cancel and in how they
+finish: the plain and multi-lag estimators cancel binomial fields C(n, m);
+the direct estimator cancels monomials n^m / m! and maps back to the
+binomial basis.  Degree sets that are not downward closed are estimated
+over their closure, then projected with Fisher weights.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and for batches under 2^14 samples row t of its result
@@ -215,7 +217,8 @@ def _sequential(
     averages the lagged differences of the running observations, divides
     the arguments by 2*pi*tau^m, adds the increments to the coefficients of
     m, and cancels ``increment * basis_field(m, N)`` from each signal whose
-    increment is nonzero.  The last stage skips the cancellation, since
+    increment is nonzero, in whole turns reduced away before the trig
+    (:func:`_rotation`).  The last stage skips the cancellation, since
     nothing reads the observations after it.  The window rule is checked
     once, up front, so the stages difference the raw batch directly rather
     than through ``phase_diff_multi``, which would copy at degree 0.
@@ -237,13 +240,29 @@ def _sequential(
         diagnostics[(m, tau)] = delta
         moved = delta != 0.0
         if moved.any() and i < len(stages) - 1:
+            rot = _rotation(delta[moved].reshape(lead) * basis_field(m, N))
             if moved.all():
-                data = data * np.exp(-2j * np.pi * delta.reshape(lead) * basis_field(m, N))
+                data = np.multiply(data, rot, out=rot)
             else:  # a signal with a zero increment keeps its samples bit for bit
                 data = data.copy()
-                turn = -2j * np.pi * delta[moved].reshape(lead) * basis_field(m, N)
-                data[moved] *= np.exp(turn)
+                data[moved] *= rot
     return values, diagnostics
+
+
+def _rotation(turn: np.ndarray) -> np.ndarray:
+    """exp(-2j*pi*turn), with the whole turns dropped before the trig.
+
+    ``turn - rint(turn)`` is exact in float64 and whole turns do not
+    rotate, so cos and sin see arguments in [-pi, pi].  Unreduced, C(n, 2)
+    at 2^20 gives ~1e12 rad, which the trig reduces slowly and where
+    rounding 2*pi times the phase costs ~1e-4 rad.  ``turn`` is overwritten.
+    """
+    turn -= np.rint(turn)
+    turn *= -TWO_PI
+    rot = np.empty(turn.shape, dtype=complex)
+    np.cos(turn, out=rot.real)
+    np.sin(turn, out=rot.imag)
+    return rot
 
 
 def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:

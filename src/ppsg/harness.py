@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import reconstruction_bound
 from .basis import BINOMIAL, CoefficientVector, phase_fields, wrap_to_cell
-from .degrees import DegreeSet, as_index, diff_window
+from .degrees import DegreeSet, as_index, as_int, diff_window
 from .estimator import Estimate, EstimatorConfig, estimate_batch
 from .signal import _difference, complex_noise, principal_arg
 
@@ -60,9 +60,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", as_index(self.window))
-        trials, master_seed = as_index((self.trials, self.master_seed))
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "master_seed", master_seed)
+        for name in ("trials", "master_seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         object.__setattr__(
             self, "snr_db_grid", tuple(float(v) for v in self.snr_db_grid)
         )

@@ -273,6 +273,8 @@ _SIM_CONFIG = {
         (["simulate"], {"lags": [[1], "2"]}, "lags"),
         (["simulate"], {"window": ["8"]}, "window"),
         (["simulate"], {"degrees": [[0], [1.5]]}, "degrees"),
+        (["weights", "--degree", "[true]", "--window", "[3]"], None, "--degree"),
+        (["simulate"], {"trials": True}, "trials"),
     ],
     ids=[
         "scalar-lags",
@@ -297,6 +299,8 @@ _SIM_CONFIG = {
         "string-lag-entry",
         "string-window-entry",
         "float-degree-entry",
+        "bool-degree",
+        "bool-trials",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):

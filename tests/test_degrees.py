@@ -220,25 +220,31 @@ def _experiment(**kwargs):
 
 
 # Each call truncated a float entry to an integer before indices were read
-# through as_index; now each must refuse it.
+# through as_index; now each must refuse it.  Where a pattern is given, the
+# message must name the field or the offending lag.
 NON_INTEGER_CASES = [
-    ("weight_multi", lambda: weight_multi((1.9,), 1, (8.7,))),
-    ("weight_1d", lambda: weight_1d(1, 1, 8.5)),
-    ("binomial_field", lambda: binomial_field((2.5,), (6,))),
-    ("build_total_order", lambda: build_total_order([(0,), (1.5,)])),
-    ("Signal", lambda: Signal((4.9,), np.ones(4, dtype=complex))),
-    ("EstimatorConfig_lags", lambda: EstimatorConfig(M01, lags=((1,), (2.5,)))),
-    ("ExperimentConfig_window", lambda: _experiment(window=(64.5,))),
-    ("ExperimentConfig_trials", lambda: _experiment(trials=2.5)),
-    ("ExperimentConfig_master_seed", lambda: _experiment(master_seed=7.0)),
+    ("weight_multi", lambda: weight_multi((1.9,), 1, (8.7,)), None),
+    ("weight_1d", lambda: weight_1d(1, 1, 8.5), None),
+    ("binomial_field", lambda: binomial_field((2.5,), (6,)), None),
+    ("build_total_order", lambda: build_total_order([(0,), (1.5,)]), None),
+    ("Signal", lambda: Signal((4.9,), np.ones(4, dtype=complex)), None),
+    ("EstimatorConfig_lags", lambda: EstimatorConfig(M01, lags=((1,), (2.5,))), r"got \(2\.5,\)$"),
+    ("ExperimentConfig_window", lambda: _experiment(window=(64.5,)), None),
+    ("ExperimentConfig_trials", lambda: _experiment(trials=2.5), "trials must be"),
+    ("ExperimentConfig_master_seed", lambda: _experiment(master_seed=7.0), "master_seed must be"),
+    # operator.index reads True as 1; numpy 2's bool already has no __index__.
+    ("as_index_bool", lambda: as_index([True]), None),
+    ("as_index_numpy_bool", lambda: as_index([np.True_]), None),
+    ("ExperimentConfig_bool_trials", lambda: _experiment(trials=True), "trials must be"),
+    ("weight_1d_bool", lambda: weight_1d(True, 1, 8), None),
 ]
 
 
 @pytest.mark.parametrize(
-    "call", [c[1] for c in NON_INTEGER_CASES], ids=[c[0] for c in NON_INTEGER_CASES]
+    "call,match", [c[1:] for c in NON_INTEGER_CASES], ids=[c[0] for c in NON_INTEGER_CASES]
 )
-def test_non_integer_index_raises(call):
-    with pytest.raises(ValueError):
+def test_non_integer_index_raises(call, match):
+    with pytest.raises(ValueError, match=match):
         call()
 
 

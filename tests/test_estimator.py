@@ -12,6 +12,7 @@ from ppsg.analysis import crb
 from ppsg.basis import (
     BINOMIAL,
     CoefficientVector,
+    binomial_field,
     binomial_to_monomial_matrix,
     compute_new_coordinate,
     phase_field,
@@ -149,6 +150,29 @@ def test_noise_free_recovery(kind):
         s = synthesize(b, N)
         est = estimate_coefficients(s, EstimatorConfig(M, averaging=kind))
         assert np.max(np.abs(est.binomial.values - b.values)) < 1e-9
+
+
+M2D_TOTAL2 = build_total_order([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "M, b, N",
+    [
+        (M012, (0.25, -0.375, 0.125), (2**16,)),
+        (M012, (0.25, -0.375, 0.125), (2**20,)),
+        (M2D_TOTAL2, (0.25, -0.375, 0.125, 0.0625, -0.1875, 0.3125), (512, 512)),
+    ],
+    ids=["1d-2^16", "1d-2^20", "2d-512x512"],
+)
+def test_noise_free_recovery_on_large_windows(M, b, N):
+    # Dyadic b times integer C(n, m) is exact in float64, so the phase is
+    # built without rounding and reduced to whole turns exactly.  The
+    # cancellation must drop the whole turns of delta * C(n, m) before the
+    # trig, or its rounding at ~1e12 rad shows up in the lower degrees.
+    x = sum(bj * binomial_field(m, N) for bj, m in zip(b, M.degrees))
+    y = Signal(N, np.exp(2j * np.pi * (x - np.rint(x))))
+    est = estimate(y, EstimatorConfig(M))
+    assert np.max(np.abs(est.binomial.values - np.array(b))) <= 1e-12
 
 
 def test_all_ones_signal_gives_zero():
