@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .degrees import DegreeSet, as_index, binom, diff_window
 from .basis import binomial_field, tensor_field
@@ -65,6 +64,8 @@ def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> FisherMatrix:
 
 def crb(M: DegreeSet, N: Sequence[int], snr: float) -> np.ndarray:
     """Inverse Fisher matrix via an SPD solve."""
+    from scipy.linalg import cho_factor, cho_solve
+
     J = fisher_matrix(M, N, snr)
     try:
         return cho_solve(cho_factor(J.matrix), np.eye(len(M)))
@@ -156,9 +157,8 @@ def decomposition(M: DegreeSet, N: Sequence[int]) -> DecompositionPair:
     pair = DecompositionPair(S, Q, M)
     J = fisher_matrix(M, N, 1.0).matrix
     recon = 8 * np.pi**2 * (S.T @ np.linalg.solve(Q @ Q.T, S))
-    assert np.linalg.norm(recon - J) <= 1e-8 * np.linalg.norm(J), (
-        "Fisher decomposition identity violated"
-    )
+    if not np.linalg.norm(recon - J) <= 1e-8 * np.linalg.norm(J):
+        raise RuntimeError("Fisher decomposition identity violated")
     return pair
 
 

@@ -3,12 +3,16 @@
 One private kernel, :func:`_sequential`, holds the estimation loop.  It takes
 a batch of signals, shape (B, *N) with the trial axis leading, and walks
 stages (m, tau), degrees in descending total order and lags inner.  Each
-stage collapses the running observations to near-constant fields with
-composed lagged phase differences, averages them with the closed-form
-minimum-variance weights, reads the increments off the arguments, and
-cancels the recovered terms before the next stage.  The cancellation drops
-the whole turns of each phase exactly before the trig, which spares cos and
-sin the slow, lossy ~1e12 rad arguments of large windows.  The public
+stage collapses the observations the degree started with to near-constant
+fields with composed lagged phase differences, averages them with the
+closed-form minimum-variance weights and reads the increments off the
+arguments.  The lag passes of a degree cancel the increments of the earlier
+lags by rotating the differenced field by one scalar per signal, since the
+m-th difference at lag tau of C(n, m) is the constant tau^m.  Each degree
+then cancels its summed term over the full window once, before the next
+degree.  The cancellation drops the whole turns of each phase exactly
+before the trig, which spares cos and sin the slow, lossy ~1e12 rad
+arguments of large windows.  The public
 estimators differ only in the basis field they cancel and in how they
 finish: the plain and multi-lag estimators cancel binomial fields C(n, m);
 the direct estimator cancels monomials n^m / m! and maps back to the
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .analysis import fisher_matrix
 from .basis import (
@@ -213,40 +216,57 @@ def _sequential(
 ) -> tuple[np.ndarray, Diagnostics]:
     """The sequential loop shared by every estimator, over a batch (B, *N).
 
-    Stages (m, tau) run with degrees descending and lags inner.  Each stage
-    averages the lagged differences of the running observations, divides
-    the arguments by 2*pi*tau^m, adds the increments to the coefficients of
-    m, and cancels ``increment * basis_field(m, N)`` from each signal whose
-    increment is nonzero, in whole turns reduced away before the trig
-    (:func:`_rotation`).  The last stage skips the cancellation, since
-    nothing reads the observations after it.  The window rule is checked
-    once, up front, so the stages difference the raw batch directly rather
-    than through ``phase_diff_multi``, which would copy at degree 0.
-    Returns the coefficients, shape (B, |M|), and each stage's increments.
+    Degrees run in descending order, and each degree m runs the lags of the
+    schedule in turn on the observations it started with.  A lag stage
+    averages the lagged differences, divides the arguments by 2*pi*tau^m
+    and adds the increments to the coefficient of m.  The m-th difference
+    at lag tau of C(n, m) is the constant tau^m, so the increments ``acc``
+    of the earlier lags are cancelled from the differenced field by the
+    per-signal scalar exp(-2j*pi*tau^m*acc).  After the last lag the degree
+    cancels ``acc * basis_field(m, N)`` from each signal over the full
+    window, once, in whole turns reduced away before the trig
+    (:func:`_rotation`); the last degree skips it, since nothing reads the
+    observations after it.  The window rule is checked once, up front, so
+    the stages difference the raw batch directly rather than through
+    ``phase_diff_multi``, which would copy at degree 0.  Returns the
+    coefficients, shape (B, |M|), and each stage's increments.
     """
     _require_estimable(cfg, data)
     M = cfg.degree_set
     N = data.shape[1:]
-    lead = (-1,) + (1,) * len(N)
-    stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
-    for i, (m, tau) in enumerate(stages):
-        diffed = _difference(data, m, tau, _conj_product)
-        mean = _average(cfg.averaging, diffed, weight_multi(m, tau, N).data)
-        tau_pow = math.prod(td**md for td, md in zip(tau, m))
-        delta = principal_arg(mean) / (TWO_PI * tau_pow)
-        values[:, M.position(m)] += delta
-        diagnostics[(m, tau)] = delta
-        moved = delta != 0.0
-        if moved.any() and i < len(stages) - 1:
-            rot = _rotation(delta[moved].reshape(lead) * basis_field(m, N))
-            if moved.all():
-                data = np.multiply(data, rot, out=rot)
-            else:  # a signal with a zero increment keeps its samples bit for bit
-                data = data.copy()
-                data[moved] *= rot
+    for i, m in enumerate(reversed(M.degrees)):
+        acc = np.zeros(len(data))
+        for tau in cfg.lags:
+            tau_pow = math.prod(td**md for td, md in zip(tau, m))
+            diffed = _rotate(_difference(data, m, tau, _conj_product), acc, tau_pow)
+            mean = _average(cfg.averaging, diffed, weight_multi(m, tau, N).data)
+            delta = principal_arg(mean) / (TWO_PI * tau_pow)
+            acc += delta
+            diagnostics[(m, tau)] = delta
+        values[:, M.position(m)] = acc
+        if i < len(M) - 1 and (acc != 0.0).any():
+            data = _rotate(data, acc, basis_field(m, N))
     return values, diagnostics
+
+
+def _rotate(data: np.ndarray, turn: np.ndarray, field: np.ndarray | int) -> np.ndarray:
+    """Each signal t of a batch times exp(-2j*pi*turn[t]*field).
+
+    ``field`` is a full basis field or a constant.  A signal whose turn is
+    0 keeps its samples bit for bit, and ``data`` itself is never written.
+    """
+    moved = turn != 0.0
+    if not moved.any():
+        return data
+    rot = _rotation(turn[moved].reshape((-1,) + (1,) * (data.ndim - 1)) * field)
+    if not moved.all():
+        data = data.copy()
+        data[moved] *= rot
+        return data
+    # A full field's rotation buffer can take the product; a scalar one cannot.
+    return np.multiply(data, rot, out=rot if rot.shape == data.shape else None)
 
 
 def _rotation(turn: np.ndarray) -> np.ndarray:
@@ -273,6 +293,8 @@ def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagn
 
 def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
     """Closure estimate, then a Fisher-weighted projection of each row."""
+    from scipy.linalg import cho_factor, cho_solve
+
     M = cfg.degree_set
     if M.is_downward_closed():
         return _binomial(data, cfg)
@@ -312,6 +334,8 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
     change) exactly.  The returned binomial vector is the monomial output
     mapped back through the change of basis and wrapped to the cell.
     """
+    from scipy.linalg import solve_triangular
+
     if not cfg.single_unit_lag:
         raise ValueError("direct estimation supports only the unit lag")
     values, diagnostics = _sequential(y.data[None], cfg, monomial_field)

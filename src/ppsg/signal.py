@@ -69,7 +69,8 @@ def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
     a = np.angle(z)
     if np.ndim(a) == 0:
         return float(-np.pi) if a == np.pi else float(a)
-    return np.where(a == np.pi, -np.pi, a)
+    a[a == np.pi] = -np.pi
+    return a
 
 
 def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:

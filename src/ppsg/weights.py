@@ -14,8 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
 
 from .basis import tensor_field
 from .degrees import as_index, binom, diff_window
@@ -81,6 +79,8 @@ def _weight_1d_log(k: int, tau: int, N: int) -> np.ndarray:
 
 
 def _log_binom(n: np.ndarray, k: int) -> np.ndarray:
+    from scipy.special import gammaln
+
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
@@ -156,6 +156,8 @@ def weight_via_inversion(
     Desk-scale only (guarded at 4096 unknowns); a Cholesky failure means the
     kernel construction is wrong, not a tolerance problem, so it propagates.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     k, N = as_index(k), as_index(N)
     window, tau = diff_window(N, k, tau)
     size = int(np.prod(window))

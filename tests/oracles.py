@@ -1,5 +1,10 @@
-"""Reference implementations that only the tests use."""
+"""Reference implementations and helpers that only the tests use."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -7,7 +12,7 @@ import numpy as np
 from ppsg.analysis import outlier_predicate
 from ppsg.basis import BINOMIAL, CoefficientVector, phase_field
 from ppsg.degrees import multi_binom
-from ppsg.estimator import estimate
+from ppsg.estimator import TWO_PI, _average, _require_estimable, _rotation, estimate
 from ppsg.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -20,11 +25,14 @@ from ppsg.harness import (
 from ppsg.signal import (
     RealField,
     Signal,
+    _conj_product,
+    _difference,
     complex_noise,
     finite_difference,
     principal_arg,
     synthesize,
 )
+from ppsg.weights import weight_multi
 
 
 def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
@@ -75,3 +83,47 @@ def reference_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         wrapped = np.array([r.wrapped for r in results], dtype=bool)
         records.append(_aggregate(snr_db, snr, cfg, errors, wrapped))
     return ExperimentResult(tuple(records), cfg)
+
+
+def reference_sequential(data: np.ndarray, cfg, basis_field):
+    """The sequential loop one (degree, lag) stage at a time.
+
+    Every stage but the last cancels its own increment times
+    ``basis_field(m, N)`` over the full window, so each lag of a degree
+    differences the observations left by the lag before it.  The kernel
+    cancels each degree once and rotates the lag passes by a scalar; the
+    two agree to rounding.  Returns the coefficients and increments.
+    """
+    _require_estimable(cfg, data)
+    M = cfg.degree_set
+    N = data.shape[1:]
+    lead = (-1,) + (1,) * len(N)
+    stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
+    values = np.zeros((len(data), len(M)))
+    diagnostics = {}
+    for i, (m, tau) in enumerate(stages):
+        diffed = _difference(data, m, tau, _conj_product)
+        mean = _average(cfg.averaging, diffed, weight_multi(m, tau, N).data)
+        tau_pow = math.prod(td**md for td, md in zip(tau, m))
+        delta = principal_arg(mean) / (TWO_PI * tau_pow)
+        values[:, M.position(m)] += delta
+        diagnostics[(m, tau)] = delta
+        moved = delta != 0.0
+        if moved.any() and i < len(stages) - 1:
+            rot = _rotation(delta[moved].reshape(lead) * basis_field(m, N))
+            data = data.copy()
+            data[moved] *= rot
+    return values, diagnostics
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ppsg from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )

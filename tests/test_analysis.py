@@ -20,6 +20,8 @@ from ppsg.estimator import EstimatorConfig
 from ppsg.harness import ExperimentConfig, run_sweep
 from ppsg.signal import RealField, finite_difference
 
+from oracles import run_python
+
 M0 = build_total_order([(0,)])
 M01 = build_total_order([(0,), (1,)])
 
@@ -168,6 +170,31 @@ def test_fisher_decomposition_residual():
         J = fisher_matrix(M, N, 1.0).matrix
         recon = 8 * np.pi**2 * (pair.S.T @ np.linalg.solve(pair.Q @ pair.Q.T, pair.S))
         assert np.linalg.norm(recon - J) < 1e-8 * np.linalg.norm(J)
+
+
+def test_decomposition_identity_check_survives_optimize():
+    # python -O strips asserts; the identity check must still raise there.
+    code = """
+import dataclasses
+from ppsg import analysis
+from ppsg.degrees import build_total_order
+
+exact = analysis.fisher_matrix
+
+def perturbed(M, N, snr):
+    J = exact(M, N, snr)
+    return dataclasses.replace(J, matrix=J.matrix * (1.0 + 1e-6))
+
+analysis.fisher_matrix = perturbed
+print(__debug__)
+try:
+    analysis.decomposition(build_total_order([(0,), (1,), (2,)]), (8,))
+except RuntimeError as exc:
+    print(exc)
+"""
+    proc = run_python(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "Fisher decomposition identity violated"]
 
 
 def test_decomposition_requires_closure():

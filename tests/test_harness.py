@@ -18,7 +18,7 @@ from ppsg.harness import (
     snr_db_to_linear,
 )
 
-from oracles import reference_sweep, reference_trial
+from oracles import reference_sweep, reference_trial, run_python
 
 M01 = build_total_order([(0,), (1,)])
 M012 = build_total_order([(0,), (1,), (2,)])
@@ -254,3 +254,31 @@ def test_run_trial_is_a_row_of_the_batch():
             assert one.estimate.binomial.values.tobytes() == values[row].tobytes()
             assert one.estimate.diagnostics == {k: d[row] for k, d in diagnostics.items()}
             assert one.coefficients.values.tobytes() == truths[row].tobytes()
+
+
+def test_import_and_plain_sweep_load_no_scipy():
+    # scipy is imported only where a function uses it: the CRB, the
+    # general-degree and direct estimators, the log-space weights of long
+    # axes and the weight oracle.  A plain sweep needs none of them.
+    code = """
+import sys
+import ppsg
+
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(loaded())
+M = ppsg.build_total_order([(0,), (1,)])
+cfg = ppsg.ExperimentConfig(
+    degree_set=M,
+    window=(64,),
+    snr_db_grid=(0.0, 5.0, 10.0),
+    trials=100,
+    parameter_mode="zero",
+    estimator_config=ppsg.EstimatorConfig(M),
+    master_seed=1,
+)
+ppsg.run_sweep(cfg, workers=1)
+print(loaded())
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
