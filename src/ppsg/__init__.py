@@ -44,24 +44,14 @@ from .signal import (
     synthesize,
     write_signal,
 )
-from .weights import (
-    NoiseCovariance,
-    WeightField,
-    covariance_matrix,
-    weight_1d,
-    weight_multi,
-    weight_via_inversion,
-)
+from .weights import WeightField, weight_1d, weight_multi
 from .estimator import (
     AveragingKind,
     Estimate,
     EstimatorConfig,
     average,
     estimate,
-    estimate_coefficients,
     estimate_coefficients_direct,
-    estimate_coefficients_general,
-    estimate_coefficients_multilag,
     parameter_invariance_witness,
 )
 from .analysis import (

@@ -13,7 +13,6 @@ matrix solve.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +55,6 @@ class CoefficientVector:
             "degrees": self.degree_set.to_json(),
             "values": [float(v) for v in self.values],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
 
     @classmethod
     def from_json(cls, data: dict) -> "CoefficientVector":

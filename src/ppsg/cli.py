@@ -1,8 +1,10 @@
-"""Command-line interface: estimate, simulate, crb, weights, selftest.
+"""Command-line interface: estimate, simulate, crb, weights.
 
 Structured inputs and outputs are JSON; curve data is CSV so golden files
 diff cleanly.  Exit codes: 0 success, 1 validation error (bad flags or
 config, with a diagnostic naming the offending field), 2 runtime error.
+Only ``simulate`` is random: its seed is the config's ``master_seed``, else
+``--seed``, else the ``PPSG_SEED`` environment variable, else 0.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +70,8 @@ def _snr_range(raw: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise CliValidationError("flag --snr-db-range: non-numeric bound") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliValidationError("flag --snr-db-range: bounds and step must be finite")
     if step <= 0:
         raise CliValidationError("flag --snr-db-range: step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -85,10 +90,13 @@ def _open_out(path: str | None):
 
 
 def _effective_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("PPSG_SEED")
-    return int(env) if env is not None else 0
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("PPSG_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise CliValidationError(f"environment PPSG_SEED: not an integer: {env!r}") from exc
 
 
 def _version_string() -> str:
@@ -226,11 +234,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "snr_db_grid": list(exp_cfg.snr_db_grid),
                 "trials": exp_cfg.trials,
                 "parameter_mode": exp_cfg.parameter_mode,
-                "fixed_coefficients": (
-                    list(exp_cfg.fixed_coefficients)
-                    if exp_cfg.fixed_coefficients
-                    else None
-                ),
+                "fixed_coefficients": list(exp_cfg.fixed_coefficients or ()) or None,
                 "averaging": averaging.value,
                 "lags": [list(t) for t in est_cfg.lags],
                 "general_degree_handling": est_cfg.general_degree_handling,
@@ -278,17 +282,6 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import run_selftest
-
-    results = run_selftest(seed=_effective_seed(args))
-    failed = False
-    for name, ok in results:
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return 2 if failed else 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ppsg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -304,15 +297,11 @@ def build_parser() -> _Parser:
         "--basis", default="binomial", choices=("binomial", "monomial", "both")
     )
     p_est.add_argument("--out", default=None)
-    p_est.add_argument("--seed", type=int, default=None)
     p_est.set_defaults(handler=_cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(handler=_cmd_simulate)
 
@@ -321,7 +310,6 @@ def build_parser() -> _Parser:
     p_crb.add_argument("--window", required=True)
     p_crb.add_argument("--snr-db-range", required=True, help="start:stop:step, inclusive")
     p_crb.add_argument("--out", default=None)
-    p_crb.add_argument("--seed", type=int, default=None)
     p_crb.set_defaults(handler=_cmd_crb)
 
     p_w = sub.add_parser("weights", help="dump an averaging weight field as CSV")
@@ -329,12 +317,7 @@ def build_parser() -> _Parser:
     p_w.add_argument("--lag", default=None, help="JSON multi-index lag")
     p_w.add_argument("--window", required=True)
     p_w.add_argument("--out", default=None)
-    p_w.add_argument("--seed", type=int, default=None)
     p_w.set_defaults(handler=_cmd_weights)
-
-    p_self = sub.add_parser("selftest", help="run the exact-identity suite")
-    p_self.add_argument("--seed", type=int, default=None)
-    p_self.set_defaults(handler=_cmd_selftest)
 
     return parser
 

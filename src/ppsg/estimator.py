@@ -12,12 +12,11 @@ m-th difference at lag tau of C(n, m) is the constant tau^m.  Each degree
 then cancels its summed term over the full window once, before the next
 degree.  The cancellation drops the whole turns of each phase exactly
 before the trig, which spares cos and sin the slow, lossy ~1e12 rad
-arguments of large windows.  The public
-estimators differ only in the basis field they cancel and in how they
-finish: the plain and multi-lag estimators cancel binomial fields C(n, m);
-the direct estimator cancels monomials n^m / m! and maps back to the
-binomial basis.  Degree sets that are not downward closed are estimated
-over their closure, then projected with Fisher weights.
+arguments of large windows.  :func:`estimate` cancels binomial fields
+C(n, m), under any lag schedule; :func:`estimate_coefficients_direct`
+cancels monomials n^m / m! and maps back to the binomial basis.  Degree
+sets that are not downward closed are estimated over their closure, then
+projected with Fisher weights.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and for batches under 2^14 samples row t of its result
@@ -292,7 +291,8 @@ def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagn
 
 
 def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
-    """Closure estimate, then a Fisher-weighted projection of each row."""
+    """Closure estimate, then a Fisher-weighted projection of each row, which
+    restores the constrained CRB (zeroing would not), wrapped to the cell."""
     from scipy.linalg import cho_factor, cho_solve
 
     M = cfg.degree_set
@@ -309,21 +309,6 @@ def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagno
     weighted = selector.T @ J
     projected = np.array([cho_solve(factor, weighted @ v) for v in closure_values])
     return wrap_to_cell(projected), diagnostics
-
-
-def _one(y: Signal, cfg: EstimatorConfig, run) -> Estimate:
-    return Estimate.from_batch(cfg.degree_set, *run(y.data[None], cfg))
-
-
-def estimate_coefficients(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Single-pass sequential estimation with unit lags.
-
-    Runs the shared loop, cancelling binomial fields C(n, m).  Each estimate
-    lands in [-1/2, 1/2) by the argument convention.
-    """
-    if not cfg.single_unit_lag:
-        raise ValueError("multi-lag schedule set; use estimate_coefficients_multilag")
-    return _one(y, cfg, _binomial)
 
 
 def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
@@ -347,31 +332,6 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
     return Estimate(binomial, CoefficientVector(values[0], MONOMIAL, M), _first(diagnostics))
 
 
-def estimate_coefficients_multilag(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Sequential estimation refined over an ascending lag schedule.
-
-    Runs the shared loop with every lag of the schedule per degree; dividing
-    by tau^m shrinks both the noise and the identifiable cell.  The summed
-    increments are wrapped to the cell.  A singleton all-ones schedule
-    reproduces :func:`estimate_coefficients` bit for bit.
-    """
-    return _one(y, cfg, _binomial)
-
-
-def estimate_coefficients_general(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Estimation for degree sets that need not be downward closed.
-
-    Downward-closed sets take the plain path unchanged.  Otherwise the
-    closure is estimated and the result is projected onto the requested
-    degrees by Fisher-weighted least squares, which restores the constrained
-    CRB instead of merely zeroing the nuisance coefficients; the projection
-    may leave the cell, so the output is wrapped afterwards.
-    """
-    if not cfg.single_unit_lag:
-        raise ValueError("general-degree handling supports only the unit lag")
-    return _one(y, cfg, _general)
-
-
 def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
     """:func:`estimate` of every signal of a batch, shape (B, *N).
 
@@ -388,8 +348,8 @@ def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, 
 
 
 def estimate(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """Dispatch on the config: general-degree path, multi-lag, or plain."""
-    return _one(y, cfg, estimate_batch)
+    """:func:`estimate_batch` of one signal; the config picks the route."""
+    return Estimate.from_batch(cfg.degree_set, *estimate_batch(y.data[None], cfg))
 
 
 def parameter_invariance_witness(

@@ -62,11 +62,16 @@ class ExperimentConfig:
         object.__setattr__(self, "window", as_index(self.window))
         for name in ("trials", "master_seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        object.__setattr__(
-            self, "snr_db_grid", tuple(float(v) for v in self.snr_db_grid)
-        )
+        object.__setattr__(self, "snr_db_grid", tuple(map(float, self.snr_db_grid)))
         if not self.snr_db_grid:
             raise ValueError("snr grid must be nonempty")
+        for snr_db in self.snr_db_grid:
+            try:
+                noise_power = 1.0 / snr_db_to_linear(snr_db)
+            except (OverflowError, ZeroDivisionError):
+                noise_power = math.inf
+            if not 0.0 < noise_power < math.inf:  # NaN fails too
+                raise ValueError(f"snr_db_grid: {snr_db} dB is not a finite, positive SNR")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.parameter_mode not in PARAMETER_MODES:
@@ -82,6 +87,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"expected {len(self.degree_set)} fixed coefficients, got {len(coeffs)}"
                 )
+            if not all(map(math.isfinite, coeffs)):
+                raise ValueError(f"fixed_coefficients must be finite, got {coeffs}")
             object.__setattr__(self, "fixed_coefficients", coeffs)
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")

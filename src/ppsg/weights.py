@@ -3,8 +3,7 @@
 The colored noise left by composing lagged differences has a banded integer
 covariance kernel; the minimum-variance weights C^{-1}1 / (1^T C^{-1} 1)
 admit a closed form as a product of two binomial coefficients per sample.
-The closed form is what production code uses; the dense covariance build
-and Cholesky solve are kept as a desk-scale correctness oracle.
+`tests/oracles.py` checks it against a dense covariance build and solve.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .signal import RealField
 # C(N+k, 2k+1) for N ~ 1e4) to log-space accumulation.
 _EXACT_LIMIT = 64
 
-_ORACLE_GUARD = 4096
-
 
 @dataclass(frozen=True)
 class WeightField(RealField):
@@ -37,26 +34,6 @@ class WeightField(RealField):
             raise ValueError("weights must be nonnegative")
         if abs(self.data.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {self.data.sum()}, expected 1")
-
-
-@dataclass(frozen=True)
-class NoiseCovariance:
-    """Integer-valued covariance kernel of the lagged difference of white noise.
-
-    The physical covariance carries an extra scalar 1/(8 pi^2 SNR); it cancels
-    in the weight normalization and is factored out so entries stay integers.
-    """
-
-    size: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (self.size, self.size):
-            raise ValueError(f"expected {self.size}x{self.size}, got {matrix.shape}")
-        if not np.array_equal(matrix, matrix.T):
-            raise ValueError("covariance kernel must be symmetric")
-        object.__setattr__(self, "matrix", matrix)
 
 
 def _weight_1d_exact(k: int, tau: int, N: int) -> np.ndarray:
@@ -112,58 +89,3 @@ def weight_multi(
     data = tensor_field([_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)])
     data = data / data.sum()  # counter accumulated rounding in high dims
     return WeightField(window, data)
-
-
-def covariance_axis(k: int, tau: int, N: int) -> np.ndarray:
-    """1-D integer covariance kernel over [N - tau*k].
-
-    Entry (n, n') vanishes unless n = n' (mod tau); on a congruence class it
-    is (-1)^d C(2k, k + d) with d = (n - n')/tau, i.e. the lag-1 kernel of
-    that class.
-    """
-    (size,), (tau,) = diff_window((N,), (k,), tau)
-    n = np.arange(size)
-    delta = n[:, None] - n[None, :]
-    out = np.zeros((size, size))
-    on_class = delta % tau == 0
-    d = delta[on_class] // tau
-    vals = np.array([(-1 if dd % 2 else 1) * binom(2 * k, k + dd) for dd in d], dtype=float)
-    out[on_class] = vals
-    return out
-
-
-def covariance_matrix(
-    k: Sequence[int], tau: Sequence[int] | int, N: Sequence[int]
-) -> NoiseCovariance:
-    """Dense integer covariance kernel over the flattened window [N - tau*k].
-
-    Built as a Kronecker product of per-dimension kernels, matching the
-    row-major flattening of the window.
-    """
-    k, N = as_index(k), as_index(N)
-    _, tau = diff_window(N, k, tau)
-    matrix = np.ones((1, 1))
-    for kd, td, Nd in zip(k, tau, N):
-        matrix = np.kron(matrix, covariance_axis(kd, td, Nd))
-    return NoiseCovariance(matrix.shape[0], matrix)
-
-
-def weight_via_inversion(
-    k: Sequence[int], tau: Sequence[int] | int, N: Sequence[int]
-) -> WeightField:
-    """Oracle weights from the dense solve C w = 1, normalized.
-
-    Desk-scale only (guarded at 4096 unknowns); a Cholesky failure means the
-    kernel construction is wrong, not a tolerance problem, so it propagates.
-    """
-    from scipy.linalg import cho_factor, cho_solve
-
-    k, N = as_index(k), as_index(N)
-    window, tau = diff_window(N, k, tau)
-    size = int(np.prod(window))
-    if size > _ORACLE_GUARD:
-        raise ValueError(f"oracle limited to {_ORACLE_GUARD} unknowns, got {size}")
-    cov = covariance_matrix(k, tau, N)
-    solved = cho_solve(cho_factor(cov.matrix), np.ones(size))
-    weights = solved / solved.sum()
-    return WeightField(window, weights.reshape(window))

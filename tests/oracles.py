@@ -11,7 +11,7 @@ import numpy as np
 
 from ppsg.analysis import outlier_predicate
 from ppsg.basis import BINOMIAL, CoefficientVector, phase_field
-from ppsg.degrees import multi_binom
+from ppsg.degrees import as_index, binom, diff_window, multi_binom
 from ppsg.estimator import TWO_PI, _average, _require_estimable, _rotation, estimate
 from ppsg.harness import (
     ExperimentConfig,
@@ -32,7 +32,7 @@ from ppsg.signal import (
     principal_arg,
     synthesize,
 )
-from ppsg.weights import weight_multi
+from ppsg.weights import WeightField, weight_multi
 
 
 def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
@@ -52,6 +52,58 @@ def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
         block = x.data[tuple(slice(ld, ld + sd) for ld, sd in zip(ell, out_shape))]
         out += weight * block
     return RealField(out_shape, out)
+
+
+def covariance_axis(k: int, tau: int, N: int) -> np.ndarray:
+    """1-D integer covariance kernel of the lagged difference over [N - tau*k].
+
+    The physical covariance carries an extra scalar 1/(8 pi^2 SNR), which
+    cancels in the weight normalization.  Entry (n, n') vanishes unless
+    n = n' (mod tau); on a congruence class it is (-1)^d C(2k, k + d) with
+    d = (n - n')/tau, i.e. the lag-1 kernel of that class.
+    """
+    (size,), (tau,) = diff_window((N,), (k,), tau)
+    n = np.arange(size)
+    delta = n[:, None] - n[None, :]
+    out = np.zeros((size, size))
+    on_class = delta % tau == 0
+    d = delta[on_class] // tau
+    vals = np.array([(-1 if dd % 2 else 1) * binom(2 * k, k + dd) for dd in d], dtype=float)
+    out[on_class] = vals
+    return out
+
+
+def covariance_matrix(
+    k: Sequence[int], tau: Sequence[int] | int, N: Sequence[int]
+) -> np.ndarray:
+    """Dense integer covariance kernel over the flattened window [N - tau*k].
+
+    Built as a Kronecker product of per-dimension kernels, matching the
+    row-major flattening of the window.
+    """
+    k, N = as_index(k), as_index(N)
+    _, tau = diff_window(N, k, tau)
+    matrix = np.ones((1, 1))
+    for kd, td, Nd in zip(k, tau, N):
+        matrix = np.kron(matrix, covariance_axis(kd, td, Nd))
+    return matrix
+
+
+def weight_via_inversion(
+    k: Sequence[int], tau: Sequence[int] | int, N: Sequence[int]
+) -> WeightField:
+    """Minimum-variance weights from the dense solve C w = 1, normalized.
+
+    A Cholesky failure means the kernel construction is wrong, not a
+    tolerance problem, so it propagates.  The solve is cubic in the window
+    size: keep windows at desk scale.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    k, N = as_index(k), as_index(N)
+    window, tau = diff_window(N, k, tau)
+    solved = cho_solve(cho_factor(covariance_matrix(k, tau, N)), np.ones(math.prod(window)))
+    return WeightField(window, (solved / solved.sum()).reshape(window))
 
 
 def reference_trial(cfg: ExperimentConfig, snr: float, trial_index: int, snr_index: int = 0):

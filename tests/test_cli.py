@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import ppsg
 from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.cli import main
 from ppsg.degrees import build_total_order
@@ -186,14 +188,6 @@ def test_crb_deterministic_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "orthogonality: PASS" in out
-    assert "inversion formula: PASS" in out
-    assert "weight oracle: PASS" in out
-
-
 def test_seed_env_override(tmp_path, monkeypatch):
     config = {
         "degrees": [[0]],
@@ -230,6 +224,7 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
 
 _CRB = ["crb", "--snr-db-range", "0:10:5"]
+_CRB_RANGE = ["crb", "--degrees", "[[0]]", "--window", "[8]", "--snr-db-range"]
 
 _SIM_CONFIG = {
     "degrees": [[0], [1]],
@@ -275,6 +270,20 @@ _SIM_CONFIG = {
         (["simulate"], {"degrees": [[0], [1.5]]}, "degrees"),
         (["weights", "--degree", "[true]", "--window", "[3]"], None, "--degree"),
         (["simulate"], {"trials": True}, "trials"),
+        (["simulate"], {"snr_db_grid": [math.nan]}, "snr_db_grid"),
+        (["simulate"], {"snr_db_grid": [1e308]}, "snr_db_grid"),
+        (["simulate"], {"snr_db_grid": [-1e308]}, "snr_db_grid"),
+        (["simulate"], {"snr_db_grid": [-math.inf]}, "snr_db_grid"),
+        (["simulate"], {"snr_db_grid": [math.inf]}, "snr_db_grid"),
+        (
+            ["simulate"],
+            {"parameter_mode": "fixed", "fixed_coefficients": [math.nan, 0.1]},
+            "fixed_coefficients",
+        ),
+        (_CRB_RANGE + ["0:nan:5"], None, "--snr-db-range"),
+        (_CRB_RANGE + ["0:inf:5"], None, "--snr-db-range"),
+        (_CRB_RANGE + ["nan:10:5"], None, "--snr-db-range"),
+        (_CRB_RANGE + ["0:10:nan"], None, "--snr-db-range"),
     ],
     ids=[
         "scalar-lags",
@@ -301,6 +310,16 @@ _SIM_CONFIG = {
         "float-degree-entry",
         "bool-degree",
         "bool-trials",
+        "nan-snr-db",
+        "huge-snr-db",
+        "minus-huge-snr-db",
+        "minus-inf-snr-db",
+        "inf-snr-db",
+        "nan-fixed-coefficient",
+        "crb-nan-stop",
+        "crb-inf-stop",
+        "crb-nan-start",
+        "crb-nan-step",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):
@@ -327,3 +346,39 @@ def test_estimate_bad_signal_file_exits_1(tmp_path, capsys, case):
     assert main(["estimate", "--input", str(sig), "--degrees", "[[0],[1]]"]) == 1
     err = capsys.readouterr().err
     assert ("non-finite" if case == "nan_sample" else "--input") in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_non_integer_seed_env_exits_1_naming_it(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_SIM_CONFIG))
+    monkeypatch.setenv("PPSG_SEED", value)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "PPSG_SEED" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["selftest"],
+        ["simulate", "--config", "cfg.json", "--threads", "2"],
+        ["estimate", "--input", "sig.ppsg", "--degrees", "[[0]]", "--seed", "3"],
+        _CRB_RANGE + ["0:10:5", "--seed", "3"],
+        ["weights", "--degree", "[1]", "--window", "[8]", "--seed", "3"],
+    ],
+    ids=["selftest", "simulate-threads", "estimate-seed", "crb-seed", "weights-seed"],
+)
+def test_removed_surface_is_rejected(capsys, args):
+    assert main(args) == 1
+    assert "usage" in capsys.readouterr().err.lower()
+    removed = {
+        "NoiseCovariance",
+        "covariance_matrix",
+        "weight_via_inversion",
+        "estimate_coefficients",
+        "estimate_coefficients_multilag",
+        "estimate_coefficients_general",
+    }
+    assert removed.isdisjoint(ppsg.__all__)

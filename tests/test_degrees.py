@@ -21,7 +21,7 @@ from ppsg.degrees import (
 from ppsg.estimator import EstimatorConfig, estimate
 from ppsg.harness import ExperimentConfig
 from ppsg.signal import RealField, Signal, finite_difference, phase_diff, phase_diff_multi
-from ppsg.weights import covariance_matrix, weight_1d, weight_multi, weight_via_inversion
+from ppsg.weights import weight_1d, weight_multi
 
 # Degree pattern of a 2-D set that is NOT downward closed: the full staircase
 # minus the interior point (2, 2), while (3, 2) stays in.
@@ -280,8 +280,6 @@ WINDOW_RULE_CASES = [
     ),
     ("weight_1d", (2,), (3,), lambda N: weight_1d(2, 3, N[0])),
     ("weight_multi", (2, 1), (3, 2), lambda N: weight_multi((2, 1), (3, 2), N)),
-    ("covariance_matrix", (2, 1), (3, 2), lambda N: covariance_matrix((2, 1), (3, 2), N)),
-    ("weight_via_inversion", (2, 1), (3, 2), lambda N: weight_via_inversion((2, 1), (3, 2), N)),
     ("binomial_transform", (2, 1), (1, 1), lambda N: binomial_transform(np.zeros(N), (2, 1))),
     (
         "estimate_1d_lags",

@@ -26,10 +26,7 @@ from ppsg.estimator import (
     average,
     estimate,
     estimate_batch,
-    estimate_coefficients,
     estimate_coefficients_direct,
-    estimate_coefficients_general,
-    estimate_coefficients_multilag,
     parameter_invariance_witness,
 )
 from ppsg.signal import RealField, Signal, synthesize
@@ -150,7 +147,7 @@ def test_noise_free_recovery(kind):
     for M, N in ((M012, (16,)), (M2D, (6, 7))):
         b = _cv(rng.uniform(-0.45, 0.45, len(M)), M)
         s = synthesize(b, N)
-        est = estimate_coefficients(s, EstimatorConfig(M, averaging=kind))
+        est = estimate(s, EstimatorConfig(M, averaging=kind))
         assert np.max(np.abs(est.binomial.values - b.values)) < 1e-9
 
 
@@ -180,20 +177,20 @@ def test_noise_free_recovery_on_large_windows(M, b, N):
 def test_all_ones_signal_gives_zero():
     M0 = build_total_order([(0,)])
     s = Signal((8,), np.ones(8, dtype=complex))
-    est = estimate_coefficients(s, EstimatorConfig(M0))
+    est = estimate(s, EstimatorConfig(M0))
     assert est.binomial.values == pytest.approx([0.0])
 
 
 def test_estimator_rejects_non_closed_set():
     s = Signal((16,), np.ones(16, dtype=complex))
     with pytest.raises(ValueError):
-        estimate_coefficients(s, EstimatorConfig(build_total_order([(2,)])))
+        estimate(s, EstimatorConfig(build_total_order([(2,)])))
 
 
 def test_estimator_window_guard():
     s = Signal((2,), np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
-        estimate_coefficients(s, EstimatorConfig(M012))
+        estimate(s, EstimatorConfig(M012))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -221,7 +218,7 @@ def test_variance_tracks_crb():
         rng = np.random.default_rng(10_000 + t)
         b = _cv(rng.uniform(-0.5, 0.5, 2), M01)
         y, _ = _noisy(b, N, snr, 20_000 + t)
-        est = estimate_coefficients(y, cfg)
+        est = estimate(y, cfg)
         errors.append(wrap_to_cell(est.binomial.values - b.values)[1])
     var = np.var(errors)
     assert abs(var - bound) < 0.15 * bound
@@ -234,8 +231,8 @@ def test_cell_containment_under_heavy_noise():
         b = _cv(rng.uniform(-0.5, 0.5, 3), M012)
         y, _ = _noisy(b, (16,), 0.5, 400 + t)
         for path in (
-            estimate_coefficients(y, cfg),
-            estimate_coefficients_multilag(
+            estimate(y, cfg),
+            estimate(
                 y, EstimatorConfig(M012, lags=((1,), (2,)))
             ),
         ):
@@ -248,8 +245,8 @@ def test_descending_order_independence():
     rng = np.random.default_rng(17)
     b = _cv(rng.uniform(-0.5, 0.5, 4), M2D)
     y, _ = _noisy(b, (6, 6), 5.0, 18)
-    est_a = estimate_coefficients(y, EstimatorConfig(M2D))
-    est_b = estimate_coefficients(y, EstimatorConfig(alt))
+    est_a = estimate(y, EstimatorConfig(M2D))
+    est_b = estimate(y, EstimatorConfig(alt))
     for m in M2D.degrees:
         assert est_a.binomial[m] == pytest.approx(est_b.binomial[m], abs=1e-9)
 
@@ -265,8 +262,8 @@ def test_equivariant_error_distribution_is_parameter_free():
     y_zero = Signal(N, 1.0 + w)
     y_b = Signal(N, s_b.data * (1.0 + w))
     cfg = EstimatorConfig(M01)
-    e_zero = estimate_coefficients(y_zero, cfg)
-    e_b = estimate_coefficients(y_b, cfg)
+    e_zero = estimate(y_zero, cfg)
+    e_b = estimate(y_b, cfg)
     err_zero = np.abs(
         np.exp(2j * np.pi * phase_field(e_zero.binomial, N)) - 1.0
     )
@@ -294,7 +291,7 @@ def test_direct_degree_zero_equals_plain():
     M0 = build_total_order([(0,)])
     y, _ = _noisy(_cv([0.3], M0), (10,), 10.0, 29)
     d = estimate_coefficients_direct(y, EstimatorConfig(M0))
-    p = estimate_coefficients(y, EstimatorConfig(M0))
+    p = estimate(y, EstimatorConfig(M0))
     assert d.monomial.values == pytest.approx(p.binomial.values)
 
 
@@ -307,7 +304,7 @@ def test_direct_two_stage_reconstruction_equivalence():
             b = _cv(rng.uniform(-0.5, 0.5, len(M)), M)
             y, _ = _noisy(b, N, 20.0, 1000 + t)
             two_stage = compute_new_coordinate(
-                estimate_coefficients(y, cfg).binomial, T
+                estimate(y, cfg).binomial, T
             )
             direct = estimate_coefficients_direct(y, cfg)
             r1 = np.exp(2j * np.pi * phase_field(two_stage, N))
@@ -321,8 +318,8 @@ def test_direct_two_stage_reconstruction_equivalence():
 def test_general_identical_on_closed_sets():
     y, _ = _noisy(_cv([0.1, 0.2, -0.3], M012), (16,), 10.0, 37)
     cfg = EstimatorConfig(M012, general_degree_handling=True)
-    a = estimate_coefficients_general(y, cfg)
-    b = estimate_coefficients(y, EstimatorConfig(M012))
+    a = estimate(y, cfg)
+    b = estimate(y, EstimatorConfig(M012))
     assert np.array_equal(a.binomial.values, b.binomial.values)
 
 
@@ -330,7 +327,7 @@ def test_general_noise_free_monomial_degree():
     M3 = build_total_order([(3,)])
     b = _cv([0.37], M3)
     s = synthesize(b, (16,))
-    est = estimate_coefficients_general(
+    est = estimate(
         s, EstimatorConfig(M3, general_degree_handling=True)
     )
     assert est.binomial.values == pytest.approx([0.37], abs=1e-9)
@@ -341,26 +338,18 @@ def test_general_output_in_cell():
     cfg = EstimatorConfig(M3, general_degree_handling=True)
     for t in range(20):
         y, _ = _noisy(_cv([0.49], M3), (16,), 2.0, 500 + t)
-        v = estimate_coefficients_general(y, cfg).binomial.values
+        v = estimate(y, cfg).binomial.values
         assert np.all((v >= -0.5) & (v < 0.5))
 
 
 # -- Multi-lag estimator ---------------------------------------------------------
 
 
-def test_multilag_singleton_reproduces_plain_exactly():
-    y, _ = _noisy(_cv([0.2, -0.4, 0.1], M012), (32,), 3.0, 41)
-    cfg = EstimatorConfig(M012)
-    a = estimate_coefficients(y, cfg)
-    b = estimate_coefficients_multilag(y, cfg)
-    assert np.array_equal(a.binomial.values, b.binomial.values)
-
-
 def test_multilag_noise_free_recovery():
     cfg = EstimatorConfig(M01, lags=((1,), (2,), (4,)))
     b = _cv([0.3, -0.2], M01)
     s = synthesize(b, (32,))
-    est = estimate_coefficients_multilag(s, cfg)
+    est = estimate(s, cfg)
     assert np.max(np.abs(est.binomial.values - b.values)) < 1e-9
     # later lag stages contribute nothing once the first pass cancelled all
     for (m, tau), delta in est.diagnostics.items():
@@ -440,7 +429,7 @@ def test_multilag_lag_window_guard():
     cfg = EstimatorConfig(M01, lags=((1,), (40,)))
     s = synthesize(_cv([0.1, 0.1], M01), (32,))
     with pytest.raises(ValueError):
-        estimate_coefficients_multilag(s, cfg)
+        estimate(s, cfg)
 
 
 def test_single_lag_identifiability_cell():
@@ -529,7 +518,7 @@ def test_estimate_dispatch():
     plain = estimate(y, EstimatorConfig(M01))
     assert np.array_equal(
         plain.binomial.values,
-        estimate_coefficients(y, EstimatorConfig(M01)).binomial.values,
+        estimate_batch(y.data[None], EstimatorConfig(M01))[0][0],
     )
     multi = estimate(y, EstimatorConfig(M01, lags=((1,), (2,))))
     assert set(multi.diagnostics) == {((0,), (1,)), ((0,), (2,)), ((1,), (1,)), ((1,), (2,))}
@@ -587,8 +576,8 @@ def test_estimate_batch_rows_equal_single_estimates(kind):
 @pytest.mark.parametrize(
     "estimator, field_name, lags",
     [
-        (estimate_coefficients, "binomial_field", ()),
-        (estimate_coefficients_multilag, "binomial_field", ((1, 1), (2, 2))),
+        (estimate, "binomial_field", ()),
+        (estimate, "binomial_field", ((1, 1), (2, 2))),
         (estimate_coefficients_direct, "monomial_field", ()),
     ],
 )

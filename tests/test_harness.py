@@ -60,6 +60,24 @@ def test_config_validation():
         _config(estimator_config=EstimatorConfig(build_total_order([(0,)])))
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"snr_db_grid": (math.nan,)}, "snr_db_grid"),
+        ({"snr_db_grid": (10.0, math.inf)}, "snr_db_grid"),
+        ({"snr_db_grid": (-math.inf,)}, "snr_db_grid"),
+        ({"snr_db_grid": (1e308,)}, "snr_db_grid"),
+        ({"snr_db_grid": (-1e308,)}, "snr_db_grid"),
+        ({"parameter_mode": "fixed", "fixed_coefficients": (math.nan, 0.1)}, "fixed_coef"),
+        ({"parameter_mode": "fixed", "fixed_coefficients": (0.1, -math.inf)}, "fixed_coef"),
+    ],
+    ids=["nan-db", "inf-db", "minus-inf-db", "huge-db", "minus-huge-db", "nan-coef", "inf-coef"],
+)
+def test_config_rejects_non_finite_numbers(overrides, field):
+    with pytest.raises(ValueError, match=field):
+        _config(**overrides)
+
+
 def test_config_rejects_what_the_first_trial_would():
     M012 = build_total_order([(0,), (1,), (2,)])
     with pytest.raises(ValueError, match="window"):
@@ -99,13 +117,16 @@ def test_trial_zero_mode_error_is_finite():
     assert np.array_equal(out.coefficients.values, [0.0, 0.0])
 
 
-def test_sweep_reproducible_and_serial_parallel_equal():
+def test_sweep_reproducible_and_serial_parallel_equal(monkeypatch):
+    # Every trial seeds its own generator, so a sweep batched many trials
+    # to a chunk gives the records of one run a trial at a time.
     cfg = _config(trials=12, snr_db_grid=(5.0, 15.0))
-    serial = run_sweep(cfg, workers=1)
-    threaded = run_sweep(cfg, workers=4)
-    again = run_sweep(cfg, workers=1)
-    assert serial == again
-    assert serial.records == threaded.records
+    batched = run_sweep(cfg)
+    again = run_sweep(cfg)
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 1)
+    serial = run_sweep(cfg)
+    assert batched == again
+    assert batched.records == serial.records
 
 
 def test_sweep_single_trial_stderr_is_nan():
@@ -258,8 +279,8 @@ def test_run_trial_is_a_row_of_the_batch():
 
 def test_import_and_plain_sweep_load_no_scipy():
     # scipy is imported only where a function uses it: the CRB, the
-    # general-degree and direct estimators, the log-space weights of long
-    # axes and the weight oracle.  A plain sweep needs none of them.
+    # general-degree and direct estimators and the log-space weights of long
+    # axes.  A plain sweep needs none of them.
     code = """
 import sys
 import ppsg
