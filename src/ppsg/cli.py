@@ -4,7 +4,9 @@ Structured inputs and outputs are JSON; curve data is CSV so golden files
 diff cleanly.  Exit codes: 0 success, 1 validation error (bad flags or
 config, with a diagnostic naming the offending field), 2 runtime error.
 Only ``simulate`` is random: its seed is the config's ``master_seed``, else
-``--seed``, else the ``PPSG_SEED`` environment variable, else 0.
+``--seed``, else the ``PPSG_SEED`` environment variable, else 0.  Its config
+is a JSON object of the fields it reads; any other field is a validation
+error.  A negative start is written ``--snr-db-range=-10:10:2.5``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .analysis import reconstruction_bound
 from .basis import binomial_to_monomial_matrix, compute_new_coordinate
 from .degrees import DegreeSet, as_index, as_int, diff_window
 from .estimator import AveragingKind, EstimatorConfig, estimate
-from .harness import ExperimentConfig, run_sweep
+from .harness import ExperimentConfig, run_sweep, snr_db_to_linear
 from .signal import read_signal
 from .weights import weight_multi
 
@@ -129,12 +131,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise CliValidationError(f"flag --input: {exc}") from exc
     try:
-        cfg = EstimatorConfig(
-            degree_set=degree_set,
-            averaging=_AVERAGING_NAMES[args.averaging],
-            lags=lags,
-            general_degree_handling=True,
-        )
+        cfg = EstimatorConfig(degree_set, _AVERAGING_NAMES[args.averaging], lags)
         est = estimate(sig, cfg)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
@@ -158,21 +155,16 @@ _REQUIRED = object()
 
 
 def _config_field(config: dict, name: str, convert=lambda v: v, default=_REQUIRED):
-    """One simulate-config field, converted; any failure names the field."""
+    """One simulate-config field, taken out of ``config`` and converted; any
+    failure names the field.  What no call takes out is an unknown field."""
     if name not in config:
         if default is _REQUIRED:
             raise CliValidationError(f"config field {name!r} is missing")
         return default
     try:
-        return convert(config[name])
+        return convert(config.pop(name))
     except (TypeError, ValueError) as exc:
         raise CliValidationError(f"config field {name!r}: {exc}") from exc
-
-
-def _json_bool(raw) -> bool:
-    if not isinstance(raw, bool):
-        raise TypeError(f"expected true or false, got {raw!r}")
-    return raw
 
 
 def _json_numbers(raw) -> tuple:
@@ -191,6 +183,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliValidationError(f"flag --config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"flag --config: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise CliValidationError(
+            f"flag --config: expected a JSON object, got {type(config).__name__}"
+        )
 
     degree_set = _config_field(config, "degrees", DegreeSet.from_json)
     window = _config_field(config, "window", _window)
@@ -201,14 +197,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     parameter_mode = _config_field(config, "parameter_mode", str)
     master_seed = _config_field(config, "master_seed", as_int, _effective_seed(args))
     fixed_coefficients = _config_field(config, "fixed_coefficients", _json_numbers, None)
-    general = _config_field(config, "general_degree_handling", _json_bool, False)
+    if config:
+        raise CliValidationError(f"config field {next(iter(config))!r} is unknown")
     try:
-        est_cfg = EstimatorConfig(
-            degree_set=degree_set,
-            averaging=averaging,
-            lags=lags,
-            general_degree_handling=general,
-        )
+        est_cfg = EstimatorConfig(degree_set=degree_set, averaging=averaging, lags=lags)
         exp_cfg = ExperimentConfig(
             degree_set=degree_set,
             window=window,
@@ -237,7 +229,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "fixed_coefficients": list(exp_cfg.fixed_coefficients or ()) or None,
                 "averaging": averaging.value,
                 "lags": [list(t) for t in est_cfg.lags],
-                "general_degree_handling": est_cfg.general_degree_handling,
                 "master_seed": exp_cfg.master_seed,
             },
         }
@@ -252,14 +243,17 @@ def _cmd_crb(args: argparse.Namespace) -> int:
     window = _flag("--window", args.window, _window)
     grid = _snr_range(args.snr_db_range)
     try:
+        snrs = [snr_db_to_linear(snr_db) for snr_db in grid]
+    except ValueError as exc:
+        raise CliValidationError(f"flag --snr-db-range: {exc}") from exc
+    try:
         diff_window(window, degree_set.max_degree)
     except ValueError as exc:
         raise CliValidationError(f"flag --window: {exc}") from exc
     labels = ["crb_" + "_".join(str(v) for v in m) for m in degree_set.degrees]
     with _open_out(args.out) as fh:
         fh.write(",".join(["snr_db"] + labels + ["reconstruction_bound"]) + "\n")
-        for snr_db in grid:
-            snr = 10.0 ** (snr_db / 10.0)
+        for snr_db, snr in zip(grid, snrs):
             diag = np.diag(crb_matrix(degree_set, window, snr))
             bound = reconstruction_bound(degree_set, snr)
             row = [repr(float(snr_db))] + [repr(float(v)) for v in diag] + [repr(bound)]
@@ -308,7 +302,11 @@ def build_parser() -> _Parser:
     p_crb = sub.add_parser("crb", help="CRB diagonal and reconstruction bound vs SNR")
     p_crb.add_argument("--degrees", required=True)
     p_crb.add_argument("--window", required=True)
-    p_crb.add_argument("--snr-db-range", required=True, help="start:stop:step, inclusive")
+    p_crb.add_argument(
+        "--snr-db-range",
+        required=True,
+        help="start:stop:step, inclusive; write a negative start as --snr-db-range=-10:10:2.5",
+    )
     p_crb.add_argument("--out", default=None)
     p_crb.set_defaults(handler=_cmd_crb)
 

@@ -14,9 +14,9 @@ degree.  The cancellation drops the whole turns of each phase exactly
 before the trig, which spares cos and sin the slow, lossy ~1e12 rad
 arguments of large windows.  :func:`estimate` cancels binomial fields
 C(n, m), under any lag schedule; :func:`estimate_coefficients_direct`
-cancels monomials n^m / m! and maps back to the binomial basis.  Degree
-sets that are not downward closed are estimated over their closure, then
-projected with Fisher weights.
+cancels monomials n^m / m! and maps back to the binomial basis.  The degree
+set picks the route: a set that is not downward closed is estimated over
+its closure, then projected with Fisher weights.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and for batches under 2^14 samples row t of its result
@@ -126,16 +126,14 @@ class EstimatorConfig:
 
     ``lags`` is an ascending schedule of per-dimension lags; the first entry
     must be all ones so the full coefficient cell stays identifiable, and
-    later entries refine with shrunken cells.  ``general_degree_handling``
-    enables the closure-then-project path for degree sets that are not
-    downward closed; such a set is rejected without it, or with a lag
-    schedule.
+    later entries refine with shrunken cells.  A degree set that is not
+    downward closed is estimated over its closure and projected, which needs
+    the unit lag alone; a lag schedule with such a set is rejected here.
     """
 
     degree_set: DegreeSet
     averaging: AveragingKind = AveragingKind.CIRCULAR
     lags: tuple[MultiIndex, ...] = ()
-    general_degree_handling: bool = False
 
     def __post_init__(self) -> None:
         dim = self.degree_set.dim
@@ -148,9 +146,8 @@ class EstimatorConfig:
                     f"lags must be strictly ascending componentwise: {prev} -> {nxt}"
                 )
         object.__setattr__(self, "lags", lags)
-        M = self.degree_set
-        if not (M.is_downward_closed() or (self.general_degree_handling and self.single_unit_lag)):
-            raise ValueError("non-closed degrees need general_degree_handling and a unit lag")
+        if not (self.degree_set.is_downward_closed() or self.single_unit_lag):
+            raise ValueError("degrees that are not downward closed need the unit lag alone")
 
     @property
     def single_unit_lag(self) -> bool:
@@ -204,8 +201,9 @@ def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
     window = data.shape[1:]
     # The last lag is the largest in every dimension, so it bounds the window.
     diff_window(window, cfg.degree_set.max_degree, cfg.lags[-1])
+    # The binomial route sees only closed sets, so this refuses direct estimation.
     if not validate_degree_set(cfg.degree_set, window).downward_closed:
-        raise ValueError("degree set is not downward closed; use the general-degree path")
+        raise ValueError("direct estimation needs a downward-closed degree set")
 
 
 def _sequential(
@@ -295,18 +293,12 @@ def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagno
     restores the constrained CRB (zeroing would not), wrapped to the cell."""
     from scipy.linalg import cho_factor, cho_solve
 
-    M = cfg.degree_set
-    if M.is_downward_closed():
-        return _binomial(data, cfg)
-    closure = downward_closure(M)
-    closure_cfg = replace(cfg, degree_set=closure, lags=(), general_degree_handling=False)
-    closure_values, diagnostics = _binomial(data, closure_cfg)
-    selector = np.zeros((len(closure), len(M)))
-    for j, m in enumerate(M.degrees):
-        selector[closure.position(m), j] = 1.0
+    closure = downward_closure(cfg.degree_set)
+    closure_values, diagnostics = _binomial(data, replace(cfg, degree_set=closure))
+    rows = [closure.position(m) for m in cfg.degree_set.degrees]
     J = fisher_matrix(closure, data.shape[1:], 1.0).matrix  # SNR scale cancels
-    factor = cho_factor(selector.T @ J @ selector)
-    weighted = selector.T @ J
+    factor = cho_factor(J[rows][:, rows])
+    weighted = J[rows]
     projected = np.array([cho_solve(factor, weighted @ v) for v in closure_values])
     return wrap_to_cell(projected), diagnostics
 
@@ -342,13 +334,14 @@ def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, 
     some complex products in place on temporaries, which can change their
     last bit.
     """
-    values, diagnostics = (_general if cfg.general_degree_handling else _binomial)(data, cfg)
+    route = _binomial if cfg.degree_set.is_downward_closed() else _general
+    values, diagnostics = route(data, cfg)
     _check_cell(values)
     return values, diagnostics
 
 
 def estimate(y: Signal, cfg: EstimatorConfig) -> Estimate:
-    """:func:`estimate_batch` of one signal; the config picks the route."""
+    """:func:`estimate_batch` of one signal; the degree set picks the route."""
     return Estimate.from_batch(cfg.degree_set, *estimate_batch(y.data[None], cfg))
 
 

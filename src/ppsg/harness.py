@@ -43,8 +43,14 @@ _CHUNK_SAMPLES = 1 << 13
 
 
 def snr_db_to_linear(snr_db: float) -> float:
-    """dB to linear: 10^(snr_db / 10)."""
-    return 10.0 ** (snr_db / 10.0)
+    """dB to linear, 10^(snr_db / 10); ``ValueError`` unless it and 1/SNR are finite, > 0."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not (0.0 < snr < math.inf and 1.0 / snr < math.inf):  # NaN fails too
+        raise ValueError(f"{snr_db} dB is not a finite, positive SNR")
+    return snr
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,9 @@ class ExperimentConfig:
             raise ValueError("snr grid must be nonempty")
         for snr_db in self.snr_db_grid:
             try:
-                noise_power = 1.0 / snr_db_to_linear(snr_db)
-            except (OverflowError, ZeroDivisionError):
-                noise_power = math.inf
-            if not 0.0 < noise_power < math.inf:  # NaN fails too
-                raise ValueError(f"snr_db_grid: {snr_db} dB is not a finite, positive SNR")
+                snr_db_to_linear(snr_db)
+            except ValueError as exc:
+                raise ValueError(f"snr_db_grid: {exc}") from None
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.parameter_mode not in PARAMETER_MODES:
@@ -90,6 +94,8 @@ class ExperimentConfig:
             if not all(map(math.isfinite, coeffs)):
                 raise ValueError(f"fixed_coefficients must be finite, got {coeffs}")
             object.__setattr__(self, "fixed_coefficients", coeffs)
+        elif self.fixed_coefficients is not None:
+            raise ValueError(f"fixed_coefficients needs fixed mode, not {self.parameter_mode!r}")
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         M, est = self.degree_set, self.estimator_config

@@ -218,7 +218,7 @@ def test_criterion_4_naive_penalty():
         snr = snr_db_to_linear(40.0)
         closure = downward_closure(M3)
         cfg_closure = EstimatorConfig(closure)
-        cfg_general = EstimatorConfig(M3, general_degree_handling=True)
+        cfg_general = EstimatorConfig(M3)
         errs_naive = np.empty(trials)
         errs_proposed = np.empty(trials)
         cubic = binomial_field((3,), N)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -8,6 +9,8 @@ import ppsg
 from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.cli import main
 from ppsg.degrees import build_total_order
+from ppsg.estimator import EstimatorConfig
+from ppsg.harness import ExperimentConfig, run_sweep
 from ppsg.signal import synthesize, write_signal
 
 M01 = build_total_order([(0,), (1,)])
@@ -244,7 +247,6 @@ _SIM_CONFIG = {
         (["simulate"], {"trials": [2]}, "trials"),
         (["simulate"], {"averaging": ["kay"]}, "averaging"),
         (["simulate"], {"degrees": [[0], [1], [2]], "window": [2]}, "window"),
-        (["simulate"], {"degrees": [[0], [2]]}, "general_degree_handling"),
         (
             ["simulate"],
             {"degrees": [[0], [2]], "general_degree_handling": "false"},
@@ -284,6 +286,14 @@ _SIM_CONFIG = {
         (_CRB_RANGE + ["0:inf:5"], None, "--snr-db-range"),
         (_CRB_RANGE + ["nan:10:5"], None, "--snr-db-range"),
         (_CRB_RANGE + ["0:10:nan"], None, "--snr-db-range"),
+        (["simulate"], {"averging": "kay"}, "'averging'"),
+        (["simulate"], {"lag": [[1], [2]]}, "'lag'"),
+        (["simulate"], 5, "--config"),
+        (["simulate"], [[1]], "--config"),
+        (["simulate"], {"fixed_coefficients": [0.1, 0.2]}, "fixed_coefficients"),
+        (_CRB_RANGE + ["3100:3100:1"], None, "--snr-db-range"),
+        (_CRB_RANGE[:-1] + ["--snr-db-range=-3100:-3100:1"], None, "--snr-db-range"),
+        (_CRB_RANGE + ["0:3100:3100"], None, "--snr-db-range"),
     ],
     ids=[
         "scalar-lags",
@@ -292,7 +302,6 @@ _SIM_CONFIG = {
         "list-trials",
         "list-averaging",
         "small-window",
-        "non-closed-degrees",
         "string-general-flag",
         "string-fixed-coefficients",
         "string-snr-grid",
@@ -320,17 +329,60 @@ _SIM_CONFIG = {
         "crb-inf-stop",
         "crb-nan-start",
         "crb-nan-step",
+        "misspelt-field",
+        "lag-for-lags",
+        "scalar-config",
+        "list-config",
+        "fixed-coefficients-in-zero-mode",
+        "crb-overflowing-snr",
+        "crb-vanishing-snr",
+        "crb-overflow-after-first-row",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**_SIM_CONFIG, **config}))
+        config = {**_SIM_CONFIG, **config} if isinstance(config, dict) else config
+        path.write_text(json.dumps(config))
         args = args + ["--config", str(path), "--out", str(tmp_path / "r.csv")]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert field in err
-    assert "internal error" not in err
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "internal error" not in captured.err
+    assert captured.out == ""  # no partial CSV
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_crb_negative_start_needs_the_equals_form(capsys):
+    assert main(_CRB_RANGE + ["-10:10:2.5"]) == 1  # argparse reads -10:10:2.5 as a flag
+    capsys.readouterr()
+    assert main(_CRB_RANGE[:-1] + ["--snr-db-range=-10:10:2.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [-10 + 2.5 * i for i in range(9)]
+
+
+def test_simulate_runs_non_closed_degrees_like_run_sweep(tmp_path):
+    config = {**_SIM_CONFIG, "degrees": [[0], [2]], "parameter_mode": "uniform_cell"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "master_seed": 5}))
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    M02 = build_total_order([(0,), (2,)])
+    library = ExperimentConfig(
+        degree_set=M02,
+        window=(16,),
+        snr_db_grid=(10.0,),
+        trials=2,
+        parameter_mode="uniform_cell",
+        estimator_config=EstimatorConfig(M02),
+        master_seed=5,
+    )
+    expected = io.StringIO()
+    run_sweep(library).write_csv(expected)
+    assert out.read_bytes().decode() == expected.getvalue()
+    sidecar = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert sidecar["config"]["degrees"] == [[0], [2]]
+    assert "general_degree_handling" not in sidecar["config"]
 
 
 @pytest.mark.parametrize("case", ["empty", "short_header", "short_payload", "nan_sample"])

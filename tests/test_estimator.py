@@ -181,12 +181,6 @@ def test_all_ones_signal_gives_zero():
     assert est.binomial.values == pytest.approx([0.0])
 
 
-def test_estimator_rejects_non_closed_set():
-    s = Signal((16,), np.ones(16, dtype=complex))
-    with pytest.raises(ValueError):
-        estimate(s, EstimatorConfig(build_total_order([(2,)])))
-
-
 def test_estimator_window_guard():
     s = Signal((2,), np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
@@ -315,27 +309,17 @@ def test_direct_two_stage_reconstruction_equivalence():
 # -- General-degree estimator ----------------------------------------------------
 
 
-def test_general_identical_on_closed_sets():
-    y, _ = _noisy(_cv([0.1, 0.2, -0.3], M012), (16,), 10.0, 37)
-    cfg = EstimatorConfig(M012, general_degree_handling=True)
-    a = estimate(y, cfg)
-    b = estimate(y, EstimatorConfig(M012))
-    assert np.array_equal(a.binomial.values, b.binomial.values)
-
-
 def test_general_noise_free_monomial_degree():
     M3 = build_total_order([(3,)])
     b = _cv([0.37], M3)
     s = synthesize(b, (16,))
-    est = estimate(
-        s, EstimatorConfig(M3, general_degree_handling=True)
-    )
+    est = estimate(s, EstimatorConfig(M3))
     assert est.binomial.values == pytest.approx([0.37], abs=1e-9)
 
 
 def test_general_output_in_cell():
     M3 = build_total_order([(3,)])
-    cfg = EstimatorConfig(M3, general_degree_handling=True)
+    cfg = EstimatorConfig(M3)
     for t in range(20):
         y, _ = _noisy(_cv([0.49], M3), (16,), 2.0, 500 + t)
         v = estimate(y, cfg).binomial.values
@@ -491,7 +475,7 @@ def test_witness_integer_on_noisy_trials(cfg_kwargs):
 
 def test_witness_general_path_integer():
     M3 = build_total_order([(3,)])
-    cfg = EstimatorConfig(M3, general_degree_handling=True)
+    cfg = EstimatorConfig(M3)
     for t in range(10):
         rng = np.random.default_rng(800 + t)
         b = _cv(rng.uniform(-0.5, 0.5, 1), M3)
@@ -524,25 +508,20 @@ def test_estimate_dispatch():
     assert set(multi.diagnostics) == {((0,), (1,)), ((0,), (2,)), ((1,), (1,)), ((1,), (2,))}
     M3 = build_total_order([(3,)])
     y3, _ = _noisy(_cv([0.2], M3), (16,), 10.0, 44)
-    gen = estimate(y3, EstimatorConfig(M3, general_degree_handling=True))
+    gen = estimate(y3, EstimatorConfig(M3))
     assert gen.binomial.degree_set == M3
     with pytest.raises(ValueError):
-        estimate(
-            y3,
-            EstimatorConfig(
-                M3, general_degree_handling=True, lags=((1,), (2,))
-            ),
-        )
+        estimate(y3, EstimatorConfig(M3, lags=((1,), (2,))))
 
 
 def test_config_checks_the_route_rule_at_construction():
     M02 = build_total_order([(0,), (2,)])
-    with pytest.raises(ValueError, match="general_degree_handling"):
-        EstimatorConfig(M02)
-    with pytest.raises(ValueError, match="general_degree_handling"):
-        EstimatorConfig(M02, general_degree_handling=True, lags=((1,), (2,)))
-    EstimatorConfig(M02, general_degree_handling=True)
-    EstimatorConfig(M012, general_degree_handling=True, lags=((1,), (2,)))
+    with pytest.raises(ValueError, match="unit lag"):
+        EstimatorConfig(M02, lags=((1,), (2,)))
+    EstimatorConfig(M02)
+    EstimatorConfig(M012, lags=((1,), (2,)))
+    with pytest.raises(ValueError, match="direct estimation needs a downward-closed"):
+        estimate_coefficients_direct(Signal((8,), np.ones(8, dtype=complex)), EstimatorConfig(M02))
 
 
 # -- Shared kernel ----------------------------------------------------------------
@@ -561,7 +540,7 @@ def test_estimate_batch_rows_equal_single_estimates(kind):
     configs = [
         EstimatorConfig(M2D, kind),
         EstimatorConfig(M2D, kind, lags=((1, 1), (2, 2))),
-        EstimatorConfig(M2, kind, general_degree_handling=True),
+        EstimatorConfig(M2, kind),
     ]
     for cfg in configs:
         values, diagnostics = estimate_batch(np.stack(rows), cfg)

@@ -43,6 +43,9 @@ def _config(**overrides):
 def test_snr_conversion():
     assert snr_db_to_linear(0.0) == 1.0
     assert snr_db_to_linear(30.0) == pytest.approx(1000.0)
+    for snr_db in (3100.0, -3100.0, math.nan):  # 1/SNR overflows at -3100 dB
+        with pytest.raises(ValueError, match="dB is not a finite, positive SNR"):
+            snr_db_to_linear(snr_db)
 
 
 def test_config_validation():
@@ -87,9 +90,9 @@ def test_config_rejects_what_the_first_trial_would():
         _config(degree_set=M012, window=(4,), estimator_config=lagged)
     _config(degree_set=M012, window=(5,), estimator_config=lagged)
     M02 = build_total_order([(0,), (2,)])
-    with pytest.raises(ValueError, match="general_degree_handling"):
-        _config(degree_set=M02, estimator_config=EstimatorConfig(M02))
-    _config(degree_set=M02, estimator_config=EstimatorConfig(M02, general_degree_handling=True))
+    with pytest.raises(ValueError, match="unit lag"):
+        _config(degree_set=M02, estimator_config=EstimatorConfig(M02, lags=((1,), (2,))))
+    _config(degree_set=M02, estimator_config=EstimatorConfig(M02))
 
 
 def test_trial_noiseless_limit():
@@ -242,7 +245,7 @@ _PER_CHUNK = harness._CHUNK_SAMPLES // 64
         dict(
             degree_set=M02,
             window=(12,),
-            estimator_config=EstimatorConfig(M02, general_degree_handling=True),
+            estimator_config=EstimatorConfig(M02),
         ),
         dict(parameter_mode="fixed", fixed_coefficients=(0.21, -0.37)),
         dict(parameter_mode="zero"),
