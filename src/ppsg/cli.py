@@ -64,6 +64,10 @@ def _lags(raw) -> tuple[tuple[int, ...], ...]:
     return tuple(map(as_index, raw))
 
 
+# The most points a --snr-db-range grid may hold; it is built whole before use.
+_MAX_SNR_POINTS = 10**6
+
+
 def _snr_range(raw: str) -> tuple[float, ...]:
     parts = raw.split(":")
     if len(parts) != 3:
@@ -76,10 +80,12 @@ def _snr_range(raw: str) -> tuple[float, ...]:
         raise CliValidationError("flag --snr-db-range: bounds and step must be finite")
     if step <= 0:
         raise CliValidationError("flag --snr-db-range: step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1  # may overflow to +-inf
     if count < 1:
         raise CliValidationError("flag --snr-db-range: empty range")
-    return tuple(start + i * step for i in range(count))
+    if not count <= _MAX_SNR_POINTS:
+        raise CliValidationError(f"flag --snr-db-range: more than {_MAX_SNR_POINTS} points")
+    return tuple(start + i * step for i in range(int(count)))
 
 
 @contextlib.contextmanager
@@ -196,7 +202,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trials = _config_field(config, "trials", as_int)
     parameter_mode = _config_field(config, "parameter_mode", str)
     master_seed = _config_field(config, "master_seed", as_int, _effective_seed(args))
-    fixed_coefficients = _config_field(config, "fixed_coefficients", _json_numbers, None)
+    # null reads as absent, as a sidecar writes it outside the fixed mode
+    fixed_coefficients = _config_field(
+        config, "fixed_coefficients", lambda v: None if v is None else _json_numbers(v), None
+    )
     if config:
         raise CliValidationError(f"config field {next(iter(config))!r} is unknown")
     try:

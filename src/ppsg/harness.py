@@ -4,9 +4,12 @@ estimation, wrap segregation, and sweep aggregation.
 Every trial derives its generator from (master_seed, snr_index, trial_index),
 so results are independent of execution order and of how trials are
 grouped.  Trials run in batches: each SNR point is cut into chunks of at
-most ``_CHUNK_SAMPLES`` samples, and a chunk is synthesized, estimated in
-one kernel call and scored with array operations.  Every trial's numbers
-are bit for bit those of the trial run alone (:func:`run_trial`).  Wrapping
+most ``_CHUNK_SAMPLES`` samples.  A chunk seeds all its trials in one pass
+(``SeedSequence`` hashing in ``uint32`` arrays, each stream the one
+``default_rng`` would give), draws every trial's noise into one buffer, and
+is synthesized, estimated in one kernel call and scored with array
+operations.  Every trial's numbers are bit for bit those of the trial run
+alone (:func:`run_trial`).  Wrapping
 detection follows the ground-truth segregation methodology: the noise
 realization is synthesized explicitly and the outlier predicate is
 evaluated on the true multiplicative phase noise, not on estimates.
@@ -25,7 +28,7 @@ from .analysis import reconstruction_bound
 from .basis import BINOMIAL, CoefficientVector, phase_fields, wrap_to_cell
 from .degrees import DegreeSet, as_index, as_int, diff_window
 from .estimator import Estimate, EstimatorConfig, estimate_batch
-from .signal import _difference, complex_noise, principal_arg
+from .signal import _difference, principal_arg
 
 # Not called: benchmarks/spans.py rebinds these names to time the layers of
 # the former per-trial path, and records a missing name as an absent hook.
@@ -156,8 +159,96 @@ class ExperimentResult:
 
 
 def _trial_rng(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> np.random.Generator:
+    """A trial's generator, defined one trial at a time; chunks reproduce its stream."""
     seq = np.random.SeedSequence([cfg.master_seed, int(snr_index), int(trial_index)])
     return np.random.default_rng(seq)
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words ``SeedSequence`` reads from an int, low word first; 0 is [0]."""
+    if n < 0:
+        raise ValueError(f"seed entries must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of ``count`` steps and after the last, (count+1, 1)."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _trial_generators(master_seed: int, snr_index: int, trials: range):
+    """One generator, set in turn to each trial's ``_trial_rng`` stream.
+
+    Hashes the keys [master_seed, snr_index, t] of all of ``trials`` at once,
+    as ``SeedSequence(key).generate_state(4, uint64)`` does one at a time,
+    derives each PCG64 state in Python ints, and yields the same Generator
+    for every trial with its state set.  Keys shorter than the pool act as
+    zero-padded; the mixing of a longer key's extra words is masked per key,
+    so one chunk may hold keys of several lengths.
+    """
+    prefix = _uint32_words(master_seed) + _uint32_words(snr_index)
+    if trials.start < 0:
+        raise ValueError(f"trial indices must be non-negative, got {trials.start}")
+    t = np.arange(trials.start, trials.stop, dtype=np.uint64 if trials.stop <= 2**64 else object)
+    t_words = len(_uint32_words(trials.stop - 1))
+    key = np.zeros((max(4, len(prefix) + t_words), len(t)), dtype=np.uint32)
+    key[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    for j in range(t_words):
+        key[len(prefix) + j] = (t >> 32 * j) & _MASK32
+    lengths = len(prefix) + 1 + sum(t >= 1 << 32 * j for j in range(1, t_words))
+
+    # Each hashmix takes the next constants: 4 calls fill the pool, 3 per
+    # source word mix it all-pairs, and 4 per key word past the pool.
+    extra = len(key) - 4
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra)
+
+    def hashmix(v: np.ndarray, k: int, count: int) -> np.ndarray:
+        h = (v ^ a[k : k + count]) * a[k + 1 : k + count + 1]
+        return h ^ (h >> 16)
+
+    pool = hashmix(key[:4], 0, 4)
+    for src in range(4):  # pool[src] is fixed while it mixes into the others
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for src in range(4, len(key)):
+        mixed = _mix(pool, hashmix(key[src], 16 + 4 * (src - 4), 4))
+        pool = np.where(lengths > src, mixed, pool)
+    b = _hash_constants(_INIT_B, _MULT_B, 8)
+    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]) * b[1:]
+    words ^= words >> 16
+
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for w0, w1, w2, w3 in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
+        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _draw_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -169,20 +260,40 @@ def _draw_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> np.nd
     return rng.uniform(-0.5, 0.5, size)
 
 
+def _draw_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range):
+    """Ground truths (B, |M|) and complex noise (B, *N) of ``trials``.
+
+    One generator pass: each trial's stream, seeded as by ``_trial_rng``,
+    draws the ground truth and then the real and the imaginary parts of the
+    noise into one (B, 2, *N) buffer.  The noise is then formed over the
+    whole chunk with the elementwise operations of ``complex_noise``, so
+    every number is bit for bit the per-trial one.
+    """
+    if snr <= 0:
+        raise ValueError(f"snr must be positive, got {snr}")
+    truths = np.empty((len(trials), len(cfg.degree_set)))
+    gauss = np.empty((len(trials), 2, *cfg.window))
+    for row, rng in enumerate(_trial_generators(cfg.master_seed, snr_index, trials)):
+        truths[row] = _draw_coefficients(cfg, rng)
+        rng.standard_normal(out=gauss[row])
+    noise = 1j * gauss[:, 1]
+    noise += gauss[:, 0]
+    noise *= np.sqrt(0.5 / snr)
+    return truths, noise
+
+
 def _run_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range):
     """Trials ``trials`` at a linear SNR, as one batch.
 
-    Each trial draws, from its own generator, the ground truth and then the
-    noise (real parts, then imaginary parts).  The batch is synthesized,
-    estimated in one kernel call, and scored: the signal reconstruction
-    error sum_n |e^{j2pi xhat} - e^{j2pi x}|^2 and the ground-truth wrap
-    flag of every trial.  Returns (truths, estimates, diagnostics, errors,
-    wrapped), each with the trial axis leading.
+    The chunk's ground truths and noise come from one generator pass
+    (:func:`_draw_chunk`), identical to the per-trial streams.  The batch
+    is synthesized, estimated in one kernel call, and scored: the signal
+    reconstruction error sum_n |e^{j2pi xhat} - e^{j2pi x}|^2 and the
+    ground-truth wrap flag of every trial.  Returns (truths, estimates,
+    diagnostics, errors, wrapped), each with the trial axis leading.
     """
     M, window = cfg.degree_set, cfg.window
-    rngs = [_trial_rng(cfg, snr_index, t) for t in trials]
-    truths = np.array([_draw_coefficients(cfg, rng) for rng in rngs])
-    noise = np.array([complex_noise(window, snr, rng) for rng in rngs])
+    truths, noise = _draw_chunk(cfg, snr, snr_index, trials)
     clean = np.exp(2j * np.pi * phase_fields(truths, M, window))
     values, diagnostics = estimate_batch(clean + noise, cfg.estimator_config)
     recon = np.exp(2j * np.pi * phase_fields(values, M, window))

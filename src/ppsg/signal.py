@@ -153,7 +153,10 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
 def unit_project(data: np.ndarray) -> np.ndarray:
     """Map each sample to exp(j arg(sample)); zero samples stay zero."""
     mag = np.abs(data)
-    return np.divide(data, mag, out=np.zeros_like(data), where=mag > 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = data / mag
+    out[~(mag > 0)] = 0  # 0/0 and NaN samples
+    return out
 
 
 def project_unit_circle(s: Signal) -> Signal:

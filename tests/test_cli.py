@@ -294,6 +294,8 @@ _SIM_CONFIG = {
         (_CRB_RANGE + ["3100:3100:1"], None, "--snr-db-range"),
         (_CRB_RANGE[:-1] + ["--snr-db-range=-3100:-3100:1"], None, "--snr-db-range"),
         (_CRB_RANGE + ["0:3100:3100"], None, "--snr-db-range"),
+        (_CRB_RANGE + ["0:1e12:1e-3"], None, "--snr-db-range"),
+        (_CRB_RANGE[:-1] + ["--snr-db-range=-1e308:1e308:1"], None, "--snr-db-range"),
     ],
     ids=[
         "scalar-lags",
@@ -337,6 +339,8 @@ _SIM_CONFIG = {
         "crb-overflowing-snr",
         "crb-vanishing-snr",
         "crb-overflow-after-first-row",
+        "crb-too-many-points",
+        "crb-point-count-overflows",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):
@@ -383,6 +387,23 @@ def test_simulate_runs_non_closed_degrees_like_run_sweep(tmp_path):
     sidecar = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert sidecar["config"]["degrees"] == [[0], [2]]
     assert "general_degree_handling" not in sidecar["config"]
+
+
+@pytest.mark.parametrize("mode", ["zero", "uniform_cell", "fixed"])
+def test_simulate_sidecar_config_reruns_the_sweep(tmp_path, mode):
+    config = {**_SIM_CONFIG, "parameter_mode": mode, "snr_db_grid": [0.0, 10.0], "trials": 3}
+    if mode == "fixed":
+        config["fixed_coefficients"] = [0.1, -0.2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    first = tmp_path / "first.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(first), "--seed", "9"]) == 0
+    sidecar = json.loads((tmp_path / "first.csv.meta.json").read_text())
+    path.write_text(json.dumps(sidecar["config"]))
+    second = tmp_path / "second.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert json.loads((tmp_path / "second.csv.meta.json").read_text())["config"] == sidecar["config"]
 
 
 @pytest.mark.parametrize("case", ["empty", "short_header", "short_payload", "nan_sample"])

@@ -11,12 +11,14 @@ from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.degrees import build_total_order
 from ppsg.estimator import AveragingKind, EstimatorConfig
 from ppsg.harness import (
+    PARAMETER_MODES,
     ExperimentConfig,
     empirical_covariance,
     run_sweep,
     run_trial,
     snr_db_to_linear,
 )
+from ppsg.signal import complex_noise
 
 from oracles import reference_sweep, reference_trial, run_python
 
@@ -278,6 +280,52 @@ def test_run_trial_is_a_row_of_the_batch():
             assert one.estimate.binomial.values.tobytes() == values[row].tobytes()
             assert one.estimate.diagnostics == {k: d[row] for k, d in diagnostics.items()}
             assert one.coefficients.values.tobytes() == truths[row].tobytes()
+
+
+# Ranges that start at 0, end at 2**32 - 1, and straddle 2**32 and 2**64, so
+# that keys of different lengths (under a two-word master seed, of 4 and of
+# 5 words) meet in one chunk.
+_TRIAL_RANGES = (
+    range(0, 5),
+    range(2**32 - 4, 2**32),
+    range(2**32 - 2, 2**32 + 3),
+    range(2**64 - 2, 2**64 + 2),
+)
+
+
+@pytest.mark.parametrize("mode", PARAMETER_MODES)
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_chunk_draws_match_default_rng(master_seed, mode):
+    # The chunk path re-implements numpy's SeedSequence hashing and PCG64
+    # seeding; a change to either in numpy fails here.
+    fixed = (0.21, -0.37) if mode == "fixed" else None
+    cfg = _config(
+        window=(5,), parameter_mode=mode, fixed_coefficients=fixed, master_seed=master_seed
+    )
+    snr = snr_db_to_linear(3.0)
+    for snr_index in (0, 2):
+        for trials in _TRIAL_RANGES:
+            truths, noise = harness._draw_chunk(cfg, snr, snr_index, trials)
+            for row, t in enumerate(trials):
+                rng = np.random.default_rng(np.random.SeedSequence([master_seed, snr_index, t]))
+                if mode == "uniform_cell":
+                    truth = rng.uniform(-0.5, 0.5, 2)
+                else:
+                    truth = np.array(fixed or (0.0, 0.0))
+                assert truths[row].tobytes() == truth.tobytes()
+                assert noise[row].tobytes() == complex_noise(cfg.window, snr, rng).tobytes()
+
+
+@pytest.mark.parametrize("trial_index", [2**32 - 1, 2**32])
+def test_run_trial_matches_reference_at_word_boundaries(trial_index):
+    cfg = _config(degree_set=M012, window=(20,), estimator_config=EstimatorConfig(M012))
+    snr = snr_db_to_linear(4.0)
+    one, ref = run_trial(cfg, snr, trial_index), reference_trial(cfg, snr, trial_index)
+    assert one.reconstruction_error == ref.reconstruction_error
+    assert one.wrapped == ref.wrapped
+    assert one.estimate.binomial.values.tobytes() == ref.estimate.binomial.values.tobytes()
+    assert one.estimate.diagnostics == ref.estimate.diagnostics
+    assert one.coefficients.values.tobytes() == ref.coefficients.values.tobytes()
 
 
 def test_import_and_plain_sweep_load_no_scipy():
