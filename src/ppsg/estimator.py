@@ -2,21 +2,21 @@
 
 One private kernel, :func:`_sequential`, holds the estimation loop.  It takes
 a batch of signals, shape (B, *N) with the trial axis leading, and walks
-stages (m, tau), degrees in descending total order and lags inner.  Each
-stage collapses the observations the degree started with to near-constant
-fields with composed lagged phase differences, averages them with the
-closed-form minimum-variance weights and reads the increments off the
+stages (m, tau), degrees in descending total order and lags inner.  It
+projects the batch once at entry: arguments add under products.  Each stage
+collapses the observations the degree started with to near-constant fields
+with composed lagged phase differences, averages them with the closed-form
+minimum-variance weights one axis at a time and reads the increments off the
 arguments.  The lag passes of a degree cancel the increments of the earlier
 lags by rotating the differenced field by one scalar per signal, since the
 m-th difference at lag tau of C(n, m) is the constant tau^m.  Each degree
 then cancels its summed term over the full window once, before the next
-degree.  The cancellation drops the whole turns of each phase exactly
-before the trig, which spares cos and sin the slow, lossy ~1e12 rad
-arguments of large windows.  :func:`estimate` cancels binomial fields
-C(n, m), under any lag schedule; :func:`estimate_coefficients_direct`
-cancels monomials n^m / m! and maps back to the binomial basis.  The degree
-set picks the route: a set that is not downward closed is estimated over
-its closure, then projected with Fisher weights.
+degree.  It drops whole turns exactly before the trig (:func:`_rotation`).
+:func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
+:func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
+to the binomial basis.  The degree set picks the route: a set that is not
+downward closed is estimated over its closure, then projected with Fisher
+weights.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and for batches under 2^14 samples row t of its result
@@ -54,11 +54,12 @@ from .degrees import (
     as_lag,
     diff_window,
     downward_closure,
-    validate_degree_set,
+    validate_degree_set,  # noqa: F401  not called; benchmarks/spans.py rebinds it
 )
 from .signal import RealField, Signal, _conj_product, _difference, principal_arg, unit_project
 from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
-from .weights import WeightField, weight_multi
+from .weights import WeightField, weight_axes
+from .weights import weight_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 
 TWO_PI = 2.0 * np.pi
 
@@ -91,32 +92,34 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     plain weighted sum; PROJECTED_LINEAR projects samples to the unit circle
     first; CIRCULAR recenters arguments around the unweighted circular mean
     before averaging, then rotates back, which moves the branch cut away
-    from the data.
+    from the data.  All but KAY_COMPLEX project the field once, up front.
     """
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
-    return complex(_average(kind, s.data[None], u.data)[0])
+    flat = s.data.reshape(1, -1)
+    data = flat if kind is AveragingKind.KAY_COMPLEX else unit_project(flat)
+    return complex(_average(kind, data, [u.data.ravel()])[0])
 
 
-def _average(kind: AveragingKind, data: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`average` of each field of a batch, shape (B, *window) -> (B,)."""
-    axes = tuple(range(1, data.ndim))
-    # With the batch axis on the weights too, numpy can reuse a temporary
-    # for ``w * f(data)`` when B = 1, which it does only for equal shapes.
-    w = w[None]
-    if kind is AveragingKind.LINEAR:
-        return np.exp(1j * np.sum(w * principal_arg(data), axis=axes))
-    if kind is AveragingKind.KAY_COMPLEX:
-        return np.sum(w * data, axis=axes)
-    if kind is AveragingKind.PROJECTED_LINEAR:
-        return np.sum(w * unit_project(data), axis=axes)
-    # CIRCULAR.  The anchor and the final rotation are Python complex
-    # arithmetic per field; a zero resultant averages to 0.
-    resultants = np.sum(unit_project(data), axis=axes).tolist()
-    anchors = [r / abs(r) if r else 1.0 for r in resultants]
-    lead = (-1,) + (1,) * len(axes)
-    theta = np.sum(w * principal_arg(data * np.conj(anchors).reshape(lead)), axis=axes)
-    turns = np.exp(1j * theta).tolist()
+def _average(kind: AveragingKind, data: np.ndarray, w: list[np.ndarray]) -> np.ndarray:
+    """:func:`average` of each field of a batch, shape (B, *window) -> (B,).
+
+    ``data`` comes from :func:`_project`.  ``einsum``, not BLAS, whose threads
+    reorder sums, contracts ``w`` one axis at a time.  KAY_COMPLEX products of
+    2^|m| samples underflow only below ~2^(-1022/2^|m|) of the row's largest.
+    """
+    if kind is AveragingKind.CIRCULAR:
+        # The anchor and the final rotation are Python complex arithmetic
+        # per field; a zero resultant averages to 0.
+        resultants = np.sum(data, axis=tuple(range(1, data.ndim))).tolist()
+        anchors = [r / abs(r) if r else 1.0 for r in resultants]
+        data = data * np.conj(anchors).reshape((-1,) + (1,) * (data.ndim - 1))
+    f = principal_arg(data) if kind in (AveragingKind.LINEAR, AveragingKind.CIRCULAR) else data
+    for wd in reversed(w):
+        f = np.einsum("...n,n->...", f, wd)
+    if kind is not AveragingKind.CIRCULAR:
+        return np.exp(1j * f) if kind is AveragingKind.LINEAR else f
+    turns = np.exp(1j * f).tolist()
     return np.array([a * t if r else 0j for r, a, t in zip(resultants, anchors, turns)])
 
 
@@ -198,12 +201,19 @@ def _check_cell(values: np.ndarray) -> None:
 def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
     if not np.isfinite(data).all():
         raise ValueError("signal has non-finite samples")
-    window = data.shape[1:]
     # The last lag is the largest in every dimension, so it bounds the window.
-    diff_window(window, cfg.degree_set.max_degree, cfg.lags[-1])
+    diff_window(data.shape[1:], cfg.degree_set.max_degree, cfg.lags[-1])
     # The binomial route sees only closed sets, so this refuses direct estimation.
-    if not validate_degree_set(cfg.degree_set, window).downward_closed:
+    if not cfg.degree_set.is_downward_closed():
         raise ValueError("direct estimation needs a downward-closed degree set")
+
+
+def _project(kind: AveragingKind, data: np.ndarray) -> np.ndarray:
+    """Unit samples, or for KAY_COMPLEX rows scaled by exact powers of two."""
+    if kind is not AveragingKind.KAY_COMPLEX:
+        return unit_project(data)
+    _, e = np.frexp(np.abs(data).max(axis=tuple(range(1, data.ndim)), keepdims=True))
+    return data * np.ldexp(1.0, -e)
 
 
 def _sequential(
@@ -224,11 +234,12 @@ def _sequential(
     window, once, in whole turns reduced away before the trig
     (:func:`_rotation`); the last degree skips it, since nothing reads the
     observations after it.  The window rule is checked once, up front, so
-    the stages difference the raw batch directly rather than through
+    the stages difference the projected batch directly rather than through
     ``phase_diff_multi``, which would copy at degree 0.  Returns the
     coefficients, shape (B, |M|), and each stage's increments.
     """
     _require_estimable(cfg, data)
+    data = _project(cfg.averaging, data)
     M = cfg.degree_set
     N = data.shape[1:]
     values = np.zeros((len(data), len(M)))
@@ -237,9 +248,10 @@ def _sequential(
         acc = np.zeros(len(data))
         for tau in cfg.lags:
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
+            w = weight_axes(m, tau, N)  # first: a cold build's temporaries precede diffed
             diffed = _rotate(_difference(data, m, tau, _conj_product), acc, tau_pow)
-            mean = _average(cfg.averaging, diffed, weight_multi(m, tau, N).data)
-            delta = principal_arg(mean) / (TWO_PI * tau_pow)
+            delta = principal_arg(_average(cfg.averaging, diffed, w)) / (TWO_PI * tau_pow)
+            del diffed  # not alive across the full-window rotation
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc

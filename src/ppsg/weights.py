@@ -4,6 +4,7 @@ The colored noise left by composing lagged differences has a banded integer
 covariance kernel; the minimum-variance weights C^{-1}1 / (1^T C^{-1} 1)
 admit a closed form as a product of two binomial coefficients per sample.
 `tests/oracles.py` checks it against a dense covariance build and solve.
+The estimator reads :func:`weight_axes`; :func:`weight_multi` serves the CLI.
 """
 
 from __future__ import annotations
@@ -80,12 +81,17 @@ def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
     return np.array(_weight_axis(k, tau, N))
 
 
+def weight_axes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:
+    """The cached read-only :func:`weight_1d` of each dimension, unchecked."""
+    return [_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)]
+
+
 def weight_multi(
     k: Sequence[int], tau: Sequence[int] | int, N: Sequence[int]
 ) -> WeightField:
     """Tensor product of per-dimension closed-form weights."""
     k, N = as_index(k), as_index(N)
     window, tau = diff_window(N, k, tau)
-    data = tensor_field([_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)])
+    data = tensor_field(weight_axes(k, tau, N))
     data = data / data.sum()  # counter accumulated rounding in high dims
     return WeightField(window, data)

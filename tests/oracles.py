@@ -12,7 +12,14 @@ import numpy as np
 from ppsg.analysis import outlier_predicate
 from ppsg.basis import BINOMIAL, CoefficientVector, phase_field
 from ppsg.degrees import as_index, binom, diff_window, multi_binom
-from ppsg.estimator import TWO_PI, _average, _require_estimable, _rotation, estimate
+from ppsg.estimator import (
+    TWO_PI,
+    _average,
+    _project,
+    _require_estimable,
+    _rotation,
+    estimate,
+)
 from ppsg.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -32,7 +39,7 @@ from ppsg.signal import (
     principal_arg,
     synthesize,
 )
-from ppsg.weights import WeightField, weight_multi
+from ppsg.weights import WeightField, weight_axes
 
 
 def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
@@ -144,9 +151,12 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     ``basis_field(m, N)`` over the full window, so each lag of a degree
     differences the observations left by the lag before it.  The kernel
     cancels each degree once and rotates the lag passes by a scalar; the
-    two agree to rounding.  Returns the coefficients and increments.
+    two agree to rounding.  Like the kernel, it projects the batch once at
+    entry and averages with the per-axis weights.  Returns the coefficients
+    and increments.
     """
     _require_estimable(cfg, data)
+    data = _project(cfg.averaging, data)
     M = cfg.degree_set
     N = data.shape[1:]
     lead = (-1,) + (1,) * len(N)
@@ -155,7 +165,7 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     diagnostics = {}
     for i, (m, tau) in enumerate(stages):
         diffed = _difference(data, m, tau, _conj_product)
-        mean = _average(cfg.averaging, diffed, weight_multi(m, tau, N).data)
+        mean = _average(cfg.averaging, diffed, weight_axes(m, tau, N))
         tau_pow = math.prod(td**md for td, md in zip(tau, m))
         delta = principal_arg(mean) / (TWO_PI * tau_pow)
         values[:, M.position(m)] += delta

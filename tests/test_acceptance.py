@@ -5,8 +5,8 @@ as they complete.  Monte-Carlo counts follow the stated protocols, so the
 module takes a few minutes in total; everything is deterministically seeded.
 """
 
-import gc
 import itertools
+import json
 import time
 from contextlib import contextmanager
 
@@ -39,7 +39,7 @@ from ppsg.analysis import orthogonal_poly_field
 from ppsg.signal import RealField, Signal, synthesize
 from ppsg.weights import weight_multi
 
-from oracles import covariance_matrix, weight_via_inversion
+from oracles import covariance_matrix, run_python, weight_via_inversion
 
 M01 = build_total_order([(0,), (1,)])
 M3 = build_total_order([(3,)])
@@ -313,33 +313,50 @@ def test_criterion_6_two_stage_direct_equivalence():
                 seed += 1
 
 
+# Criterion 7 times its estimates in a child pinned to one CPU, so no
+# migration between CPUs lands inside a timed call.  Every round times each
+# size once, and each size keeps its median over the rounds, so a slow or
+# fast spell of a shared host lands on every size alike instead of bending
+# the line.
+_CRITERION_7_TIMES = """
+import os
+os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+import gc, json, time
+import numpy as np
+from ppsg.basis import BINOMIAL, CoefficientVector
+from ppsg.degrees import build_total_order
+from ppsg.estimator import EstimatorConfig, estimate
+from ppsg.signal import Signal, synthesize
+
+M01 = build_total_order([(0,), (1,)])
+cfg = EstimatorConfig(M01)
+rng = np.random.default_rng(7)
+sizes = [2**e for e in range(10, 21)]
+signals = []
+for n in sizes:
+    b = CoefficientVector(rng.uniform(-0.5, 0.5, 2), BINOMIAL, M01)
+    s = synthesize(b, (n,))
+    w = 0.1 * (rng.standard_normal((n,)) + 1j * rng.standard_normal((n,)))
+    signals.append(Signal((n,), s.data + w))
+    estimate(signals[-1], cfg)  # warm caches
+times = [[] for _ in sizes]
+gc.disable()
+for _ in range(11):
+    for y, row in zip(signals, times):
+        t0 = time.perf_counter()
+        estimate(y, cfg)
+        row.append(time.perf_counter() - t0)
+print(json.dumps({"sizes": sizes, "times": [float(np.median(row)) for row in times]}))
+"""
+
+
 def test_criterion_7_linear_complexity():
     with _criterion(7, "linear runtime scaling"):
-        cfg = EstimatorConfig(M01)
-        rng = np.random.default_rng(7)
-        sizes = [2**e for e in range(10, 21)]
-        times = []
-        for n in sizes:
-            b = CoefficientVector(rng.uniform(-0.5, 0.5, 2), BINOMIAL, M01)
-            s = synthesize(b, (n,))
-            w = 0.1 * (rng.standard_normal((n,)) + 1j * rng.standard_normal((n,)))
-            y = Signal((n,), s.data + w)
-            estimate(y, cfg)  # warm caches
-            # The large sizes dominate the fit, so they get at least 7 reps;
-            # a collection pause inside a timed call would bend the line.
-            reps = int(np.clip(2**16 // n, 7, 20))
-            best = np.inf
-            gc.disable()
-            try:
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    estimate(y, cfg)
-                    best = min(best, time.perf_counter() - t0)
-            finally:
-                gc.enable()
-            times.append(best)
-        x = np.array(sizes, dtype=float)
-        t = np.array(times)
+        proc = run_python(_CRITERION_7_TIMES)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        timed = json.loads(proc.stdout)
+        x = np.array(timed["sizes"], dtype=float)
+        t = np.array(timed["times"])
         A = np.vstack([x, np.ones_like(x)]).T
         coef, *_ = np.linalg.lstsq(A, t, rcond=None)
         pred = A @ coef

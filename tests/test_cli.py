@@ -11,7 +11,7 @@ from ppsg.cli import main
 from ppsg.degrees import build_total_order
 from ppsg.estimator import EstimatorConfig
 from ppsg.harness import ExperimentConfig, run_sweep
-from ppsg.signal import synthesize, write_signal
+from ppsg.signal import Signal, synthesize, write_signal
 
 M01 = build_total_order([(0,), (1,)])
 
@@ -404,6 +404,20 @@ def test_simulate_sidecar_config_reruns_the_sweep(tmp_path, mode):
     assert main(["simulate", "--config", str(path), "--out", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
     assert json.loads((tmp_path / "second.csv.meta.json").read_text())["config"] == sidecar["config"]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_estimate_extreme_magnitudes_exits_0(tmp_path, scale):
+    M = build_total_order([(0,), (1,), (2,)])
+    b = CoefficientVector(np.array([0.0, 0.05, 0.1]), BINOMIAL, M)
+    s = synthesize(b, (16,))
+    sig, out = tmp_path / "sig.ppsg", tmp_path / "est.json"
+    with open(sig, "wb") as fh:
+        write_signal(Signal(s.window, scale * s.data), fh)
+    args = ["estimate", "--input", str(sig), "--degrees", "[[0],[1],[2]]", "--out", str(out)]
+    assert main(args) == 0
+    got = np.array(json.loads(out.read_text())["binomial"]["values"])
+    assert np.max(np.abs(got - b.values)) < 1e-12
 
 
 @pytest.mark.parametrize("case", ["empty", "short_header", "short_payload", "nan_sample"])

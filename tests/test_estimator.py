@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from ppsg.estimator import (
 from ppsg.signal import RealField, Signal, synthesize
 from ppsg.weights import WeightField, weight_multi
 
-from oracles import reference_sequential
+from oracles import reference_sequential, run_python
 
 M01 = build_total_order([(0,), (1,)])
 M012 = build_total_order([(0,), (1,), (2,)])
@@ -579,6 +580,48 @@ def test_kernel_skips_last_cancellation(monkeypatch, estimator, field_name, lags
     assert len(est.diagnostics) == stages
     assert all(delta != 0.0 for delta in est.diagnostics.values())
     assert len(calls) == len(M2D) - 1
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_extreme_magnitudes_estimate(kind, scale):
+    # A product of four raw samples would overflow at 1e160 and underflow at
+    # 1e-160.  The kernel projects the batch once at entry, or for
+    # KAY_COMPLEX scales each row by a power of two, so neither happens.
+    b = _cv([0.0, 0.05, 0.1], M012)
+    y = Signal((16,), scale * synthesize(b, (16,)).data)
+    est = estimate(y, EstimatorConfig(M012, kind))
+    assert np.max(np.abs(est.binomial.values - b.values)) < 1e-12
+
+
+_AFFINITY_CHILD = """
+import os, sys
+if {pin}:
+    os.sched_setaffinity(0, {{max(os.sched_getaffinity(0))}})
+import numpy as np
+from ppsg.basis import BINOMIAL, CoefficientVector
+from ppsg.degrees import build_total_order
+from ppsg.estimator import AveragingKind, EstimatorConfig, estimate
+from ppsg.signal import add_noise, synthesize
+
+M = build_total_order([(0,), (1,), (2,)])
+b = CoefficientVector(np.array([0.25, -0.375, 0.125]), BINOMIAL, M)
+y = add_noise(synthesize(b, (2**16,)), 10.0, np.random.default_rng(5))
+for kind in AveragingKind:
+    sys.stdout.write(estimate(y, EstimatorConfig(M, kind)).binomial.values.tobytes().hex())
+"""
+
+
+def test_estimate_bytes_do_not_depend_on_cpu_affinity():
+    # The averaging contraction makes no BLAS call, whose thread pool sizes
+    # itself by the CPUs a process may use and could change the sum order.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs at least 2 allowed CPUs")
+    runs = [run_python(_AFFINITY_CHILD.format(pin=pin)) for pin in (True, False)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_benchmark_hooks_exist():
