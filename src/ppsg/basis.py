@@ -142,38 +142,42 @@ def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 # Fields bigger than this are rebuilt on demand instead of cached; the 1-D
-# axis caches keep the rebuild cheap while bounding resident memory.
+# axis caches keep the rebuild cheap while bounding resident memory.  The
+# size is that of the compact field, which spans only the touched axes.
 _FIELD_CACHE_LIMIT = 1 << 17
+
+
+def _compact_field(axis, m: MultiIndex, N: MultiIndex) -> np.ndarray:
+    """The field over the axes with m_d > 0, length 1 elsewhere (C(n, 0) = 1)."""
+    out = tensor_field([axis(Nd if md else 1, md) for Nd, md in zip(N, m)])
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=256)
 def _binomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    out = tensor_field([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
-    out.setflags(write=False)
-    return out
-
-
-def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
-    """C(n, m) sampled over the window [N]; shape N, treat as read-only."""
-    m, N = as_index(m), as_index(N)
-    if math.prod(N) > _FIELD_CACHE_LIMIT:
-        return tensor_field([_binomial_axis(Nd, md) for Nd, md in zip(N, m)])
-    return _binomial_field_cached(m, N)
+    return _compact_field(_binomial_axis, m, N)
 
 
 @lru_cache(maxsize=256)
 def _monomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    out = tensor_field([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
-    out.setflags(write=False)
-    return out
+    return _compact_field(_monomial_axis, m, N)
+
+
+def _field(cached, axis, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
+    m, N = as_index(m), as_index(N)
+    small = math.prod(Nd for Nd, md in zip(N, m) if md) <= _FIELD_CACHE_LIMIT
+    return np.broadcast_to(cached(m, N) if small else _compact_field(axis, m, N), N)
+
+
+def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
+    """C(n, m) sampled over the window [N]; a read-only broadcast of shape N."""
+    return _field(_binomial_field_cached, _binomial_axis, m, N)
 
 
 def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
-    """n^m / m! sampled over the window [N]; shape N, treat as read-only."""
-    m, N = as_index(m), as_index(N)
-    if math.prod(N) > _FIELD_CACHE_LIMIT:
-        return tensor_field([_monomial_axis(Nd, md) for Nd, md in zip(N, m)])
-    return _monomial_field_cached(m, N)
+    """n^m / m! sampled over the window [N]; a read-only broadcast of shape N."""
+    return _field(_monomial_field_cached, _monomial_axis, m, N)
 
 
 def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:

@@ -11,7 +11,9 @@ arguments.  The lag passes of a degree cancel the increments of the earlier
 lags by rotating the differenced field by one scalar per signal, since the
 m-th difference at lag tau of C(n, m) is the constant tau^m.  Each degree
 then cancels its summed term over the full window once, before the next
-degree.  It drops whole turns exactly before the trig (:func:`_rotation`).
+degree.  It drops whole turns exactly before the trig (:func:`_rotation`),
+and runs the turns and trig only over the axes the degree touches.  Each call
+holds its full-window intermediates in one workspace of two buffers.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -19,18 +21,18 @@ downward closed is estimated over its closure, then projected with Fisher
 weights.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
-signals in one pass, and for batches under 2^14 samples row t of its result
-equals ``estimate`` of signal t bit for bit: the window reductions sum each
-row exactly as a lone signal is summed, and the last scalar step of each
-average stays per-signal Python ``complex`` arithmetic, whose last bit
-numpy's array divide and multiply do not reproduce.  All estimators are pure
-functions of (signal, config); a run is inherently sequential across
-degrees.
+signals in one pass, and row t of its result equals ``estimate`` of signal t
+bit for bit: the window reductions sum each row exactly as a lone signal is
+summed, and the last scalar step of each average stays per-signal Python
+``complex`` arithmetic, whose last bit numpy's array divide and multiply do
+not reproduce.  All estimators are pure functions of (signal, config); a run
+is inherently sequential across degrees.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -57,6 +59,7 @@ from .degrees import (
     validate_degree_set,  # noqa: F401  not called; benchmarks/spans.py rebinds it
 )
 from .signal import RealField, Signal, _conj_product, _difference, principal_arg, unit_project
+from .signal import _TINY, _larger_part, _scale_parts
 from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .weights import WeightField, weight_axes
 from .weights import weight_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
@@ -101,26 +104,43 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     return complex(_average(kind, data, [u.data.ravel()])[0])
 
 
-def _average(kind: AveragingKind, data: np.ndarray, w: list[np.ndarray]) -> np.ndarray:
+def _average(
+    kind: AveragingKind, data: np.ndarray, w: list[np.ndarray], home=None, spare=None
+) -> np.ndarray:
     """:func:`average` of each field of a batch, shape (B, *window) -> (B,).
 
     ``data`` comes from :func:`_project`.  ``einsum``, not BLAS, whose threads
     reorder sums, contracts ``w`` one axis at a time.  KAY_COMPLEX products of
     2^|m| samples underflow only below ~2^(-1022/2^|m|) of the row's largest.
+    The CIRCULAR anchoring is written into the workspace buffer ``home``,
+    which may hold ``data`` itself, and the arguments into ``spare``; without
+    them both are fresh arrays and ``data`` is never written.
     """
     if kind is AveragingKind.CIRCULAR:
         # The anchor and the final rotation are Python complex arithmetic
         # per field; a zero resultant averages to 0.
         resultants = np.sum(data, axis=tuple(range(1, data.ndim))).tolist()
         anchors = [r / abs(r) if r else 1.0 for r in resultants]
-        data = data * np.conj(anchors).reshape((-1,) + (1,) * (data.ndim - 1))
-    f = principal_arg(data) if kind in (AveragingKind.LINEAR, AveragingKind.CIRCULAR) else data
+        lead = (-1,) + (1,) * (data.ndim - 1)
+        data = np.multiply(data, np.conj(anchors).reshape(lead), out=_view(home, data.shape))
+    args = kind in (AveragingKind.LINEAR, AveragingKind.CIRCULAR)
+    f = principal_arg(data, out=_view(spare, data.shape, float)) if args else data
     for wd in reversed(w):
-        f = np.einsum("...n,n->...", f, wd)
+        if f.shape[-1] > np.getbufsize():
+            # einsum sums an axis longer than its buffer in pieces, split one
+            # way for a batch and another for a lone row; go row by row.
+            f = np.stack([np.einsum("...n,n->...", row, wd) for row in f])
+        else:
+            f = np.einsum("...n,n->...", f, wd)
     if kind is not AveragingKind.CIRCULAR:
         return np.exp(1j * f) if kind is AveragingKind.LINEAR else f
     turns = np.exp(1j * f).tolist()
     return np.array([a * t if r else 0j for r, a, t in zip(resultants, anchors, turns)])
+
+
+def _view(buf: np.ndarray | None, shape: tuple[int, ...], dtype=complex) -> np.ndarray | None:
+    """The head of a contiguous buffer as ``dtype`` in ``shape``; ``None`` stays ``None``."""
+    return None if buf is None else buf.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -209,11 +229,21 @@ def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
 
 
 def _project(kind: AveragingKind, data: np.ndarray) -> np.ndarray:
-    """Unit samples, or for KAY_COMPLEX rows scaled by exact powers of two."""
+    """Unit samples, or for KAY_COMPLEX rows scaled by exact powers of two.
+
+    A KAY_COMPLEX row's largest modulus lands in [1/2, 1).  A row whose
+    modulus overflows, or whose largest is subnormal, has its largest part
+    scaled there instead.  The result is always a new array.
+    """
     if kind is not AveragingKind.KAY_COMPLEX:
         return unit_project(data)
-    _, e = np.frexp(np.abs(data).max(axis=tuple(range(1, data.ndim)), keepdims=True))
-    return data * np.ldexp(1.0, -e)
+    peak = np.abs(data).max(axis=tuple(range(1, data.ndim)))
+    odd = np.isinf(peak) | (peak > 0) & (peak < _TINY)
+    _, e = np.frexp(np.where(odd, 1.0, peak))
+    out = data * np.ldexp(1.0, -e).reshape((-1,) + (1,) * (data.ndim - 1))
+    for t in np.flatnonzero(odd):
+        out[t] = _scale_parts(data[t], _larger_part(data[t]).max())
+    return out
 
 
 def _sequential(
@@ -233,62 +263,89 @@ def _sequential(
     cancels ``acc * basis_field(m, N)`` from each signal over the full
     window, once, in whole turns reduced away before the trig
     (:func:`_rotation`); the last degree skips it, since nothing reads the
-    observations after it.  The window rule is checked once, up front, so
-    the stages difference the projected batch directly rather than through
-    ``phase_diff_multi``, which would copy at degree 0.  Returns the
-    coefficients, shape (B, |M|), and each stage's increments.
+    observations after it.  The field is constant along the axes where
+    m_d = 0, so its turns and trig run over the other axes only.  The
+    window rule is checked once, up front, so the stages difference the
+    projected batch directly.
+
+    The weights are built first, so a cold build's temporaries never share
+    memory with the batch.  The call owns the projected batch, which the
+    cancellations rotate in place, and two window-sized buffers for every
+    other full-window array: the differences alternate between them.
+    Returns the coefficients, shape (B, |M|), and each stage's increments.
     """
     _require_estimable(cfg, data)
-    data = _project(cfg.averaging, data)
     M = cfg.degree_set
     N = data.shape[1:]
+    weights = {(m, tau): weight_axes(m, tau, N) for m in M.degrees for tau in cfg.lags}
+    data = _project(cfg.averaging, data)
+    work = (np.empty(data.size, complex), np.empty(data.size, complex))
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
     for i, m in enumerate(reversed(M.degrees)):
         acc = np.zeros(len(data))
+        # |m| products alternate work[0], work[1], ...; the last one's is home.
+        home, spare = work if sum(m) % 2 else work[::-1]
         for tau in cfg.lags:
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
-            w = weight_axes(m, tau, N)  # first: a cold build's temporaries precede diffed
-            diffed = _rotate(_difference(data, m, tau, _conj_product), acc, tau_pow)
-            delta = principal_arg(_average(cfg.averaging, diffed, w)) / (TWO_PI * tau_pow)
-            del diffed  # not alive across the full-window rotation
+            diffed = _difference(data, m, tau, _alternating(work))
+            diffed = _rotate(diffed, acc, tau_pow, _view(home, diffed.shape))
+            mean = _average(cfg.averaging, diffed, weights[m, tau], home, spare)
+            delta = principal_arg(mean) / (TWO_PI * tau_pow)
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1 and (acc != 0.0).any():
-            data = _rotate(data, acc, basis_field(m, N))
+            touched = basis_field(m, N)[tuple(slice(None if md else 1) for md in m)]
+            _rotate(data, acc, touched, data, work)
     return values, diagnostics
 
 
-def _rotate(data: np.ndarray, turn: np.ndarray, field: np.ndarray | int) -> np.ndarray:
-    """Each signal t of a batch times exp(-2j*pi*turn[t]*field).
+def _alternating(work: tuple[np.ndarray, np.ndarray]):
+    """A :func:`_difference` step whose products alternate between buffers."""
+    buffers = itertools.cycle(work)
+    return lambda later, earlier: _conj_product(later, earlier, _view(next(buffers), later.shape))
 
-    ``field`` is a full basis field or a constant.  A signal whose turn is
-    0 keeps its samples bit for bit, and ``data`` itself is never written.
+
+def _rotate(
+    data: np.ndarray, turn: np.ndarray, field: np.ndarray | int, out: np.ndarray, work=(None, None)
+) -> np.ndarray:
+    """Each signal t of a batch times exp(-2j*pi*turn[t]*field), into ``out``.
+
+    ``field`` is a constant or a basis field that broadcasts against the
+    window.  ``out`` may be ``data``.  The turns go into ``work[0]`` and the
+    rotation into ``work[1]``, flat buffers, or fresh arrays for ``None``.
+    A signal whose turn is 0 keeps its samples bit for bit; if none moves,
+    ``data`` is returned untouched.
     """
     moved = turn != 0.0
     if not moved.any():
         return data
-    rot = _rotation(turn[moved].reshape((-1,) + (1,) * (data.ndim - 1)) * field)
-    if not moved.all():
-        data = data.copy()
-        data[moved] *= rot
-        return data
-    # A full field's rotation buffer can take the product; a scalar one cannot.
-    return np.multiply(data, rot, out=rot if rot.shape == data.shape else None)
+    turn = turn[moved].reshape((-1,) + (1,) * (data.ndim - 1))
+    shape = np.broadcast_shapes(turn.shape, np.shape(field))
+    turn = np.multiply(turn, field, out=_view(work[0], shape, float))
+    rot = _rotation(turn, _view(work[1], shape))
+    if moved.all():
+        return np.multiply(data, rot, out=out)
+    if not np.may_share_memory(out, data):
+        np.copyto(out, data)
+    for t, r in zip(np.flatnonzero(moved), rot):
+        out[t] *= r
+    return out
 
 
-def _rotation(turn: np.ndarray) -> np.ndarray:
-    """exp(-2j*pi*turn), with the whole turns dropped before the trig.
+def _rotation(turn: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
+    """exp(-2j*pi*turn), into ``rot`` if given, with whole turns dropped first.
 
     ``turn - rint(turn)`` is exact in float64 and whole turns do not
     rotate, so cos and sin see arguments in [-pi, pi].  Unreduced, C(n, 2)
     at 2^20 gives ~1e12 rad, which the trig reduces slowly and where
     rounding 2*pi times the phase costs ~1e-4 rad.  ``turn`` is overwritten.
     """
-    turn -= np.rint(turn)
+    rot = np.empty(turn.shape, dtype=complex) if rot is None else rot
+    whole = _view(rot, turn.shape, float)  # contiguous room, free until the trig
+    turn -= np.rint(turn, out=whole)
     turn *= -TWO_PI
-    rot = np.empty(turn.shape, dtype=complex)
     np.cos(turn, out=rot.real)
     np.sin(turn, out=rot.imag)
     return rot
@@ -341,10 +398,7 @@ def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, 
 
     Returns the binomial coefficients, shape (B, |M|), every row checked to
     lie in the cell, and each (degree, lag) stage's increments, shape (B,).
-    Row t equals ``estimate(Signal(N, data[t]), cfg)`` bit for bit while the
-    batch holds fewer than 2^14 samples.  From 256 KiB up, numpy computes
-    some complex products in place on temporaries, which can change their
-    last bit.
+    Row t equals ``estimate(Signal(N, data[t]), cfg)`` bit for bit.
     """
     route = _binomial if cfg.degree_set.is_downward_closed() else _general
     values, diagnostics = route(data, cfg)

@@ -40,8 +40,7 @@ from .signal import synthesize  # noqa: F401
 PARAMETER_MODES = ("fixed", "uniform_cell", "zero")
 
 # A chunk holds at most this many samples (and at least one trial).  It
-# bounds a sweep's memory, and it keeps the chunk's complex arrays under the
-# 256 KiB at which estimate_batch rows may stop matching single estimates.
+# bounds a sweep's memory.
 _CHUNK_SAMPLES = 1 << 13
 
 

@@ -60,15 +60,17 @@ class RealField(_Field):
     _dtype = float
 
 
-def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
-    """Argument in [-pi, pi), with arg(0) = 0.
+def principal_arg(z: np.ndarray | complex, out: np.ndarray | None = None) -> np.ndarray | float:
+    """Argument in [-pi, pi), with arg(0) = 0; an array's may go into ``out``.
 
     numpy's angle() lands in (-pi, pi]; the single boundary value +pi
-    (exact negative reals) is folded to -pi.
+    (exact negative reals) is folded to -pi.  ``arctan2(imag, real)`` is
+    exactly ``angle``.
     """
-    a = np.angle(z)
-    if np.ndim(a) == 0:
+    if np.ndim(z) == 0:
+        a = np.angle(z)
         return float(-np.pi) if a == np.pi else float(a)
+    a = np.arctan2(z.imag, z.real, out=out)
     a[a == np.pi] = -np.pi
     return a
 
@@ -124,8 +126,11 @@ def _fresh_difference(data: np.ndarray, k: tuple[int, ...], tau, step) -> np.nda
     return out if any(k) else out.copy()
 
 
-def _conj_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    return later * np.conj(earlier)
+def _conj_product(later: np.ndarray, earlier: np.ndarray, out=None) -> np.ndarray:
+    """``later * conj(earlier)``, into ``out`` if given, in that operand order
+    at every size: numpy's own reuse of a large temporary would swap them."""
+    out = np.conjugate(earlier, out=out)
+    return np.multiply(later, out, out=out)
 
 
 def phase_diff(s: Signal, d: int, lag: int = 1) -> Signal:
@@ -150,12 +155,45 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     return Signal(window, _fresh_difference(s.data, k, tau, _conj_product))
 
 
+# Moduli in [_TINY, _HUGE] divide as they are: the modulus and its
+# reciprocal are normal floats.
+_TINY, _HUGE = 2.0**-1022, 2.0**1022
+
+
 def unit_project(data: np.ndarray) -> np.ndarray:
-    """Map each sample to exp(j arg(sample)); zero samples stay zero."""
+    """Map each sample to exp(j arg(sample)); zero samples stay zero.
+
+    A sample whose modulus is subnormal or near overflow (or overflows,
+    though both parts are finite) is first scaled by an exact power of two
+    that brings its larger part into [1/2, 1).
+    """
     mag = np.abs(data)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = data / mag
-    out[~(mag > 0)] = 0  # 0/0 and NaN samples
+    odd = ~((mag >= _TINY) & (mag <= _HUGE))  # zero, NaN and extreme samples
+    if odd.any():
+        z = data[odd]
+        larger = _larger_part(z)
+        z = _scale_parts(z, larger)
+        with np.errstate(invalid="ignore"):
+            out[odd] = np.where(larger > 0, z / np.abs(z), 0)  # 0/0 and NaN samples
+    return out
+
+
+def _larger_part(z: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(z.real), np.abs(z.imag))
+
+
+def _scale_parts(z: np.ndarray, peak: np.ndarray | float) -> np.ndarray:
+    """``z`` times the power of two that brings ``peak`` into [1/2, 1).
+
+    It scales part by part with ``ldexp``, so it is exact even where that
+    power of two is no float (a subnormal ``peak``).
+    """
+    e = -np.frexp(peak)[1]
+    out = np.empty_like(z)
+    np.ldexp(z.real, e, out=out.real)
+    np.ldexp(z.imag, e, out=out.imag)
     return out
 
 

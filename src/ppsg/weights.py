@@ -47,19 +47,31 @@ def _weight_1d_exact(k: int, tau: int, N: int) -> np.ndarray:
 
 
 def _weight_1d_log(k: int, tau: int, N: int) -> np.ndarray:
-    n = np.arange(N - tau * k)
-    left = n // tau + k
-    right = -((n - N) // tau) - 1  # ceil((N - n)/tau) - 1
-    log_w = _log_binom(left, k) + _log_binom(right, k)
+    # In place, on whole numbers held exactly as floats, so a cold build
+    # holds at most three full-length arrays.
+    n = np.arange(N - tau * k, dtype=float)
+    log_w = _log_binom(n // tau + k, k)
+    n -= N
+    n //= tau
+    n *= -1
+    n -= 1  # ceil((N - n)/tau) - 1
+    log_w += _log_binom(n, k)
     log_w -= log_w.max()
-    w = np.exp(log_w)
-    return w / w.sum()
+    w = np.exp(log_w, out=log_w)
+    w /= w.sum()
+    return w
 
 
 def _log_binom(n: np.ndarray, k: int) -> np.ndarray:
+    """gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1); ``n`` is overwritten."""
     from scipy.special import gammaln
 
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    n += 1
+    out = gammaln(n)
+    out -= gammaln(k + 1)
+    n -= k
+    out -= gammaln(n, out=n)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -594,6 +594,79 @@ def test_extreme_magnitudes_estimate(kind, scale):
     assert np.max(np.abs(est.binomial.values - b.values)) < 1e-12
 
 
+def _extreme_signal(case):
+    if case == "overflowing modulus":
+        # Every phase is a diagonal, so both parts of each sample are finite,
+        # about 1.6e308, while the modulus, about 2.2e308, is not.
+        b = _cv([0.125, -0.25, 0.25], M012)
+        return b, (synthesize(b, (16,)).data * 2.0**1023) * 2.5
+    b = _cv([0.0, 0.05, 0.1], M012)
+    data = synthesize(b, (16,)).data
+    if case == "one subnormal sample":
+        data[3] *= 1e-310
+        return b, data
+    return b, data * 1e-310
+
+
+@pytest.mark.parametrize("case", ["overflowing modulus", "one subnormal sample", "all subnormal"])
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_extreme_finite_samples_estimate(kind, case):
+    # Dividing by such a modulus gives 0 or inf + nan j.  The projection
+    # first scales each such sample (KAY_COMPLEX: each such row) by an
+    # exact power of two, part by part.
+    b, data = _extreme_signal(case)
+    assert np.isfinite(data).all()
+    est = estimate(Signal((16,), data), EstimatorConfig(M012, kind))
+    assert np.max(np.abs(est.binomial.values - b.values)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "M, N, lags",
+    [
+        (M2D_TOTAL2, (128, 128), ()),
+        (M2D_TOTAL2, (128, 128), M2D_TOTAL2_LAGS),
+        (M012, (2**14,), ((1,), (2,))),
+    ],
+    ids=["2d unit lag", "2d lag schedule", "1d lag schedule"],
+)
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_batch_above_256_kib_rows_equal_single_estimates(kind, M, N, lags):
+    # Three 256 KiB rows.  From 256 KiB up numpy reuses a temporary operand
+    # as a product's output, which would turn later * conj(earlier) into
+    # conj(earlier) * later for the differences of the batch but not for
+    # those of one row.  einsum sums an axis of more than 8192 samples in
+    # pieces, split differently for a batch and for one row.
+    data = _noisy_batch(M, N, 10.0, 11)
+    assert data.nbytes > 256 * 1024 >= data[0].nbytes
+    cfg = EstimatorConfig(M, kind, lags=lags)
+    values, diagnostics = estimate_batch(data, cfg)
+    for t, row in enumerate(data):
+        one = estimate(Signal(N, row), cfg)
+        assert one.binomial.values.tobytes() == values[t].tobytes()
+        assert repr(one.diagnostics) == repr({k: float(d[t]) for k, d in diagnostics.items()})
+
+
+@pytest.mark.parametrize(
+    "M, lags",
+    [(M2D_TOTAL2, M2D_TOTAL2_LAGS), (build_total_order([(0, 0)]), M2D_TOTAL2_LAGS)],
+    ids=["lag schedule", "degree 0 only"],
+)
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_estimators_never_write_their_input(kind, M, lags):
+    # The kernel rotates its projected copy in place, and at degree 0 the
+    # differenced field is that copy; neither may reach the caller's array.
+    data = _noisy_batch(M, (20, 18), 10.0, 12)
+    data[1] = 1.0  # a row whose increments are 0 takes the per-row path
+    before = data.tobytes()
+    cfg = EstimatorConfig(M, kind, lags=lags)
+    estimate_batch(data, cfg)
+    assert data.tobytes() == before
+    y = Signal((20, 18), data[0])
+    assert np.shares_memory(y.data, data)
+    estimate(y, cfg)
+    assert data.tobytes() == before
+
+
 _AFFINITY_CHILD = """
 import os, sys
 if {pin}:

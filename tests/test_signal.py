@@ -17,6 +17,7 @@ from ppsg.signal import (
     project_unit_circle,
     read_signal,
     synthesize,
+    unit_project,
     write_signal,
 )
 
@@ -145,6 +146,18 @@ def test_project_unit_circle():
     assert out.data[2] == pytest.approx(1j)
     again = project_unit_circle(out)
     assert np.allclose(again.data, out.data)
+
+
+def test_unit_project_extreme_finite_samples():
+    # Moduli that overflow, sit near overflow, or are subnormal are scaled
+    # by an exact power of two first; 3 + 4j divides as it is.
+    big, tiny = 1.5e308, 1e-310
+    z = np.array([big + big * 1j, -big + 0j, tiny, tiny * (1 - 1j), 5e-324j, 0j, 3 + 4j])
+    out = unit_project(z)
+    q = np.exp(0.25j * np.pi)
+    expected = np.array([q, -1, 1, np.conj(q), 1j, 0, 0.6 + 0.8j])
+    assert np.max(np.abs(out - expected)) < 1e-15
+    assert out[-1] == (z[-1:] / np.abs(z[-1:]))[0]
 
 
 def test_arg_field_conventions():

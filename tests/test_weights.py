@@ -124,6 +124,27 @@ def test_weight_exact_log_continuity():
                 assert np.max(np.abs(exact - logspace)) < 1e-12, (k, tau, N)
 
 
+def _weight_1d_log_expressions(k, tau, N):
+    # The log-space weights written as whole-array expressions; the library
+    # builds them in place, in the same operation order.
+    from scipy.special import gammaln
+
+    def log_binom(n):
+        return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+    n = np.arange(N - tau * k)
+    log_w = log_binom(n // tau + k) + log_binom(-((n - N) // tau) - 1)
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("N", [65, 1000, 4097, 2**20])
+@pytest.mark.parametrize("k, tau", [(0, 1), (1, 1), (2, 1), (2, 3), (3, 4)])
+def test_weight_log_in_place_is_bitwise(k, tau, N):
+    assert _weight_1d_log(k, tau, N).tobytes() == _weight_1d_log_expressions(k, tau, N).tobytes()
+
+
 def test_weight_large_window_does_not_overflow():
     w = weight_1d(3, 1, 20_000)
     assert abs(w.sum() - 1.0) < 1e-9
