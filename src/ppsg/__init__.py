@@ -14,7 +14,6 @@ from .degrees import (
     binom,
     build_total_order,
     downward_closure,
-    multi_binom,
     partial_leq,
     validate_degree_set,
 )
@@ -24,27 +23,20 @@ from .basis import (
     ChangeOfBasis,
     CoefficientVector,
     binomial_to_monomial_matrix,
-    binomial_transform,
     compute_lattice_point,
     compute_new_coordinate,
-    eval_binomial,
-    eval_monomial,
     wrap_to_cell,
 )
 from .signal import (
     RealField,
     Signal,
     add_noise,
-    arg_field,
-    finite_difference,
-    phase_diff,
     phase_diff_multi,
-    project_unit_circle,
     read_signal,
     synthesize,
     write_signal,
 )
-from .weights import WeightField, weight_1d, weight_multi
+from .weights import WeightField, weight_multi
 from .estimator import (
     AveragingKind,
     Estimate,
@@ -52,25 +44,18 @@ from .estimator import (
     average,
     estimate,
     estimate_coefficients_direct,
-    parameter_invariance_witness,
 )
 from .analysis import (
-    DecompositionPair,
     FisherMatrix,
     crb,
-    decomposition,
     fisher_matrix,
-    naive_penalty,
-    orthogonal_poly,
     outlier_predicate,
     reconstruction_bound,
-    tr_kj,
 )
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
     TrialResult,
-    empirical_covariance,
     run_sweep,
     run_trial,
     snr_db_to_linear,

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degrees import DegreeSet, MultiIndex, as_index, diff_window, multi_binom
+from .degrees import DegreeSet, MultiIndex, as_index
 
 BINOMIAL = "binomial"
 MONOMIAL = "monomial"
@@ -79,30 +79,6 @@ class ChangeOfBasis:
             raise ValueError("matrix is not unitriangular (diagonal != 1)")
         if np.any(np.tril(matrix, k=-1) != 0.0):
             raise ValueError("matrix has nonzeros below the diagonal")
-
-
-def eval_binomial(b: CoefficientVector, n: Sequence[int]) -> float:
-    """Evaluate sum_m b_m C(n, m) at a single multi-index."""
-    if b.basis != BINOMIAL:
-        raise ValueError(f"expected binomial basis, got {b.basis!r}")
-    n = as_index(n)
-    return float(
-        sum(bm * multi_binom(n, m) for bm, m in zip(b.values, b.degree_set))
-    )
-
-
-def eval_monomial(a: CoefficientVector, n: Sequence[int]) -> float:
-    """Evaluate sum_m a_m n^m / m! at a single multi-index."""
-    if a.basis != MONOMIAL:
-        raise ValueError(f"expected monomial basis, got {a.basis!r}")
-    n = as_index(n)
-    total = 0.0
-    for am, m in zip(a.values, a.degree_set):
-        term = 1.0
-        for nd, md in zip(n, m):
-            term *= nd**md / math.factorial(md)
-        total += am * term
-    return float(total)
 
 
 # -- Gridded evaluation -------------------------------------------------------
@@ -294,28 +270,3 @@ def compute_new_coordinate(b: CoefficientVector, T: ChangeOfBasis) -> Coefficien
     z = compute_lattice_point(T.matrix @ b.values, T)
     a = T.matrix @ (b.values - z)
     return CoefficientVector(a, MONOMIAL, b.degree_set)
-
-
-def binomial_transform(x: np.ndarray, k: Sequence[int]) -> float:
-    """Recover the binomial coefficient b_k of a polynomial field exactly.
-
-    For a field x sampled over a window [N] with N >= k+1 that is polynomial
-    with degrees in some valid degree set, returns
-    sum_l (-1)^{|k+l|} C(k, l) x(l); the alternating weights vanish outside
-    the box [k+1], so only that corner of the window is read.
-    """
-    x = np.asarray(x, dtype=float)
-    k = as_index(k)
-    diff_window(x.shape, k)
-    corner = x[tuple(slice(0, kd + 1) for kd in k)]
-    total = 0.0
-    for ell in np.ndindex(*corner.shape):
-        sign = -1 if (sum(k) + sum(ell)) % 2 else 1
-        total += sign * multi_binom(k, ell) * corner[ell]
-    return float(total)
-
-
-def binomial_coefficients_of_field(x: np.ndarray, M: DegreeSet) -> CoefficientVector:
-    """Apply the inversion formula at every degree of M."""
-    values = np.array([binomial_transform(x, m) for m in M.degrees])
-    return CoefficientVector(values, BINOMIAL, M)

@@ -57,6 +57,8 @@ def _window(raw) -> tuple[int, ...]:
     window = as_index(raw)
     if not window or min(window) < 1:
         raise ValueError(f"window entries must be positive, got {window}")
+    if math.prod(window) > _MAX_WINDOW_POINTS:
+        raise ValueError(f"window {window} holds more than {_MAX_WINDOW_POINTS} samples")
     return window
 
 
@@ -66,6 +68,8 @@ def _lags(raw) -> tuple[tuple[int, ...], ...]:
 
 # The most points a --snr-db-range grid may hold; it is built whole before use.
 _MAX_SNR_POINTS = 10**6
+# The most samples a window may hold; checked before anything is allocated.
+_MAX_WINDOW_POINTS = 2**24
 
 
 def _snr_range(raw: str) -> tuple[float, ...]:
@@ -185,10 +189,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CliValidationError(f"flag --config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"flag --config: invalid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CliValidationError(f"flag --config: {exc}") from exc
     if not isinstance(config, dict):
         raise CliValidationError(
             f"flag --config: expected a JSON object, got {type(config).__name__}"

@@ -31,18 +31,6 @@ def binom(n: int, k: int) -> int:
     return result
 
 
-def multi_binom(n: Sequence[int], m: Sequence[int]) -> int:
-    """Product of per-dimension binomial coefficients."""
-    if len(n) != len(m):
-        raise ValueError(f"length mismatch: {len(n)} vs {len(m)}")
-    result = 1
-    for nd, md in zip(n, m):
-        result *= binom(nd, md)
-        if result == 0:
-            return 0
-    return result
-
-
 def partial_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Componentwise partial order: a <= b in every dimension."""
     if len(a) != len(b):

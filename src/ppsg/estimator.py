@@ -44,7 +44,6 @@ from .basis import (
     BINOMIAL,
     MONOMIAL,
     CoefficientVector,
-    binomial_coefficients_of_field,
     binomial_field,
     binomial_to_monomial_matrix,
     monomial_field,
@@ -58,7 +57,7 @@ from .degrees import (
     downward_closure,
     validate_degree_set,  # noqa: F401  not called; benchmarks/spans.py rebinds it
 )
-from .signal import RealField, Signal, _conj_product, _difference, principal_arg, unit_project
+from .signal import Signal, _conj_product, _difference, principal_arg, unit_project
 from .signal import _TINY, _larger_part, _scale_parts
 from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .weights import WeightField, weight_axes
@@ -409,32 +408,3 @@ def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, 
 def estimate(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """:func:`estimate_batch` of one signal; the degree set picks the route."""
     return Estimate.from_batch(cfg.degree_set, *estimate_batch(y.data[None], cfg))
-
-
-def parameter_invariance_witness(
-    y: Signal, x_true: RealField, cfg: EstimatorConfig
-) -> np.ndarray:
-    """Integer witness of the estimator's parameter invariance.
-
-    For rotation-equivariant averaging, estimating the observation and the
-    derotated observation differs from the true coefficients by an exact
-    integer vector; the fractional parts are checked against 1e-6 before
-    rounding, so a violation surfaces as an error rather than a silent
-    rounding.
-    """
-    if not cfg.averaging.rotation_equivariant:
-        raise ValueError(f"{cfg.averaging.name} averaging is not rotation-equivariant")
-    if x_true.window != y.window:
-        raise ValueError(f"window mismatch: {x_true.window} vs {y.window}")
-    b_true = binomial_coefficients_of_field(x_true.data, cfg.degree_set)
-    derotated = Signal(y.window, y.data * np.exp(-2j * np.pi * x_true.data))
-    est = estimate(y, cfg)
-    est_derotated = estimate(derotated, cfg)
-    diff = est.binomial.values - b_true.values - est_derotated.binomial.values
-    rounded = np.rint(diff)
-    frac = np.abs(diff - rounded)
-    if np.any(frac > 1e-6):
-        raise RuntimeError(
-            f"invariance violated: fractional parts {frac.max():.3e} exceed 1e-6"
-        )
-    return rounded.astype(int)

@@ -20,12 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
 from .analysis import reconstruction_bound
-from .basis import BINOMIAL, CoefficientVector, phase_fields, wrap_to_cell
+from .basis import BINOMIAL, CoefficientVector, phase_fields
 from .degrees import DegreeSet, as_index, as_int, diff_window
 from .estimator import Estimate, EstimatorConfig, estimate_batch
 from .signal import _difference, principal_arg
@@ -384,19 +384,3 @@ def _aggregate(
         mse_given_nowrap=mse_nowrap,
         crb_bound=reconstruction_bound(cfg.degree_set, snr),
     )
-
-
-def empirical_covariance(
-    estimates: Sequence[Estimate], b_true: CoefficientVector
-) -> np.ndarray:
-    """Sample covariance of the cell-wrapped estimation errors.
-
-    Pairs with tr(KJ) for CRB-attainment checks.
-    """
-    if len(estimates) < 2:
-        raise ValueError(f"need at least 2 estimates, got {len(estimates)}")
-    diffs = np.vstack(
-        [wrap_to_cell(e.binomial.values - b_true.values) for e in estimates]
-    )
-    centered = diffs - diffs.mean(axis=0)
-    return (centered.T @ centered) / (len(estimates) - 1)

@@ -15,7 +15,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .basis import CoefficientVector, phase_field
-from .degrees import as_index, diff_window, validate_degree_set
+from .degrees import as_index, diff_window
+from .degrees import validate_degree_set  # noqa: F401  not called; benchmarks/spans.py rebinds it
 
 _MAGIC = b"PPSG"
 
@@ -78,9 +79,7 @@ def principal_arg(z: np.ndarray | complex, out: np.ndarray | None = None) -> np.
 def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:
     """Unit-modulus signal exp(j 2 pi x(n)) over [N] from phase coefficients."""
     N = as_index(N)
-    report = validate_degree_set(coeffs.degree_set, N)
-    if not report.window_ok:
-        raise ValueError(f"window {N} too small for degrees {coeffs.degree_set.degrees}")
+    diff_window(N, coeffs.degree_set.max_degree)
     return Signal(N, np.exp(2j * np.pi * phase_field(coeffs, N)))
 
 
@@ -120,28 +119,11 @@ def _difference(data: np.ndarray, k: Sequence[int], tau: Sequence[int], step) ->
     return data
 
 
-def _fresh_difference(data: np.ndarray, k: tuple[int, ...], tau, step) -> np.ndarray:
-    """:func:`_difference` of one field, always into a new array."""
-    out = _difference(data[None], k, tau, step)[0]
-    return out if any(k) else out.copy()
-
-
 def _conj_product(later: np.ndarray, earlier: np.ndarray, out=None) -> np.ndarray:
     """``later * conj(earlier)``, into ``out`` if given, in that operand order
     at every size: numpy's own reuse of a large temporary would swap them."""
     out = np.conjugate(earlier, out=out)
     return np.multiply(later, out, out=out)
-
-
-def phase_diff(s: Signal, d: int, lag: int = 1) -> Signal:
-    """Lagged phase difference along dimension d: s(n + lag e_d) conj(s(n)).
-
-    Output window shrinks by ``lag`` along d.  Lag 1 is the plain phase
-    difference operator.
-    """
-    if not 0 <= d < s.dim:
-        raise ValueError(f"dimension {d} out of range for {s.dim}-d signal")
-    return phase_diff_multi(s, tuple(int(i == d) for i in range(s.dim)), lag)
 
 
 def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) -> Signal:
@@ -152,7 +134,8 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     """
     k = as_index(k)
     window, tau = diff_window(s.window, k, lag)
-    return Signal(window, _fresh_difference(s.data, k, tau, _conj_product))
+    out = _difference(s.data[None], k, tau, _conj_product)[0]
+    return Signal(window, out if any(k) else out.copy())
 
 
 # Moduli in [_TINY, _HUGE] divide as they are: the modulus and its
@@ -195,28 +178,6 @@ def _scale_parts(z: np.ndarray, peak: np.ndarray | float) -> np.ndarray:
     np.ldexp(z.real, e, out=out.real)
     np.ldexp(z.imag, e, out=out.imag)
     return out
-
-
-def project_unit_circle(s: Signal) -> Signal:
-    """:func:`unit_project` applied to a signal."""
-    return Signal(s.window, unit_project(s.data))
-
-
-def arg_field(s: Signal) -> RealField:
-    """Componentwise argument in [-pi, pi), arg(0) = 0."""
-    return RealField(s.window, principal_arg(s.data))
-
-
-def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
-    """Forward difference along each dimension, k_d times on dim d.
-
-    Equivalent to the alternating binomial-weighted stencil but computed as
-    repeated first differences, keeping the cost at O(|k|) passes over the
-    array.
-    """
-    k = as_index(k)
-    window, tau = diff_window(x.window, k)
-    return RealField(window, _fresh_difference(x.data, k, tau, np.subtract))
 
 
 # -- File formats ---------------------------------------------------------------

@@ -76,25 +76,20 @@ def _log_binom(n: np.ndarray, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
-    """Cached read-only :func:`weight_1d`; callers check the window first."""
+    """Closed-form weights over [N - tau*k], normalized to sum 1, cached and
+    read-only; callers check the window first.
+
+    u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
+    with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
+    """
     out = _weight_1d_exact(k, tau, N) if N <= _EXACT_LIMIT else _weight_1d_log(k, tau, N)
     out.setflags(write=False)
     return out
 
 
-def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
-    """Closed-form weights over [N - tau*k], normalized to sum 1.
-
-    u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
-    with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
-    """
-    k, tau, N = as_index((k, tau, N))
-    diff_window((N,), (k,), tau)
-    return np.array(_weight_axis(k, tau, N))
-
-
 def weight_axes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:
-    """The cached read-only :func:`weight_1d` of each dimension, unchecked."""
+    """The cached read-only :func:`_weight_axis` of each dimension, unchecked:
+    weights proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k)."""
     return [_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)]
 
 

@@ -4,16 +4,19 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ppsg.analysis import outlier_predicate
-from ppsg.basis import BINOMIAL, CoefficientVector, phase_field
-from ppsg.degrees import as_index, binom, diff_window, multi_binom
+from ppsg.analysis import FisherMatrix, fisher_matrix, outlier_predicate
+from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field
+from ppsg.degrees import DegreeSet, as_index, binom, diff_window
 from ppsg.estimator import (
     TWO_PI,
+    EstimatorConfig,
     _average,
     _project,
     _require_estimable,
@@ -35,11 +38,11 @@ from ppsg.signal import (
     _conj_product,
     _difference,
     complex_noise,
-    finite_difference,
+    phase_diff_multi,
     principal_arg,
     synthesize,
 )
-from ppsg.weights import WeightField, weight_axes
+from ppsg.weights import WeightField, _weight_axis, weight_axes
 
 
 def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
@@ -113,6 +116,215 @@ def weight_via_inversion(
     return WeightField(window, (solved / solved.sum()).reshape(window))
 
 
+def multi_binom(n: Sequence[int], m: Sequence[int]) -> int:
+    """Product of per-dimension binomial coefficients."""
+    if len(n) != len(m):
+        raise ValueError(f"length mismatch: {len(n)} vs {len(m)}")
+    result = 1
+    for nd, md in zip(n, m):
+        result *= binom(nd, md)
+        if result == 0:
+            return 0
+    return result
+
+
+def phase_diff(s: Signal, d: int, lag: int = 1) -> Signal:
+    """Lagged phase difference along dimension d: s(n + lag e_d) conj(s(n)).
+
+    Output window shrinks by ``lag`` along d.  Lag 1 is the plain phase
+    difference operator.
+    """
+    if not 0 <= d < s.dim:
+        raise ValueError(f"dimension {d} out of range for {s.dim}-d signal")
+    return phase_diff_multi(s, tuple(int(i == d) for i in range(s.dim)), lag)
+
+
+def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
+    """Forward difference along each dimension, k_d times on dim d.
+
+    Equivalent to the alternating binomial-weighted stencil but computed as
+    repeated first differences, keeping the cost at O(|k|) passes over the
+    array.
+    """
+    k = as_index(k)
+    window, tau = diff_window(x.window, k)
+    out = _difference(x.data[None], k, tau, np.subtract)[0]
+    return RealField(window, out if any(k) else out.copy())
+
+
+def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
+    """Closed-form weights over [N - tau*k], normalized to sum 1.
+
+    u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
+    with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
+    """
+    k, tau, N = as_index((k, tau, N))
+    diff_window((N,), (k,), tau)
+    return np.array(_weight_axis(k, tau, N))
+
+
+def binomial_transform(x: np.ndarray, k: Sequence[int]) -> float:
+    """Recover the binomial coefficient b_k of a polynomial field exactly.
+
+    For a field x sampled over a window [N] with N >= k+1 that is polynomial
+    with degrees in some valid degree set, returns
+    sum_l (-1)^{|k+l|} C(k, l) x(l); the alternating weights vanish outside
+    the box [k+1], so only that corner of the window is read.
+    """
+    x = np.asarray(x, dtype=float)
+    k = as_index(k)
+    diff_window(x.shape, k)
+    corner = x[tuple(slice(0, kd + 1) for kd in k)]
+    total = 0.0
+    for ell in np.ndindex(*corner.shape):
+        sign = -1 if (sum(k) + sum(ell)) % 2 else 1
+        total += sign * multi_binom(k, ell) * corner[ell]
+    return float(total)
+
+
+def binomial_coefficients_of_field(x: np.ndarray, M: DegreeSet) -> CoefficientVector:
+    """Apply the inversion formula at every degree of M."""
+    values = np.array([binomial_transform(x, m) for m in M.degrees])
+    return CoefficientVector(values, BINOMIAL, M)
+
+
+@dataclass(frozen=True)
+class DecompositionPair:
+    """Inner-product matrix S and orthogonal-polynomial sample matrix Q.
+
+    S[k, m] = <C(n, m), q_k> over the window, Q[k, :] = q_k flattened; they
+    satisfy J = 8 pi^2 SNR S^T (Q Q^T)^{-1} S.
+    """
+
+    S: np.ndarray
+    Q: np.ndarray
+    degree_set: DegreeSet
+
+
+@lru_cache(maxsize=None)
+def _ortho_axis_int(k: int, N: int) -> tuple[int, ...]:
+    """1-D orthogonal polynomial samples q_k(n), n in [N], exact integers.
+
+    Uses the expanded triple-binomial form; the equivalent definition as the
+    k-th difference of C(n, k) C(n-N, k) is kept as a test oracle because
+    repeated differencing of large products is not integer-safe in floats.
+    """
+    if not 0 <= k < N:
+        raise ValueError(f"require 0 <= k < N, got k={k}, N={N}")
+    samples = []
+    for n in range(N):
+        total = 0
+        for ell in range(max(0, n - k), min(N - k - 1, n) + 1):
+            sign = -1 if (k + n + ell) % 2 else 1
+            total += (
+                sign
+                * binom(ell + k, k)
+                * binom(N - ell - 1, k)
+                * binom(k, n - ell)
+            )
+        samples.append(total)
+    return tuple(samples)
+
+
+def orthogonal_poly_field(k: Sequence[int], N: Sequence[int]) -> np.ndarray:
+    """q_k sampled over the full window [N]."""
+    k, N = as_index(k), as_index(N)
+    return tensor_field(
+        [np.array(_ortho_axis_int(kd, Nd), dtype=float) for kd, Nd in zip(k, N)]
+    )
+
+
+def _inner_product_axis(m: int, k: int, N: int) -> int:
+    """<C(n, m), q_k> in one dimension, exact integers.
+
+    Closed form sum_{n in [N-k]} C(n, m-k) C(n+k, k) C(N-n-1, k); vanishes
+    whenever m < k.
+    """
+    total = 0
+    for n in range(N - k):
+        c = binom(n, m - k)
+        if c:
+            total += c * binom(n + k, k) * binom(N - n - 1, k)
+    return total
+
+
+def decomposition(M: DegreeSet, N: Sequence[int]) -> DecompositionPair:
+    """Build S and Q for the Fisher decomposition over a downward-closed set."""
+    N = as_index(N)
+    diff_window(N, M.max_degree)
+    if not M.is_downward_closed():
+        raise ValueError(
+            "decomposition requires a downward-closed degree set; the lower "
+            "degrees carry nonzero inner products that S must capture"
+        )
+    size = len(M)
+    S = np.zeros((size, size))
+    for i, k in enumerate(M.degrees):
+        for j, m in enumerate(M.degrees):
+            entry = 1
+            for kd, md, Nd in zip(k, m, N):
+                entry *= _inner_product_axis(md, kd, Nd)
+                if entry == 0:
+                    break
+            S[i, j] = float(entry)
+    Q = np.vstack([orthogonal_poly_field(k, N).ravel() for k in M.degrees])
+    pair = DecompositionPair(S, Q, M)
+    J = fisher_matrix(M, N, 1.0).matrix
+    recon = 8 * np.pi**2 * (S.T @ np.linalg.solve(Q @ Q.T, S))
+    if not np.linalg.norm(recon - J) <= 1e-8 * np.linalg.norm(J):
+        raise RuntimeError("Fisher decomposition identity violated")
+    return pair
+
+
+def tr_kj(K: np.ndarray, J: FisherMatrix) -> float:
+    """Trace of K J: the scalar efficiency measure.
+
+    Equals |M| exactly when K attains the CRB; equals 2 SNR times the
+    high-SNR reconstruction MSE for an unbiased estimator with covariance K.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.shape != J.matrix.shape:
+        raise ValueError(f"shape mismatch: {K.shape} vs {J.matrix.shape}")
+    return float(np.trace(K @ J.matrix))
+
+
+def naive_penalty(M_degree: int) -> float:
+    """Asymptotic reconstruction-MSE factor lost by zeroing the nuisance
+    coefficients of a single monomial of degree M: C(2M, M)^2."""
+    if M_degree < 0:
+        raise ValueError(f"degree must be >= 0, got {M_degree}")
+    return float(binom(2 * M_degree, M_degree) ** 2)
+
+
+def parameter_invariance_witness(
+    y: Signal, x_true: RealField, cfg: EstimatorConfig
+) -> np.ndarray:
+    """Integer witness of the estimator's parameter invariance.
+
+    For rotation-equivariant averaging, estimating the observation and the
+    derotated observation differs from the true coefficients by an exact
+    integer vector; the fractional parts are checked against 1e-6 before
+    rounding, so a violation surfaces as an error rather than a silent
+    rounding.
+    """
+    if not cfg.averaging.rotation_equivariant:
+        raise ValueError(f"{cfg.averaging.name} averaging is not rotation-equivariant")
+    if x_true.window != y.window:
+        raise ValueError(f"window mismatch: {x_true.window} vs {y.window}")
+    b_true = binomial_coefficients_of_field(x_true.data, cfg.degree_set)
+    derotated = Signal(y.window, y.data * np.exp(-2j * np.pi * x_true.data))
+    est = estimate(y, cfg)
+    est_derotated = estimate(derotated, cfg)
+    diff = est.binomial.values - b_true.values - est_derotated.binomial.values
+    rounded = np.rint(diff)
+    frac = np.abs(diff - rounded)
+    if np.any(frac > 1e-6):
+        raise RuntimeError(
+            f"invariance violated: fractional parts {frac.max():.3e} exceed 1e-6"
+        )
+    return rounded.astype(int)
+
+
 def reference_trial(cfg: ExperimentConfig, snr: float, trial_index: int, snr_index: int = 0):
     """One Monte-Carlo trial through the single-signal functions, one step at a
     time: the per-trial pipeline that batched sweeps must reproduce."""
@@ -179,9 +391,11 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports ppsg from this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    """Run ``code`` in a fresh interpreter that imports ppsg from this checkout
+    and this module as ``oracles``."""
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    path = os.pathsep.join(filter(None, [src, str(tests), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": path},

@@ -13,13 +13,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ppsg.analysis import fisher_matrix, naive_penalty, tr_kj
+from ppsg.analysis import fisher_matrix
 from ppsg.basis import (
     BINOMIAL,
     CoefficientVector,
     binomial_field,
     binomial_to_monomial_matrix,
-    binomial_transform,
     compute_new_coordinate,
     phase_field,
     phase_fields,
@@ -32,14 +31,21 @@ from ppsg.estimator import (
     estimate,
     estimate_batch,
     estimate_coefficients_direct,
-    parameter_invariance_witness,
 )
 from ppsg.harness import ExperimentConfig, _run_chunk, run_sweep, run_trial, snr_db_to_linear
-from ppsg.analysis import orthogonal_poly_field
 from ppsg.signal import RealField, Signal, synthesize
 from ppsg.weights import weight_multi
 
-from oracles import covariance_matrix, run_python, weight_via_inversion
+from oracles import (
+    binomial_transform,
+    covariance_matrix,
+    naive_penalty,
+    orthogonal_poly_field,
+    parameter_invariance_witness,
+    run_python,
+    tr_kj,
+    weight_via_inversion,
+)
 
 M01 = build_total_order([(0,), (1,)])
 M3 = build_total_order([(3,)])

@@ -1,26 +1,40 @@
 import itertools
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from ppsg.analysis import (
-    crb,
-    decomposition,
-    fisher_matrix,
-    naive_penalty,
-    orthogonal_poly,
-    orthogonal_poly_field,
-    outlier_predicate,
-    reconstruction_bound,
-    tr_kj,
-)
+from ppsg.analysis import crb, fisher_matrix, outlier_predicate, reconstruction_bound
 from ppsg.basis import binomial_field
-from ppsg.degrees import binom, build_total_order, downward_closure
+from ppsg.degrees import as_index, binom, build_total_order, downward_closure
 from ppsg.estimator import EstimatorConfig
 from ppsg.harness import ExperimentConfig, run_sweep
-from ppsg.signal import RealField, finite_difference
+from ppsg.signal import RealField
 
-from oracles import run_python
+from oracles import (
+    _ortho_axis_int,
+    decomposition,
+    finite_difference,
+    naive_penalty,
+    orthogonal_poly_field,
+    run_python,
+    tr_kj,
+)
+
+
+def orthogonal_poly(k: Sequence[int], N: Sequence[int], n: Sequence[int]) -> int:
+    """q_k(n): product over dimensions of the 1-D orthogonal polynomials."""
+    k, N, n = as_index(k), as_index(N), as_index(n)
+    if not (len(k) == len(N) == len(n)):
+        raise ValueError("k, N, n must have equal lengths")
+    result = 1
+    for kd, Nd, nd in zip(k, N, n):
+        axis = _ortho_axis_int(kd, Nd)
+        if not 0 <= nd < Nd:
+            raise ValueError(f"sample index {nd} outside window [{Nd}]")
+        result *= axis[nd]
+    return result
+
 
 M0 = build_total_order([(0,)])
 M01 = build_total_order([(0,), (1,)])
@@ -176,7 +190,7 @@ def test_decomposition_identity_check_survives_optimize():
     # python -O strips asserts; the identity check must still raise there.
     code = """
 import dataclasses
-from ppsg import analysis
+import oracles as analysis
 from ppsg.degrees import build_total_order
 
 exact = analysis.fisher_matrix

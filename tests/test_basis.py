@@ -1,3 +1,6 @@
+import math
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -8,16 +11,40 @@ from ppsg.basis import (
     CoefficientVector,
     binomial_field,
     binomial_to_monomial_matrix,
-    binomial_transform,
     compute_lattice_point,
     compute_new_coordinate,
-    eval_binomial,
-    eval_monomial,
     monomial_field,
     phase_field,
     wrap_to_cell,
 )
-from ppsg.degrees import build_total_order
+from ppsg.degrees import as_index, build_total_order
+
+from oracles import binomial_transform, multi_binom
+
+
+def eval_binomial(b: CoefficientVector, n: Sequence[int]) -> float:
+    """Evaluate sum_m b_m C(n, m) at a single multi-index."""
+    if b.basis != BINOMIAL:
+        raise ValueError(f"expected binomial basis, got {b.basis!r}")
+    n = as_index(n)
+    return float(
+        sum(bm * multi_binom(n, m) for bm, m in zip(b.values, b.degree_set))
+    )
+
+
+def eval_monomial(a: CoefficientVector, n: Sequence[int]) -> float:
+    """Evaluate sum_m a_m n^m / m! at a single multi-index."""
+    if a.basis != MONOMIAL:
+        raise ValueError(f"expected monomial basis, got {a.basis!r}")
+    n = as_index(n)
+    total = 0.0
+    for am, m in zip(a.values, a.degree_set):
+        term = 1.0
+        for nd, md in zip(n, m):
+            term *= nd**md / math.factorial(md)
+        total += am * term
+    return float(total)
+
 
 FIG3_T = np.array([[1.0, 0.7], [0.0, 1.0]])
 

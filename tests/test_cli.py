@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ppsg
+from ppsg import cli
 from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.cli import main
 from ppsg.degrees import build_total_order
@@ -229,6 +230,8 @@ def test_seed_env_override(tmp_path, monkeypatch):
 _CRB = ["crb", "--snr-db-range", "0:10:5"]
 _CRB_RANGE = ["crb", "--degrees", "[[0]]", "--window", "[8]", "--snr-db-range"]
 
+_HUGE_WINDOW = json.dumps([10**15])
+
 _SIM_CONFIG = {
     "degrees": [[0], [1]],
     "window": [16],
@@ -296,6 +299,9 @@ _SIM_CONFIG = {
         (_CRB_RANGE + ["0:3100:3100"], None, "--snr-db-range"),
         (_CRB_RANGE + ["0:1e12:1e-3"], None, "--snr-db-range"),
         (_CRB_RANGE[:-1] + ["--snr-db-range=-1e308:1e308:1"], None, "--snr-db-range"),
+        (["weights", "--degree", "[1]", "--window", _HUGE_WINDOW], None, "--window"),
+        (_CRB + ["--degrees", "[[0],[1]]", "--window", _HUGE_WINDOW], None, "--window"),
+        (["simulate"], {"window": [10**15]}, "window"),
     ],
     ids=[
         "scalar-lags",
@@ -341,6 +347,9 @@ _SIM_CONFIG = {
         "crb-overflow-after-first-row",
         "crb-too-many-points",
         "crb-point-count-overflows",
+        "weights-oversized-window",
+        "crb-oversized-window",
+        "oversized-window",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):
@@ -467,5 +476,43 @@ def test_removed_surface_is_rejected(capsys, args):
         "estimate_coefficients",
         "estimate_coefficients_multilag",
         "estimate_coefficients_general",
+        "phase_diff",
+        "finite_difference",
+        "arg_field",
+        "project_unit_circle",
+        "weight_1d",
+        "eval_binomial",
+        "eval_monomial",
+        "binomial_transform",
+        "multi_binom",
+        "orthogonal_poly",
+        "decomposition",
+        "DecompositionPair",
+        "tr_kj",
+        "naive_penalty",
+        "parameter_invariance_witness",
+        "empirical_covariance",
     }
     assert removed.isdisjoint(ppsg.__all__)
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_simulate_unreadable_config_exits_1(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "--config" in captured.err
+    assert "internal error" not in captured.err
+    assert not out.exists()
+
+
+def test_window_limit_admits_its_bound():
+    assert cli._window([2**24]) == (2**24,)
+    assert cli._window([2**12, 2**12]) == (2**12, 2**12)
+    with pytest.raises(ValueError, match="more than"):
+        cli._window([2**24 + 1])

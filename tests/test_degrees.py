@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsg.basis import binomial_field, binomial_transform
+from ppsg.basis import binomial_field
 from ppsg.degrees import (
     DegreeSet,
     as_index,
@@ -14,14 +14,15 @@ from ppsg.degrees import (
     build_total_order,
     diff_window,
     downward_closure,
-    multi_binom,
     partial_leq,
     validate_degree_set,
 )
 from ppsg.estimator import EstimatorConfig, estimate
 from ppsg.harness import ExperimentConfig
-from ppsg.signal import RealField, Signal, finite_difference, phase_diff, phase_diff_multi
-from ppsg.weights import weight_1d, weight_multi
+from ppsg.signal import RealField, Signal, phase_diff_multi
+from ppsg.weights import weight_multi
+
+from oracles import binomial_transform, finite_difference, multi_binom, phase_diff, weight_1d
 
 # Degree pattern of a 2-D set that is NOT downward closed: the full staircase
 # minus the interior point (2, 2), while (3, 2) stays in.

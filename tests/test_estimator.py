@@ -28,12 +28,11 @@ from ppsg.estimator import (
     estimate,
     estimate_batch,
     estimate_coefficients_direct,
-    parameter_invariance_witness,
 )
 from ppsg.signal import RealField, Signal, synthesize
 from ppsg.weights import WeightField, weight_multi
 
-from oracles import reference_sequential, run_python
+from oracles import parameter_invariance_witness, reference_sequential, run_python
 
 M01 = build_total_order([(0,), (1,)])
 M012 = build_total_order([(0,), (1,), (2,)])

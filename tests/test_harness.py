@@ -1,26 +1,43 @@
 import io
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from ppsg import harness
-from ppsg.analysis import fisher_matrix, tr_kj
-from ppsg.basis import BINOMIAL, CoefficientVector
+from ppsg.analysis import fisher_matrix
+from ppsg.basis import BINOMIAL, CoefficientVector, wrap_to_cell
 from ppsg.degrees import build_total_order
-from ppsg.estimator import AveragingKind, EstimatorConfig
+from ppsg.estimator import AveragingKind, Estimate, EstimatorConfig
 from ppsg.harness import (
     PARAMETER_MODES,
     ExperimentConfig,
-    empirical_covariance,
     run_sweep,
     run_trial,
     snr_db_to_linear,
 )
 from ppsg.signal import complex_noise
 
-from oracles import reference_sweep, reference_trial, run_python
+from oracles import reference_sweep, reference_trial, run_python, tr_kj
+
+
+def empirical_covariance(
+    estimates: Sequence[Estimate], b_true: CoefficientVector
+) -> np.ndarray:
+    """Sample covariance of the cell-wrapped estimation errors.
+
+    Pairs with tr(KJ) for CRB-attainment checks.
+    """
+    if len(estimates) < 2:
+        raise ValueError(f"need at least 2 estimates, got {len(estimates)}")
+    diffs = np.vstack(
+        [wrap_to_cell(e.binomial.values - b_true.values) for e in estimates]
+    )
+    centered = diffs - diffs.mean(axis=0)
+    return (centered.T @ centered) / (len(estimates) - 1)
+
 
 M01 = build_total_order([(0,), (1,)])
 M012 = build_total_order([(0,), (1,), (2,)])

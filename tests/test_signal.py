@@ -9,19 +9,26 @@ from ppsg.signal import (
     RealField,
     Signal,
     add_noise,
-    arg_field,
-    finite_difference,
-    phase_diff,
     phase_diff_multi,
     principal_arg,
-    project_unit_circle,
     read_signal,
     synthesize,
     unit_project,
     write_signal,
 )
 
-from oracles import finite_difference_stencil
+from oracles import finite_difference, finite_difference_stencil, phase_diff
+
+
+def project_unit_circle(s: Signal) -> Signal:
+    """:func:`unit_project` applied to a signal."""
+    return Signal(s.window, unit_project(s.data))
+
+
+def arg_field(s: Signal) -> RealField:
+    """Componentwise argument in [-pi, pi), arg(0) = 0."""
+    return RealField(s.window, principal_arg(s.data))
+
 
 M01 = build_total_order([(0,), (1,)])
 

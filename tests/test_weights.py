@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ppsg.weights import _weight_1d_exact, _weight_1d_log, weight_1d, weight_multi
+from ppsg.weights import _weight_1d_exact, _weight_1d_log, weight_multi
 
-from oracles import covariance_axis, covariance_matrix, weight_via_inversion
+from oracles import covariance_axis, covariance_matrix, weight_1d, weight_via_inversion
 
 
 def test_weight_uniform_for_degree_zero():
