@@ -64,7 +64,7 @@ def reconstruction_bound(M: DegreeSet, snr: float) -> float:
 
     Independent of the window size.
     """
-    if snr <= 0:
+    if not snr > 0:  # NaN fails too
         raise ValueError(f"snr must be positive, got {snr}")
     return len(M) / (2.0 * snr)
 

@@ -194,14 +194,11 @@ def validate_degree_set(M: DegreeSet, N: Sequence[int]) -> DegreeSetReport:
 
 def as_lag(lag: Sequence[int] | int, dim: int) -> tuple[int, ...]:
     """Per-dimension lag from an integer or a sequence; entries must be >= 1."""
-    if type(lag) is int:
-        tau = (lag,) * dim
-    else:
-        try:
-            iter(lag)
-        except TypeError:  # not a sequence: one integer applies to every dimension
-            lag = (lag,) * dim
-        tau = as_index(lag)
+    try:
+        iter(lag)
+    except TypeError:  # not a sequence: one integer applies to every dimension
+        lag = (lag,) * dim
+    tau = as_index(lag)
     if len(tau) != dim:
         raise ValueError(f"lag {tau} does not match dimensionality {dim}")
     if min(tau, default=1) < 1:

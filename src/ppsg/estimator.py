@@ -11,9 +11,12 @@ arguments.  The lag passes of a degree cancel the increments of the earlier
 lags by rotating the differenced field by one scalar per signal, since the
 m-th difference at lag tau of C(n, m) is the constant tau^m.  Each degree
 then cancels its summed term over the full window once, before the next
-degree.  It drops whole turns exactly before the trig (:func:`_rotation`),
-and runs the turns and trig only over the axes the degree touches.  Each call
-holds its full-window intermediates in one workspace of two buffers.
+degree.  Every rotation goes through :func:`_rotation`, which drops whole
+turns exactly before the trig; the cancellation runs the turns and trig only
+over the axes the degree touches.  A rotation is skipped by the loop's
+structure alone, never by the data: the first lag has nothing to cancel yet,
+and nothing reads the observations after the last degree.  Each call holds
+its full-window intermediates in one workspace of two buffers.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -158,6 +161,8 @@ class EstimatorConfig:
     lags: tuple[MultiIndex, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.averaging, AveragingKind):
+            raise ValueError(f"averaging must be an AveragingKind, got {self.averaging!r}")
         dim = self.degree_set.dim
         lags = tuple(as_lag(tau, dim) for tau in self.lags or ((1,) * dim,))
         if lags[0] != (1,) * dim:
@@ -222,9 +227,6 @@ def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
         raise ValueError("signal has non-finite samples")
     # The last lag is the largest in every dimension, so it bounds the window.
     diff_window(data.shape[1:], cfg.degree_set.max_degree, cfg.lags[-1])
-    # The binomial route sees only closed sets, so this refuses direct estimation.
-    if not cfg.degree_set.is_downward_closed():
-        raise ValueError("direct estimation needs a downward-closed degree set")
 
 
 def _project(kind: AveragingKind, data: np.ndarray) -> np.ndarray:
@@ -258,14 +260,15 @@ def _sequential(
     and adds the increments to the coefficient of m.  The m-th difference
     at lag tau of C(n, m) is the constant tau^m, so the increments ``acc``
     of the earlier lags are cancelled from the differenced field by the
-    per-signal scalar exp(-2j*pi*tau^m*acc).  After the last lag the degree
-    cancels ``acc * basis_field(m, N)`` from each signal over the full
-    window, once, in whole turns reduced away before the trig
-    (:func:`_rotation`); the last degree skips it, since nothing reads the
-    observations after it.  The field is constant along the axes where
-    m_d = 0, so its turns and trig run over the other axes only.  The
-    window rule is checked once, up front, so the stages difference the
-    projected batch directly.
+    per-signal scalar exp(-2j*pi*tau^m*acc); the first lag has none to
+    cancel.  After the last lag the degree cancels ``acc * basis_field(m, N)``
+    from each signal over the full window, once, in whole turns reduced away
+    before the trig (:func:`_rotation`); the last degree skips it, since
+    nothing reads the observations after it.  These two skips are the only
+    ones: a signal whose turn is 0 is rotated by 1 like any other.  The field
+    is constant along the axes where m_d = 0, so its turns and trig run over
+    the other axes only.  The window rule is checked once, up front, so the
+    stages difference the projected batch directly.
 
     The weights are built first, so a cold build's temporaries never share
     memory with the batch.  The call owns the projected batch, which the
@@ -281,22 +284,27 @@ def _sequential(
     work = (np.empty(data.size, complex), np.empty(data.size, complex))
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
+    lead = (-1,) + (1,) * len(N)
     for i, m in enumerate(reversed(M.degrees)):
         acc = np.zeros(len(data))
         # |m| products alternate work[0], work[1], ...; the last one's is home.
         home, spare = work if sum(m) % 2 else work[::-1]
-        for tau in cfg.lags:
+        for j, tau in enumerate(cfg.lags):
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
             diffed = _difference(data, m, tau, _alternating(work))
-            diffed = _rotate(diffed, acc, tau_pow, _view(home, diffed.shape))
+            if j:
+                rot = _rotation(acc.reshape(lead) * tau_pow)
+                diffed = np.multiply(diffed, rot, out=_view(home, diffed.shape))
             mean = _average(cfg.averaging, diffed, weights[m, tau], home, spare)
             delta = principal_arg(mean) / (TWO_PI * tau_pow)
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
-        if i < len(M) - 1 and (acc != 0.0).any():
+        if i < len(M) - 1:
             touched = basis_field(m, N)[tuple(slice(None if md else 1) for md in m)]
-            _rotate(data, acc, touched, data, work)
+            shape = (len(data), *touched.shape)
+            turn = np.multiply(acc.reshape(lead), touched, out=_view(work[0], shape, float))
+            data *= _rotation(turn, _view(work[1], shape))
     return values, diagnostics
 
 
@@ -304,33 +312,6 @@ def _alternating(work: tuple[np.ndarray, np.ndarray]):
     """A :func:`_difference` step whose products alternate between buffers."""
     buffers = itertools.cycle(work)
     return lambda later, earlier: _conj_product(later, earlier, _view(next(buffers), later.shape))
-
-
-def _rotate(
-    data: np.ndarray, turn: np.ndarray, field: np.ndarray | int, out: np.ndarray, work=(None, None)
-) -> np.ndarray:
-    """Each signal t of a batch times exp(-2j*pi*turn[t]*field), into ``out``.
-
-    ``field`` is a constant or a basis field that broadcasts against the
-    window.  ``out`` may be ``data``.  The turns go into ``work[0]`` and the
-    rotation into ``work[1]``, flat buffers, or fresh arrays for ``None``.
-    A signal whose turn is 0 keeps its samples bit for bit; if none moves,
-    ``data`` is returned untouched.
-    """
-    moved = turn != 0.0
-    if not moved.any():
-        return data
-    turn = turn[moved].reshape((-1,) + (1,) * (data.ndim - 1))
-    shape = np.broadcast_shapes(turn.shape, np.shape(field))
-    turn = np.multiply(turn, field, out=_view(work[0], shape, float))
-    rot = _rotation(turn, _view(work[1], shape))
-    if moved.all():
-        return np.multiply(data, rot, out=out)
-    if not np.may_share_memory(out, data):
-        np.copyto(out, data)
-    for t, r in zip(np.flatnonzero(moved), rot):
-        out[t] *= r
-    return out
 
 
 def _rotation(turn: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
@@ -383,6 +364,8 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
 
     if not cfg.single_unit_lag:
         raise ValueError("direct estimation supports only the unit lag")
+    if not cfg.degree_set.is_downward_closed():
+        raise ValueError("direct estimation needs a downward-closed degree set")
     values, diagnostics = _sequential(y.data[None], cfg, monomial_field)
     M = cfg.degree_set
     T = binomial_to_monomial_matrix(M)

@@ -268,7 +268,7 @@ def _draw_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range
     whole chunk with the elementwise operations of ``complex_noise``, so
     every number is bit for bit the per-trial one.
     """
-    if snr <= 0:
+    if not snr > 0:  # NaN fails too
         raise ValueError(f"snr must be positive, got {snr}")
     truths = np.empty((len(trials), len(cfg.degree_set)))
     gauss = np.empty((len(trials), 2, *cfg.window))

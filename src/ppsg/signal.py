@@ -42,10 +42,6 @@ class _Field:
     def dim(self) -> int:
         return len(self.window)
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.window))
-
 
 @dataclass(frozen=True)
 class Signal(_Field):
@@ -92,7 +88,7 @@ def complex_noise(
     parts are drawn before the imaginary parts, so results are reproducible
     given the generator state.
     """
-    if snr <= 0:
+    if not snr > 0:  # NaN fails too
         raise ValueError(f"snr must be positive, got {snr}")
     scale = np.sqrt(0.5 / snr)
     return scale * (rng.standard_normal(window) + 1j * rng.standard_normal(window))

@@ -138,6 +138,12 @@ def test_config_rejects_bad_lag_schedules():
         EstimatorConfig(M01, lags=((1, 1),))  # wrong dimension
 
 
+@pytest.mark.parametrize("bad", ["circular", "bogus", None, 3])
+def test_config_rejects_averaging_that_is_not_a_kind(bad):
+    with pytest.raises(ValueError, match="averaging"):
+        EstimatorConfig(M01, bad)
+
+
 # -- Plain sequential estimator --------------------------------------------------
 
 
@@ -374,9 +380,20 @@ def test_kernel_matches_per_stage_reference(M, N, lags, kind, snr_db):
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_kernel_is_per_stage_reference_with_unit_lag(kind):
     # With one lag each degree's increments are its stage's increments, so
-    # the unit-lag path is the reference bit for bit.
-    for M, N in ((M012, (512,)), (M2D_TOTAL2, (40, 36))):
-        data = _noisy_batch(M, N, 10.0, 8)
+    # the unit-lag path is the reference bit for bit.  The reference skips
+    # the rotation of a signal whose increment is 0; the kernel rotates it
+    # by 1, which the noise-free rows with zero increments exercise.
+    noisy = ((M012, (512,)), (M2D_TOTAL2, (40, 36)))
+    batches = [(M, _noisy_batch(M, N, 10.0, 8)) for M, N in noisy]
+    for M, N in ((M012, (64,)), (M2D_TOTAL2, (16, 12))):
+        middle = np.full(len(M), 0.125)
+        middle[len(M) // 2] = 0.0
+        half = np.zeros(len(M))
+        half[0] = -0.5
+        clean = [synthesize(_cv(b, M), N).data for b in (middle, np.zeros(len(M)), half)]
+        flat = [np.full(N, complex(-0.0, -0.0)), np.ones(N, dtype=complex)]
+        batches.append((M, np.stack(clean + flat + [_noisy_batch(M, N, 10.0, 9, rows=1)[0]])))
+    for M, data in batches:
         cfg = EstimatorConfig(M, kind)
         values, diagnostics = estimator_module._sequential(data, cfg, binomial_field)
         ref_values, ref_diagnostics = reference_sequential(data, cfg, binomial_field)

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from ppsg import harness
-from ppsg.analysis import fisher_matrix
+from ppsg.analysis import fisher_matrix, reconstruction_bound
 from ppsg.basis import BINOMIAL, CoefficientVector, wrap_to_cell
 from ppsg.degrees import build_total_order
 from ppsg.estimator import AveragingKind, Estimate, EstimatorConfig
@@ -18,7 +18,7 @@ from ppsg.harness import (
     run_trial,
     snr_db_to_linear,
 )
-from ppsg.signal import complex_noise
+from ppsg.signal import Signal, add_noise, complex_noise
 
 from oracles import reference_sweep, reference_trial, run_python, tr_kj
 
@@ -98,6 +98,15 @@ def test_config_validation():
 def test_config_rejects_non_finite_numbers(overrides, field):
     with pytest.raises(ValueError, match=field):
         _config(**overrides)
+
+
+def test_nan_snr_is_rejected():
+    with pytest.raises(ValueError, match="snr must be positive"):
+        add_noise(Signal((8,), np.ones(8, dtype=complex)), math.nan, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="snr must be positive"):
+        reconstruction_bound(M01, math.nan)
+    with pytest.raises(ValueError, match="snr must be positive"):
+        run_trial(_config(), math.nan, 0)
 
 
 def test_config_rejects_what_the_first_trial_would():
