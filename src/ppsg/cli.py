@@ -132,8 +132,6 @@ def _version_string() -> str:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     degree_set = _flag("--degrees", args.degrees, DegreeSet.from_json)
-    if args.averaging not in _AVERAGING_NAMES:
-        raise CliValidationError(f"flag --averaging: unknown kind {args.averaging!r}")
     lags = () if args.lags is None else _flag("--lags", args.lags, _lags)
     try:
         with open(args.input, "rb") as fh:
@@ -296,9 +294,7 @@ def build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="estimate coefficients from a signal file")
     p_est.add_argument("--input", required=True, help="signal file (PPSG binary)")
     p_est.add_argument("--degrees", required=True, help="JSON array of degree arrays")
-    p_est.add_argument(
-        "--averaging", default="circular", help="one of linear|kay|lw|circular"
-    )
+    p_est.add_argument("--averaging", default="circular", choices=tuple(_AVERAGING_NAMES))
     p_est.add_argument("--lags", default=None, help="JSON array of lag arrays")
     p_est.add_argument(
         "--basis", default="binomial", choices=("binomial", "monomial", "both")

@@ -61,7 +61,6 @@ from .degrees import (
     validate_degree_set,  # noqa: F401  not called; benchmarks/spans.py rebinds it
 )
 from .signal import Signal, _conj_product, _difference, principal_arg, unit_project
-from .signal import _TINY, _larger_part, _scale_parts
 from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .weights import WeightField, weight_axes
 from .weights import weight_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
@@ -75,35 +74,27 @@ Diagnostics = dict[tuple[MultiIndex, MultiIndex], np.ndarray]
 class AveragingKind(enum.Enum):
     """Averaging operators for the collapsed phase-difference field.
 
-    All except LINEAR commute with global phase rotations; LINEAR averages
-    raw arguments against a fixed branch cut and is kept as the classical
+    CIRCULAR commutes with global phase rotations; LINEAR averages raw
+    arguments against a fixed branch cut and is kept as the classical
     baseline.
     """
 
     LINEAR = "linear"
-    KAY_COMPLEX = "kay"
-    PROJECTED_LINEAR = "lw"
     CIRCULAR = "circular"
-
-    @property
-    def rotation_equivariant(self) -> bool:
-        return self is not AveragingKind.LINEAR
 
 
 def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
-    """Weighted average of a near-constant unit-modulus field.
+    """Weighted average of a near-constant field, projected to the unit circle.
 
-    LINEAR exponentiates the weighted mean argument; KAY_COMPLEX is the
-    plain weighted sum; PROJECTED_LINEAR projects samples to the unit circle
-    first; CIRCULAR recenters arguments around the unweighted circular mean
-    before averaging, then rotates back, which moves the branch cut away
-    from the data.  All but KAY_COMPLEX project the field once, up front.
+    LINEAR exponentiates the weighted mean argument; CIRCULAR recenters
+    arguments around the unweighted circular mean before averaging, then
+    rotates back, which moves the branch cut away from the data.
     """
+    if not isinstance(kind, AveragingKind):
+        raise ValueError(f"kind must be an AveragingKind, got {kind!r}")
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
-    flat = s.data.reshape(1, -1)
-    data = flat if kind is AveragingKind.KAY_COMPLEX else unit_project(flat)
-    return complex(_average(kind, data, [u.data.ravel()])[0])
+    return complex(_average(kind, unit_project(s.data.reshape(1, -1)), [u.data.ravel()])[0])
 
 
 def _average(
@@ -111,12 +102,11 @@ def _average(
 ) -> np.ndarray:
     """:func:`average` of each field of a batch, shape (B, *window) -> (B,).
 
-    ``data`` comes from :func:`_project`.  ``einsum``, not BLAS, whose threads
-    reorder sums, contracts ``w`` one axis at a time.  KAY_COMPLEX products of
-    2^|m| samples underflow only below ~2^(-1022/2^|m|) of the row's largest.
-    The CIRCULAR anchoring is written into the workspace buffer ``home``,
-    which may hold ``data`` itself, and the arguments into ``spare``; without
-    them both are fresh arrays and ``data`` is never written.
+    ``data`` holds unit samples.  ``einsum``, not BLAS, whose threads reorder
+    sums, contracts ``w`` one axis at a time.  The CIRCULAR anchoring is
+    written into the workspace buffer ``home``, which may hold ``data``
+    itself, and the arguments into ``spare``; without them both are fresh
+    arrays and ``data`` is never written.
     """
     if kind is AveragingKind.CIRCULAR:
         # The anchor and the final rotation are Python complex arithmetic
@@ -125,8 +115,7 @@ def _average(
         anchors = [r / abs(r) if r else 1.0 for r in resultants]
         lead = (-1,) + (1,) * (data.ndim - 1)
         data = np.multiply(data, np.conj(anchors).reshape(lead), out=_view(home, data.shape))
-    args = kind in (AveragingKind.LINEAR, AveragingKind.CIRCULAR)
-    f = principal_arg(data, out=_view(spare, data.shape, float)) if args else data
+    f = principal_arg(data, out=_view(spare, data.shape, float))
     for wd in reversed(w):
         if f.shape[-1] > np.getbufsize():
             # einsum sums an axis longer than its buffer in pieces, split one
@@ -134,8 +123,8 @@ def _average(
             f = np.stack([np.einsum("...n,n->...", row, wd) for row in f])
         else:
             f = np.einsum("...n,n->...", f, wd)
-    if kind is not AveragingKind.CIRCULAR:
-        return np.exp(1j * f) if kind is AveragingKind.LINEAR else f
+    if kind is AveragingKind.LINEAR:
+        return np.exp(1j * f)
     turns = np.exp(1j * f).tolist()
     return np.array([a * t if r else 0j for r, a, t in zip(resultants, anchors, turns)])
 
@@ -229,24 +218,6 @@ def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
     diff_window(data.shape[1:], cfg.degree_set.max_degree, cfg.lags[-1])
 
 
-def _project(kind: AveragingKind, data: np.ndarray) -> np.ndarray:
-    """Unit samples, or for KAY_COMPLEX rows scaled by exact powers of two.
-
-    A KAY_COMPLEX row's largest modulus lands in [1/2, 1).  A row whose
-    modulus overflows, or whose largest is subnormal, has its largest part
-    scaled there instead.  The result is always a new array.
-    """
-    if kind is not AveragingKind.KAY_COMPLEX:
-        return unit_project(data)
-    peak = np.abs(data).max(axis=tuple(range(1, data.ndim)))
-    odd = np.isinf(peak) | (peak > 0) & (peak < _TINY)
-    _, e = np.frexp(np.where(odd, 1.0, peak))
-    out = data * np.ldexp(1.0, -e).reshape((-1,) + (1,) * (data.ndim - 1))
-    for t in np.flatnonzero(odd):
-        out[t] = _scale_parts(data[t], _larger_part(data[t]).max())
-    return out
-
-
 def _sequential(
     data: np.ndarray,
     cfg: EstimatorConfig,
@@ -280,7 +251,7 @@ def _sequential(
     M = cfg.degree_set
     N = data.shape[1:]
     weights = {(m, tau): weight_axes(m, tau, N) for m in M.degrees for tau in cfg.lags}
-    data = _project(cfg.averaging, data)
+    data = unit_project(data)
     work = (np.empty(data.size, complex), np.empty(data.size, complex))
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
@@ -355,10 +326,10 @@ def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagno
 def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
     """Monomial-basis variant: the shared loop cancels n^m / m! instead.
 
-    With a rotation-equivariant averaging kind the reconstruction matches
-    the two-stage path (binomial estimation followed by the lattice basis
-    change) exactly.  The returned binomial vector is the monomial output
-    mapped back through the change of basis and wrapped to the cell.
+    With CIRCULAR averaging the reconstruction matches the two-stage path
+    (binomial estimation followed by the lattice basis change) exactly.  The
+    returned binomial vector is the monomial output mapped back through the
+    change of basis and wrapped to the cell.
     """
     from scipy.linalg import solve_triangular
 

@@ -151,28 +151,15 @@ def unit_project(data: np.ndarray) -> np.ndarray:
         out = data / mag
     odd = ~((mag >= _TINY) & (mag <= _HUGE))  # zero, NaN and extreme samples
     if odd.any():
+        # Part by part with ldexp, exact even where the power of two is no
+        # float (a subnormal larger part).
         z = data[odd]
-        larger = _larger_part(z)
-        z = _scale_parts(z, larger)
+        larger = np.maximum(np.abs(z.real), np.abs(z.imag))
+        e = -np.frexp(larger)[1]
+        np.ldexp(z.real, e, out=z.real)
+        np.ldexp(z.imag, e, out=z.imag)
         with np.errstate(invalid="ignore"):
             out[odd] = np.where(larger > 0, z / np.abs(z), 0)  # 0/0 and NaN samples
-    return out
-
-
-def _larger_part(z: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(z.real), np.abs(z.imag))
-
-
-def _scale_parts(z: np.ndarray, peak: np.ndarray | float) -> np.ndarray:
-    """``z`` times the power of two that brings ``peak`` into [1/2, 1).
-
-    It scales part by part with ``ldexp``, so it is exact even where that
-    power of two is no float (a subnormal ``peak``).
-    """
-    e = -np.frexp(peak)[1]
-    out = np.empty_like(z)
-    np.ldexp(z.real, e, out=out.real)
-    np.ldexp(z.imag, e, out=out.imag)
     return out
 
 

@@ -1,0 +1,129 @@
+"""Digest the fixed-seed outputs of the ``ppsg`` CLI.
+
+Runs ``simulate``, ``crb``, ``weights`` and ``estimate`` through
+``ppsg.cli.main`` with fixed seeds on small windows, in a temporary
+directory, and prints the sha256 of each output file, sorted by name.  The
+sidecar's ``version`` field names the checkout, so it is left out.  Two trees
+that print the same lines write byte-identical outputs.
+
+    PYTHONPATH=src python tests/cli_digest.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ppsg.basis import BINOMIAL, CoefficientVector
+from ppsg.cli import main
+from ppsg.degrees import build_total_order
+from ppsg.signal import add_noise, synthesize, write_signal
+
+_KINDS = ("linear", "circular")
+
+_SIMULATE = {
+    "simulate-1d-circular": {
+        "degrees": [[0], [1], [2]],
+        "window": [32],
+        "snr_db_grid": [0.0, 10.0],
+        "trials": 20,
+        "parameter_mode": "uniform_cell",
+        "averaging": "circular",
+        "master_seed": 3,
+    },
+    "simulate-2d-linear-lags": {
+        "degrees": [[0, 0], [0, 1], [1, 0]],
+        "window": [10, 9],
+        "snr_db_grid": [5.0],
+        "trials": 10,
+        "parameter_mode": "uniform_cell",
+        "averaging": "linear",
+        "lags": [[1, 1], [2, 2]],
+        "master_seed": 4,
+    },
+    "simulate-fixed-non-closed": {
+        "degrees": [[0], [2]],
+        "window": [16],
+        "snr_db_grid": [10.0],
+        "trials": 10,
+        "parameter_mode": "fixed",
+        "fixed_coefficients": [0.1, -0.2],
+        "master_seed": 5,
+    },
+}
+
+_CRB = {
+    "crb-1d": ["--degrees", "[[0],[1],[2]]", "--window", "[32]", "--snr-db-range=-10:20:5"],
+    "crb-2d": ["--degrees", "[[0,0],[0,1],[1,0]]", "--window", "[8,7]", "--snr-db-range", "0:5:5"],
+}
+
+_WEIGHTS = {
+    "weights-1d": ["--degree", "[2]", "--window", "[16]"],
+    "weights-2d-lag": ["--degree", "[1,1]", "--lag", "[2,1]", "--window", "[8,7]"],
+}
+
+# name: (degrees, window, coefficients, extra estimate flags)
+_SIGNALS = {
+    "1d-lags": (
+        [(0,), (1,), (2,)],
+        (64,),
+        [0.3, -0.2, 0.05],
+        ["--basis", "both", "--lags", "[[1],[2],[4]]"],
+    ),
+    "2d-lags": (
+        [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)],
+        (12, 10),
+        [0.25, -0.3, 0.1, 0.02, -0.04, 0.03],
+        ["--lags", "[[1,1],[2,2]]"],
+    ),
+    "non-closed": ([(0,), (2,)], (32,), [-0.4, 0.07], []),
+}
+
+
+def _run(*args: str) -> None:
+    code = main(list(args))
+    if code:
+        raise RuntimeError(f"ppsg {' '.join(args)} exited {code}")
+
+
+def _outputs(work: Path) -> dict[str, bytes]:
+    out: dict[str, bytes] = {}
+    for name, config in _SIMULATE.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(config))
+        _run("simulate", "--config", str(path), "--out", str(work / f"{name}.csv"))
+        out[f"{name}.csv"] = (work / f"{name}.csv").read_bytes()
+        sidecar = json.loads((work / f"{name}.csv.meta.json").read_text())
+        del sidecar["version"]
+        out[f"{name}.csv.meta.json"] = json.dumps(sidecar, indent=2).encode()
+    for command, cases in (("crb", _CRB), ("weights", _WEIGHTS)):
+        for name, args in cases.items():
+            _run(command, *args, "--out", str(work / f"{name}.csv"))
+            out[f"{name}.csv"] = (work / f"{name}.csv").read_bytes()
+    for seed, (name, (degrees, window, values, flags)) in enumerate(_SIGNALS.items()):
+        M = build_total_order(degrees)
+        clean = synthesize(CoefficientVector(np.array(values), BINOMIAL, M), window)
+        signal = work / f"{name}.ppsg"
+        with open(signal, "wb") as fh:
+            write_signal(add_noise(clean, 10.0, np.random.default_rng(seed)), fh)
+        args = ["estimate", "--input", str(signal), "--degrees", json.dumps(degrees), *flags]
+        for kind in _KINDS:
+            est = work / f"estimate-{name}-{kind}.json"
+            _run(*args, "--averaging", kind, "--out", str(est))
+            out[est.name] = est.read_bytes()
+    return out
+
+
+def digests() -> dict[str, str]:
+    """The sha256 of every output, by output name."""
+    with tempfile.TemporaryDirectory() as work:
+        outputs = _outputs(Path(work))
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        sys.stdout.write(f"{digest}  {name}\n")

@@ -16,9 +16,9 @@ from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field
 from ppsg.degrees import DegreeSet, as_index, binom, diff_window
 from ppsg.estimator import (
     TWO_PI,
+    AveragingKind,
     EstimatorConfig,
     _average,
-    _project,
     _require_estimable,
     _rotation,
     estimate,
@@ -41,6 +41,7 @@ from ppsg.signal import (
     phase_diff_multi,
     principal_arg,
     synthesize,
+    unit_project,
 )
 from ppsg.weights import WeightField, _weight_axis, weight_axes
 
@@ -301,13 +302,13 @@ def parameter_invariance_witness(
 ) -> np.ndarray:
     """Integer witness of the estimator's parameter invariance.
 
-    For rotation-equivariant averaging, estimating the observation and the
-    derotated observation differs from the true coefficients by an exact
-    integer vector; the fractional parts are checked against 1e-6 before
-    rounding, so a violation surfaces as an error rather than a silent
-    rounding.
+    For CIRCULAR averaging, which is rotation-equivariant, estimating the
+    observation and the derotated observation differs from the true
+    coefficients by an exact integer vector; the fractional parts are
+    checked against 1e-6 before rounding, so a violation surfaces as an
+    error rather than a silent rounding.
     """
-    if not cfg.averaging.rotation_equivariant:
+    if cfg.averaging is not AveragingKind.CIRCULAR:
         raise ValueError(f"{cfg.averaging.name} averaging is not rotation-equivariant")
     if x_true.window != y.window:
         raise ValueError(f"window mismatch: {x_true.window} vs {y.window}")
@@ -368,7 +369,7 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     and increments.
     """
     _require_estimable(cfg, data)
-    data = _project(cfg.averaging, data)
+    data = unit_project(data)
     M = cfg.degree_set
     N = data.shape[1:]
     lead = (-1,) + (1,) * len(N)
