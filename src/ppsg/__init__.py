@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .degrees import (
     DegreeSet,
     DegreeSetReport,
-    binom,
     build_total_order,
     downward_closure,
     partial_leq,

@@ -1,4 +1,4 @@
-"""Multi-index arithmetic, generalized binomial coefficients, and degree sets.
+"""Multi-index arithmetic and degree sets.
 
 A multi-index is a plain tuple of ints of length D (the dimensionality).
 Degree sets are finite collections of nonnegative multi-indices stored
@@ -15,20 +15,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 MultiIndex = tuple[int, ...]
-
-
-def binom(n: int, k: int) -> int:
-    """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for integer n.
-
-    Returns 0 for k < 0.  Exact integer arithmetic for any n, including
-    negative n (e.g. binom(-1, 2) == 1).
-    """
-    if k < 0:
-        return 0
-    result = 1
-    for i in range(k):
-        result = result * (n - i) // (i + 1)
-    return result
 
 
 def partial_leq(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -353,12 +353,11 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     records = []
     for snr_index, snr_db in enumerate(cfg.snr_db_grid):
         snr = snr_db_to_linear(snr_db)
-        chunks = [
-            _run_chunk(cfg, snr, snr_index, range(t, min(t + per_chunk, cfg.trials)))
+        scores = [
+            _run_chunk(cfg, snr, snr_index, range(t, min(t + per_chunk, cfg.trials)))[3:]
             for t in range(0, cfg.trials, per_chunk)
         ]
-        errors = np.concatenate([chunk[3] for chunk in chunks])
-        wrapped = np.concatenate([chunk[4] for chunk in chunks])
+        errors, wrapped = map(np.concatenate, zip(*scores))
         records.append(_aggregate(snr_db, snr, cfg, errors, wrapped))
     return ExperimentResult(tuple(records), cfg)
 

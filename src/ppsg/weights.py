@@ -16,13 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .basis import tensor_field
-from .degrees import as_index, binom, diff_window
+from .degrees import as_index, diff_window
 from .signal import RealField
-
-# Above this per-dimension window length the closed form switches from exact
-# integer products (which would overflow practical magnitudes around
-# C(N+k, 2k+1) for N ~ 1e4) to log-space accumulation.
-_EXACT_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -37,54 +32,30 @@ class WeightField(RealField):
             raise ValueError(f"weights sum to {self.data.sum()}, expected 1")
 
 
-def _weight_1d_exact(k: int, tau: int, N: int) -> np.ndarray:
-    raw = [
-        binom(n // tau + k, k) * binom(-((n - N) // tau) - 1, k)
-        for n in range(N - tau * k)
-    ]
-    total = sum(raw)
-    return np.array([r / total for r in raw])
-
-
-def _weight_1d_log(k: int, tau: int, N: int) -> np.ndarray:
-    # In place, on whole numbers held exactly as floats, so a cold build
-    # holds at most three full-length arrays.
-    n = np.arange(N - tau * k, dtype=float)
-    log_w = _log_binom(n // tau + k, k)
-    n -= N
-    n //= tau
-    n *= -1
-    n -= 1  # ceil((N - n)/tau) - 1
-    log_w += _log_binom(n, k)
-    log_w -= log_w.max()
-    w = np.exp(log_w, out=log_w)
-    w /= w.sum()
-    return w
-
-
-def _log_binom(n: np.ndarray, k: int) -> np.ndarray:
-    """gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1); ``n`` is overwritten."""
-    from scipy.special import gammaln
-
-    n += 1
-    out = gammaln(n)
-    out -= gammaln(k + 1)
-    n -= k
-    out -= gammaln(n, out=n)
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
     """Closed-form weights over [N - tau*k], normalized to sum 1, cached and
     read-only; callers check the window first.
 
     u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
-    with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
+    with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.  Step i
+    turns C(lo, i) C(hi, i) into C(lo, i+1) C(hi, i+1), and the running
+    product is rescaled by a power of two, so every intermediate is an
+    integer times a power of two: while those integers stay below 2^53 the
+    weights are the correctly rounded rationals, and past that they carry
+    about k roundings.
     """
-    out = _weight_1d_exact(k, tau, N) if N <= _EXACT_LIMIT else _weight_1d_log(k, tau, N)
-    out.setflags(write=False)
-    return out
+    n = np.arange(N - tau * k, dtype=float)
+    lo = n // tau + k  # floor(n/tau) + k
+    hi = (N - 1 - n) // tau  # ceil((N-n)/tau) - 1
+    w = np.ones_like(n)
+    for i in range(k):
+        w *= (lo - i) * (hi - i)
+        w /= (i + 1) ** 2
+        np.ldexp(w, -np.frexp(w.max())[1], out=w)
+    w /= w.sum()
+    w.setflags(write=False)
+    return w
 
 
 def weight_axes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:

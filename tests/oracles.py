@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -13,7 +14,7 @@ import numpy as np
 
 from ppsg.analysis import FisherMatrix, fisher_matrix, outlier_predicate
 from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field
-from ppsg.degrees import DegreeSet, as_index, binom, diff_window
+from ppsg.degrees import DegreeSet, as_index, diff_window
 from ppsg.estimator import (
     TWO_PI,
     AveragingKind,
@@ -44,6 +45,20 @@ from ppsg.signal import (
     unit_project,
 )
 from ppsg.weights import WeightField, _weight_axis, weight_axes
+
+
+def binom(n: int, k: int) -> int:
+    """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for integer n.
+
+    Returns 0 for k < 0.  Exact integer arithmetic for any n, including
+    negative n (e.g. binom(-1, 2) == 1).
+    """
+    if k < 0:
+        return 0
+    result = 1
+    for i in range(k):
+        result = result * (n - i) // (i + 1)
+    return result
 
 
 def finite_difference_stencil(x: RealField, k: Sequence[int]) -> RealField:
@@ -162,6 +177,27 @@ def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
     k, tau, N = as_index((k, tau, N))
     diff_window((N,), (k,), tau)
     return np.array(_weight_axis(k, tau, N))
+
+
+def weight_1d_exact(k: int, tau: int, N: int) -> np.ndarray:
+    """The closed-form weights from exact integer products, each the correctly
+    rounded rational: C(n//tau + k, k) C((N-1-n)//tau, k) over their sum."""
+    raw = [binom(n // tau + k, k) * binom((N - 1 - n) // tau, k) for n in range(N - tau * k)]
+    total = sum(raw)
+    return np.array([r / total for r in raw])
+
+
+def weight_fraction(k: int, tau: int, N: int, points: Sequence[int]) -> list[Fraction]:
+    """The closed-form weights at ``points`` as exact rationals.
+
+    Congruence class r of the window holds L_r = (N-1-r)//tau + 1 samples of
+    the full window, and its weights sum to C(L_r + k, 2k + 1), so the total
+    needs no pass over the window.
+    """
+    total = sum(binom((N - 1 - r) // tau + 1 + k, 2 * k + 1) for r in range(tau))
+    return [
+        Fraction(binom(n // tau + k, k) * binom((N - 1 - n) // tau, k), total) for n in points
+    ]
 
 
 def binomial_transform(x: np.ndarray, k: Sequence[int]) -> float:

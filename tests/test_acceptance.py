@@ -24,7 +24,7 @@ from ppsg.basis import (
     phase_fields,
     wrap_to_cell,
 )
-from ppsg.degrees import binom, build_total_order, downward_closure
+from ppsg.degrees import build_total_order, downward_closure
 from ppsg.estimator import (
     AveragingKind,
     EstimatorConfig,
@@ -37,6 +37,7 @@ from ppsg.signal import RealField, Signal, synthesize
 from ppsg.weights import weight_multi
 
 from oracles import (
+    binom,
     binomial_transform,
     covariance_matrix,
     naive_penalty,

@@ -6,13 +6,14 @@ import pytest
 
 from ppsg.analysis import crb, fisher_matrix, outlier_predicate, reconstruction_bound
 from ppsg.basis import binomial_field
-from ppsg.degrees import as_index, binom, build_total_order, downward_closure
+from ppsg.degrees import as_index, build_total_order, downward_closure
 from ppsg.estimator import EstimatorConfig
 from ppsg.harness import ExperimentConfig, run_sweep
 from ppsg.signal import RealField
 
 from oracles import (
     _ortho_axis_int,
+    binom,
     decomposition,
     finite_difference,
     naive_penalty,

@@ -496,6 +496,7 @@ def test_removed_surface_is_rejected(capsys, args):
         "eval_monomial",
         "binomial_transform",
         "multi_binom",
+        "binom",
         "orthogonal_poly",
         "decomposition",
         "DecompositionPair",

@@ -10,7 +10,6 @@ from ppsg.degrees import (
     DegreeSet,
     as_index,
     as_lag,
-    binom,
     build_total_order,
     diff_window,
     downward_closure,
@@ -22,7 +21,7 @@ from ppsg.harness import ExperimentConfig
 from ppsg.signal import RealField, Signal, phase_diff_multi
 from ppsg.weights import weight_multi
 
-from oracles import binomial_transform, finite_difference, multi_binom, phase_diff, weight_1d
+from oracles import binom, binomial_transform, finite_difference, multi_binom, phase_diff, weight_1d
 
 # Degree pattern of a 2-D set that is NOT downward closed: the full staircase
 # minus the interior point (2, 2), while (3, 2) stays in.

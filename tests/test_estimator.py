@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ppsg.estimator as estimator_module
-from ppsg.analysis import crb
+from ppsg.analysis import crb, reconstruction_bound
 from ppsg.basis import (
     BINOMIAL,
     CoefficientVector,
@@ -29,7 +29,7 @@ from ppsg.estimator import (
     estimate_batch,
     estimate_coefficients_direct,
 )
-from ppsg.signal import RealField, Signal, synthesize
+from ppsg.signal import RealField, Signal, add_noise, synthesize
 from ppsg.weights import WeightField, weight_multi
 
 from oracles import parameter_invariance_witness, reference_sequential, run_python
@@ -222,6 +222,23 @@ def test_variance_tracks_crb():
         errors.append(wrap_to_cell(est.binomial.values - b.values)[1])
     var = np.var(errors)
     assert abs(var - bound) < 0.15 * bound
+
+
+def test_noisy_2e20_reconstruction_stays_near_bound():
+    # Degrees 0-2 over 2^20 samples at 30 dB: the estimator's variance is set
+    # by the second difference of the weights, so rounding noise in the
+    # weights would lift the reconstruction MSE far above |M| / (2 SNR).
+    N, snr = (1 << 20,), 1000.0
+    cfg = EstimatorConfig(M012)
+    ratios = []
+    for i in range(4):
+        rng = np.random.default_rng([17, i])
+        b = _cv(rng.uniform(-0.5, 0.5, 3), M012)
+        clean = synthesize(b, N)
+        recon = synthesize(estimate(add_noise(clean, snr, rng), cfg).binomial, N)
+        error = np.sum(np.abs(recon.data - clean.data) ** 2)
+        ratios.append(error / reconstruction_bound(M012, snr))
+    assert np.mean(ratios) <= 10, ratios
 
 
 def test_cell_containment_under_heavy_noise():

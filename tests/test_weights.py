@@ -1,11 +1,20 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ppsg.weights import _weight_1d_exact, _weight_1d_log, weight_multi
+from ppsg.weights import _weight_axis, weight_multi
 
-from oracles import covariance_axis, covariance_matrix, weight_1d, weight_via_inversion
+from oracles import (
+    covariance_axis,
+    covariance_matrix,
+    run_python,
+    weight_1d,
+    weight_1d_exact,
+    weight_fraction,
+    weight_via_inversion,
+)
 
 
 def test_weight_uniform_for_degree_zero():
@@ -112,40 +121,59 @@ def test_weight_oracle_degree_zero():
     assert np.allclose(field.data, 1.0 / 6)
 
 
-def test_weight_exact_log_continuity():
-    # The integer and log-space paths must agree through the switchover.
-    for N in (48, 63, 64, 65, 80, 128):
-        for k in (1, 2, 3):
-            for tau in (1, 2):
-                if N <= tau * k:
-                    continue
-                exact = _weight_1d_exact(k, tau, N)
-                logspace = _weight_1d_log(k, tau, N)
-                assert np.max(np.abs(exact - logspace)) < 1e-12, (k, tau, N)
+def test_weight_matches_exact_integer_products_bitwise():
+    # Below 2^53 every intermediate of the build is an integer times a power
+    # of two, so each weight is the correctly rounded rational.
+    for k in range(8):
+        for tau in range(1, 5):
+            for N in range(tau * k + 1, 65):
+                assert weight_1d(k, tau, N).tobytes() == weight_1d_exact(k, tau, N).tobytes(), (
+                    k, tau, N,
+                )
 
 
-def _weight_1d_log_expressions(k, tau, N):
-    # The log-space weights written as whole-array expressions; the library
-    # builds them in place, in the same operation order.
-    from scipy.special import gammaln
-
-    def log_binom(n):
-        return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-    n = np.arange(N - tau * k)
-    log_w = log_binom(n // tau + k) + log_binom(-((n - N) // tau) - 1)
-    log_w -= log_w.max()
-    w = np.exp(log_w)
-    return w / w.sum()
-
-
-@pytest.mark.parametrize("N", [65, 1000, 4097, 2**20])
-@pytest.mark.parametrize("k, tau", [(0, 1), (1, 1), (2, 1), (2, 3), (3, 4)])
-def test_weight_log_in_place_is_bitwise(k, tau, N):
-    assert _weight_1d_log(k, tau, N).tobytes() == _weight_1d_log_expressions(k, tau, N).tobytes()
+@pytest.mark.parametrize("N", [65, 512, 2**12, 2**16, 2**20])
+@pytest.mark.parametrize("tau", [1, 2, 4])
+@pytest.mark.parametrize("k", range(5))
+def test_weight_matches_fraction_oracle_at_large_windows(k, tau, N):
+    w = weight_1d(k, tau, N)
+    size = N - tau * k
+    points = sorted({1, tau, size // 2, size - 2, size - 1, *range(0, size, size // 24)})
+    exact = weight_fraction(k, tau, N, points)
+    if N <= 512:
+        assert sum(weight_fraction(k, tau, N, range(size))) == 1
+    rel = [abs(Fraction(float(w[n])) / e - 1) for n, e in zip(points, exact)]
+    assert max(rel) <= 1e-14, (max(rel), points[int(np.argmax(rel))])
 
 
 def test_weight_large_window_does_not_overflow():
     w = weight_1d(3, 1, 20_000)
     assert abs(w.sum() - 1.0) < 1e-9
     assert np.all(w >= 0)
+    # At k = 40 the unscaled central product C(2^19 + 40, 40)^2 is about
+    # 2^1200, beyond float64.
+    w = weight_1d(40, 1, 2**20)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    assert abs(w.sum() - 1.0) < 1e-12
+    mid = (2**20 - 40) // 2
+    assert abs(Fraction(float(w[mid])) / weight_fraction(40, 1, 2**20, [mid])[0] - 1) < 1e-13
+
+
+def test_weight_axis_cache_is_bounded():
+    for N in range(1000, 1065):
+        _weight_axis(1, 1, N)
+    assert _weight_axis.cache_info().currsize <= 64
+
+
+def test_estimate_imports_no_scipy():
+    result = run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import ppsg\n"
+        "M = ppsg.build_total_order([(0,), (1,), (2,)])\n"
+        "b = ppsg.CoefficientVector(np.array([0.1, -0.2, 0.3]), ppsg.BINOMIAL, M)\n"
+        "est = ppsg.estimate(ppsg.synthesize(b, (1000,)), ppsg.EstimatorConfig(M))\n"
+        "assert np.allclose(est.binomial.values, b.values)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    assert result.returncode == 0, result.stderr
