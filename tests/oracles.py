@@ -179,16 +179,9 @@ def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
     return np.array(_weight_axis(k, tau, N))
 
 
-def weight_1d_exact(k: int, tau: int, N: int) -> np.ndarray:
-    """The closed-form weights from exact integer products, each the correctly
-    rounded rational: C(n//tau + k, k) C((N-1-n)//tau, k) over their sum."""
-    raw = [binom(n // tau + k, k) * binom((N - 1 - n) // tau, k) for n in range(N - tau * k)]
-    total = sum(raw)
-    return np.array([r / total for r in raw])
-
-
 def weight_fraction(k: int, tau: int, N: int, points: Sequence[int]) -> list[Fraction]:
-    """The closed-form weights at ``points`` as exact rationals.
+    """The closed-form weights at ``points`` as exact rationals: exact integer
+    products C(n//tau + k, k) C((N-1-n)//tau, k) over their sum.
 
     Congruence class r of the window holds L_r = (N-1-r)//tau + 1 samples of
     the full window, and its weights sum to C(L_r + k, 2k + 1), so the total
