@@ -2,21 +2,19 @@
 
 One private kernel, :func:`_sequential`, holds the estimation loop.  It takes
 a batch of signals, shape (B, *N) with the trial axis leading, and walks
-stages (m, tau), degrees in descending total order and lags inner.  It
-projects the batch once at entry: arguments add under products.  Each stage
-collapses the observations the degree started with to near-constant fields
-with composed lagged phase differences, averages them with the closed-form
-minimum-variance weights one axis at a time and reads the increments off the
-arguments.  The lag passes of a degree cancel the increments of the earlier
-lags by rotating the differenced field by one scalar per signal, since the
-m-th difference at lag tau of C(n, m) is the constant tau^m.  Each degree
-then cancels its summed term over the full window once, before the next
-degree.  Every rotation goes through :func:`_rotation`, which drops whole
-turns exactly before the trig; the cancellation runs the turns and trig only
-over the axes the degree touches.  A rotation is skipped by the loop's
-structure alone, never by the data: the first lag has nothing to cancel yet,
-and nothing reads the observations after the last degree.  Each call holds
-its full-window intermediates in one workspace of two buffers.
+stages (m, tau), degrees in descending total order and lags inner.  It runs
+in the phase domain: one ``arctan2`` per sample at entry turns the batch
+into int64 phases in units of 2^-64 cycle, whose wrapping arithmetic is
+arithmetic modulo one cycle.  Each stage collapses the phases the degree
+started with to near-constant fields by composed lagged differences, plain
+integer subtractions, and averages them with the closed-form
+minimum-variance weights one axis at a time.  The lag passes of a degree
+cancel the increments of the earlier lags by subtracting one scalar per
+signal, since the m-th difference at lag tau of C(n, m) is the constant
+tau^m.  Each degree then subtracts its summed term over the full window
+once, before the next degree, and only over the axes the degree touches.
+Both cancellations take their phases from :func:`_turns`, which drops whole
+cycles exactly in float64 before converting; no trig runs past the entry.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -25,17 +23,14 @@ weights.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and row t of its result equals ``estimate`` of signal t
-bit for bit: the window reductions sum each row exactly as a lone signal is
-summed, and the last scalar step of each average stays per-signal Python
-``complex`` arithmetic, whose last bit numpy's array divide and multiply do
-not reproduce.  All estimators are pure functions of (signal, config); a run
-is inherently sequential across degrees.
+bit for bit: every step is elementwise or a reduction that sums each row
+exactly as a lone signal is summed.  All estimators are pure functions of
+(signal, config); a run is inherently sequential across degrees.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -60,7 +55,7 @@ from .degrees import (
     downward_closure,
     validate_degree_set,  # noqa: F401  not called; benchmarks/spans.py rebinds it
 )
-from .signal import Signal, _conj_product, _difference, principal_arg, unit_project
+from .signal import Signal, _difference
 from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .weights import WeightField, weight_axes
 from .weights import weight_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
@@ -86,36 +81,75 @@ class AveragingKind(enum.Enum):
 def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     """Weighted average of a near-constant field, projected to the unit circle.
 
-    LINEAR exponentiates the weighted mean argument; CIRCULAR recenters
-    arguments around the unweighted circular mean before averaging, then
-    rotates back, which moves the branch cut away from the data.
+    LINEAR averages the arguments against the branch cut at -pi; CIRCULAR
+    recenters them around the circular mean before averaging, which moves
+    the branch cut away from the data.
     """
     if not isinstance(kind, AveragingKind):
         raise ValueError(f"kind must be an AveragingKind, got {kind!r}")
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
-    return complex(_average(kind, unit_project(s.data.reshape(1, -1)), [u.data.ravel()])[0])
+    flat = s.data.reshape(1, -1)
+    mean = _average(kind, _phase_turns(flat.real, flat.imag), [u.data.ravel()])
+    return complex(np.exp(1j * TWO_PI * mean[0]))
 
 
-def _average(
-    kind: AveragingKind, data: np.ndarray, w: list[np.ndarray], home=None, spare=None
-) -> np.ndarray:
-    """:func:`average` of each field of a batch, shape (B, *window) -> (B,).
+# A turn is 2^-64 cycle: an int64 phase read as signed lies in [-pi, pi).
+_TURN = 2.0**-64
+# The CIRCULAR anchor reads at most this many samples of a field.
+_ANCHOR_SAMPLES = 4096
 
-    ``data`` holds unit samples.  ``einsum``, not BLAS, whose threads reorder
-    sums, contracts ``w`` one axis at a time.  The CIRCULAR anchoring is
-    written into the workspace buffer ``home``, which may hold ``data``
-    itself, and the arguments into ``spare``; without them both are fresh
-    arrays and ``data`` is never written.
+
+def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The argument of re + j*im as int64 turns; a zero sample has phase 0.
+
+    ``arctan2`` reads the two parts as they are, so any finite sample has
+    its phase, however large or small.  It returns +-pi for +-0 over -0, so
+    adding +0.0 to the real part sends every zero sample to +-0 over +0.
     """
+    return _to_turns(np.arctan2(im, re + 0.0) / TWO_PI)
+
+
+def _turns(acc: np.ndarray, factor: np.ndarray | int) -> np.ndarray:
+    """The phase ``acc * factor`` in cycles as int64 turns, broadcast: every
+    cancellation of the kernel, ``acc`` per signal, ``factor`` tau^m or a
+    basis field.
+
+    ``t - rint(t)`` is exact in float64, so only the product is rounded;
+    C(n, 2) at 2^20 is ~5e11, so that rounding reaches ~1e-5 cycle.  An
+    integer factor would admit exact turns modulo 2^64 instead.
+    """
+    t = np.multiply(acc, factor)
+    t -= np.rint(t)
+    return _to_turns(t)
+
+
+def _to_turns(cycles: np.ndarray) -> np.ndarray:
+    """Float cycles in [-1/2, 1/2] as int64 turns; +1/2 folds to -1/2."""
+    cycles /= _TURN
+    cycles[cycles == 2.0**63] = -(2.0**63)
+    return cycles.astype(np.int64)
+
+
+def _average(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]) -> np.ndarray:
+    """Weighted mean phase of each field of a batch of int64 turns,
+    shape (B, *window) -> (B,), in cycles in [-1/2, 1/2).
+
+    LINEAR reads the turns as they are, so its branch cut sits at -pi.
+    CIRCULAR first subtracts, as an integer, a per-field anchor: the argument
+    of the resultant of at most ``_ANCHOR_SAMPLES`` samples taken at a fixed
+    stride, so any shorter field is read whole; a zero resultant anchors at
+    phase 0.  Rotating a field rotates its anchor alike, so the mean is
+    rotation-equivariant.  ``einsum``, not BLAS, whose threads reorder sums,
+    contracts ``w`` one axis at a time.  ``turns`` is never written.
+    """
+    anchor = np.zeros(len(turns), np.int64)
     if kind is AveragingKind.CIRCULAR:
-        # The anchor and the final rotation are Python complex arithmetic
-        # per field; a zero resultant averages to 0.
-        resultants = np.sum(data, axis=tuple(range(1, data.ndim))).tolist()
-        anchors = [r / abs(r) if r else 1.0 for r in resultants]
-        lead = (-1,) + (1,) * (data.ndim - 1)
-        data = np.multiply(data, np.conj(anchors).reshape(lead), out=_view(home, data.shape))
-    f = principal_arg(data, out=_view(spare, data.shape, float))
+        flat = turns.reshape(len(turns), -1)
+        sub = flat[:, :: -(-flat.shape[1] // _ANCHOR_SAMPLES)] * (TWO_PI * _TURN)
+        anchor = _phase_turns(np.cos(sub).sum(axis=-1), np.sin(sub).sum(axis=-1))
+        turns = turns - anchor.reshape((-1,) + (1,) * (turns.ndim - 1))
+    f = turns.astype(float)
     for wd in reversed(w):
         if f.shape[-1] > np.getbufsize():
             # einsum sums an axis longer than its buffer in pieces, split one
@@ -123,15 +157,7 @@ def _average(
             f = np.stack([np.einsum("...n,n->...", row, wd) for row in f])
         else:
             f = np.einsum("...n,n->...", f, wd)
-    if kind is AveragingKind.LINEAR:
-        return np.exp(1j * f)
-    turns = np.exp(1j * f).tolist()
-    return np.array([a * t if r else 0j for r, a, t in zip(resultants, anchors, turns)])
-
-
-def _view(buf: np.ndarray | None, shape: tuple[int, ...], dtype=complex) -> np.ndarray | None:
-    """The head of a contiguous buffer as ``dtype`` in ``shape``; ``None`` stays ``None``."""
-    return None if buf is None else buf.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
+    return wrap_to_cell((anchor + f) * _TURN)
 
 
 @dataclass(frozen=True)
@@ -225,81 +251,49 @@ def _sequential(
 ) -> tuple[np.ndarray, Diagnostics]:
     """The sequential loop shared by every estimator, over a batch (B, *N).
 
-    Degrees run in descending order, and each degree m runs the lags of the
-    schedule in turn on the observations it started with.  A lag stage
-    averages the lagged differences, divides the arguments by 2*pi*tau^m
-    and adds the increments to the coefficient of m.  The m-th difference
-    at lag tau of C(n, m) is the constant tau^m, so the increments ``acc``
-    of the earlier lags are cancelled from the differenced field by the
-    per-signal scalar exp(-2j*pi*tau^m*acc); the first lag has none to
-    cancel.  After the last lag the degree cancels ``acc * basis_field(m, N)``
-    from each signal over the full window, once, in whole turns reduced away
-    before the trig (:func:`_rotation`); the last degree skips it, since
-    nothing reads the observations after it.  These two skips are the only
-    ones: a signal whose turn is 0 is rotated by 1 like any other.  The field
-    is constant along the axes where m_d = 0, so its turns and trig run over
-    the other axes only.  The window rule is checked once, up front, so the
-    stages difference the projected batch directly.
+    The batch enters as int64 turns, one ``arctan2`` per sample; a zero
+    sample, of either sign, has phase 0.  Degrees run in descending order,
+    and each degree m runs the lags of the schedule in turn on the turns it
+    started with.  A lag stage differences them by wrapping subtraction,
+    averages the differences, divides the mean by tau^m and adds the
+    increments to the coefficient of m.  The m-th difference at lag tau of
+    C(n, m) is the constant tau^m, so the increments ``acc`` of the earlier
+    lags are cancelled from the differenced field by one scalar per signal,
+    the turns of ``acc * tau^m``; the first lag has none to cancel.  After
+    the last lag the degree subtracts the turns of ``acc * basis_field(m, N)``
+    once, over the axes where m_d > 0, since the field is constant along the
+    others; the last degree skips it, since nothing reads the turns after
+    it.  Both cancellations drop whole cycles before converting (:func:`_turns`)
+    and subtract integers, so no trig runs past the entry.  The window rule
+    is checked once, up front, so the stages difference the turns directly.
 
     The weights are built first, so a cold build's temporaries never share
-    memory with the batch.  The call owns the projected batch, which the
-    cancellations rotate in place, and two window-sized buffers for every
-    other full-window array: the differences alternate between them.
-    Returns the coefficients, shape (B, |M|), and each stage's increments.
+    memory with the batch.  Returns the coefficients, shape (B, |M|), and
+    each stage's increments.
     """
     _require_estimable(cfg, data)
     M = cfg.degree_set
     N = data.shape[1:]
     weights = {(m, tau): weight_axes(m, tau, N) for m in M.degrees for tau in cfg.lags}
-    data = unit_project(data)
-    work = (np.empty(data.size, complex), np.empty(data.size, complex))
+    turns = _phase_turns(data.real, data.imag)
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
     lead = (-1,) + (1,) * len(N)
     for i, m in enumerate(reversed(M.degrees)):
         acc = np.zeros(len(data))
-        # |m| products alternate work[0], work[1], ...; the last one's is home.
-        home, spare = work if sum(m) % 2 else work[::-1]
         for j, tau in enumerate(cfg.lags):
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
-            diffed = _difference(data, m, tau, _alternating(work))
+            diffed = _difference(turns, m, tau, np.subtract)
             if j:
-                rot = _rotation(acc.reshape(lead) * tau_pow)
-                diffed = np.multiply(diffed, rot, out=_view(home, diffed.shape))
-            mean = _average(cfg.averaging, diffed, weights[m, tau], home, spare)
-            delta = principal_arg(mean) / (TWO_PI * tau_pow)
+                diffed = diffed - _turns(acc, tau_pow).reshape(lead)
+            delta = _average(cfg.averaging, diffed, weights[m, tau]) / tau_pow
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1:
             touched = basis_field(m, N)[tuple(slice(None if md else 1) for md in m)]
-            shape = (len(data), *touched.shape)
-            turn = np.multiply(acc.reshape(lead), touched, out=_view(work[0], shape, float))
-            data *= _rotation(turn, _view(work[1], shape))
+            turns -= _turns(acc.reshape(lead), touched)
     return values, diagnostics
-
-
-def _alternating(work: tuple[np.ndarray, np.ndarray]):
-    """A :func:`_difference` step whose products alternate between buffers."""
-    buffers = itertools.cycle(work)
-    return lambda later, earlier: _conj_product(later, earlier, _view(next(buffers), later.shape))
-
-
-def _rotation(turn: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
-    """exp(-2j*pi*turn), into ``rot`` if given, with whole turns dropped first.
-
-    ``turn - rint(turn)`` is exact in float64 and whole turns do not
-    rotate, so cos and sin see arguments in [-pi, pi].  Unreduced, C(n, 2)
-    at 2^20 gives ~1e12 rad, which the trig reduces slowly and where
-    rounding 2*pi times the phase costs ~1e-4 rad.  ``turn`` is overwritten.
-    """
-    rot = np.empty(turn.shape, dtype=complex) if rot is None else rot
-    whole = _view(rot, turn.shape, float)  # contiguous room, free until the trig
-    turn -= np.rint(turn, out=whole)
-    turn *= -TWO_PI
-    np.cos(turn, out=rot.real)
-    np.sin(turn, out=rot.imag)
-    return rot
 
 
 def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:

@@ -57,8 +57,8 @@ class RealField(_Field):
     _dtype = float
 
 
-def principal_arg(z: np.ndarray | complex, out: np.ndarray | None = None) -> np.ndarray | float:
-    """Argument in [-pi, pi), with arg(0) = 0; an array's may go into ``out``.
+def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
+    """Argument in [-pi, pi), with arg(0) = 0.
 
     numpy's angle() lands in (-pi, pi]; the single boundary value +pi
     (exact negative reals) is folded to -pi.  ``arctan2(imag, real)`` is
@@ -67,7 +67,7 @@ def principal_arg(z: np.ndarray | complex, out: np.ndarray | None = None) -> np.
     if np.ndim(z) == 0:
         a = np.angle(z)
         return float(-np.pi) if a == np.pi else float(a)
-    a = np.arctan2(z.imag, z.real, out=out)
+    a = np.arctan2(z.imag, z.real)
     a[a == np.pi] = -np.pi
     return a
 
@@ -115,10 +115,10 @@ def _difference(data: np.ndarray, k: Sequence[int], tau: Sequence[int], step) ->
     return data
 
 
-def _conj_product(later: np.ndarray, earlier: np.ndarray, out=None) -> np.ndarray:
-    """``later * conj(earlier)``, into ``out`` if given, in that operand order
-    at every size: numpy's own reuse of a large temporary would swap them."""
-    out = np.conjugate(earlier, out=out)
+def _conj_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``later * conj(earlier)``, in that operand order at every size: numpy's
+    own reuse of a large temporary would swap them."""
+    out = np.conjugate(earlier)
     return np.multiply(later, out, out=out)
 
 
@@ -132,35 +132,6 @@ def phase_diff_multi(s: Signal, k: Sequence[int], lag: Sequence[int] | int = 1) 
     window, tau = diff_window(s.window, k, lag)
     out = _difference(s.data[None], k, tau, _conj_product)[0]
     return Signal(window, out if any(k) else out.copy())
-
-
-# Moduli in [_TINY, _HUGE] divide as they are: the modulus and its
-# reciprocal are normal floats.
-_TINY, _HUGE = 2.0**-1022, 2.0**1022
-
-
-def unit_project(data: np.ndarray) -> np.ndarray:
-    """Map each sample to exp(j arg(sample)); zero samples stay zero.
-
-    A sample whose modulus is subnormal or near overflow (or overflows,
-    though both parts are finite) is first scaled by an exact power of two
-    that brings its larger part into [1/2, 1).
-    """
-    mag = np.abs(data)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = data / mag
-    odd = ~((mag >= _TINY) & (mag <= _HUGE))  # zero, NaN and extreme samples
-    if odd.any():
-        # Part by part with ldexp, exact even where the power of two is no
-        # float (a subnormal larger part).
-        z = data[odd]
-        larger = np.maximum(np.abs(z.real), np.abs(z.imag))
-        e = -np.frexp(larger)[1]
-        np.ldexp(z.real, e, out=z.real)
-        np.ldexp(z.imag, e, out=z.imag)
-        with np.errstate(invalid="ignore"):
-            out[odd] = np.where(larger > 0, z / np.abs(z), 0)  # 0/0 and NaN samples
-    return out
 
 
 # -- File formats ---------------------------------------------------------------

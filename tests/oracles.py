@@ -16,12 +16,12 @@ from ppsg.analysis import FisherMatrix, fisher_matrix, outlier_predicate
 from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field
 from ppsg.degrees import DegreeSet, as_index, diff_window
 from ppsg.estimator import (
-    TWO_PI,
     AveragingKind,
     EstimatorConfig,
     _average,
+    _phase_turns,
     _require_estimable,
-    _rotation,
+    _turns,
     estimate,
 )
 from ppsg.harness import (
@@ -36,13 +36,11 @@ from ppsg.harness import (
 from ppsg.signal import (
     RealField,
     Signal,
-    _conj_product,
     _difference,
     complex_noise,
     phase_diff_multi,
     principal_arg,
     synthesize,
-    unit_project,
 )
 from ppsg.weights import WeightField, _weight_axis, weight_axes
 
@@ -387,18 +385,18 @@ def reference_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def reference_sequential(data: np.ndarray, cfg, basis_field):
-    """The sequential loop one (degree, lag) stage at a time.
+    """The sequential loop one (degree, lag) stage at a time, in int64 turns.
 
-    Every stage but the last cancels its own increment times
+    Every stage but the last subtracts the turns of its own increment times
     ``basis_field(m, N)`` over the full window, so each lag of a degree
-    differences the observations left by the lag before it.  The kernel
-    cancels each degree once and rotates the lag passes by a scalar; the
-    two agree to rounding.  Like the kernel, it projects the batch once at
-    entry and averages with the per-axis weights.  Returns the coefficients
-    and increments.
+    differences the turns left by the lag before it.  The kernel cancels
+    each degree once, over the axes it touches, and cancels the lag passes
+    by a scalar; the two agree to rounding.  Like the kernel, it takes one
+    ``arctan2`` per sample at entry and averages with the per-axis weights.
+    Returns the coefficients and increments.
     """
     _require_estimable(cfg, data)
-    data = unit_project(data)
+    turns = _phase_turns(data.real, data.imag)
     M = cfg.degree_set
     N = data.shape[1:]
     lead = (-1,) + (1,) * len(N)
@@ -406,17 +404,13 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     values = np.zeros((len(data), len(M)))
     diagnostics = {}
     for i, (m, tau) in enumerate(stages):
-        diffed = _difference(data, m, tau, _conj_product)
-        mean = _average(cfg.averaging, diffed, weight_axes(m, tau, N))
+        diffed = _difference(turns, m, tau, np.subtract)
         tau_pow = math.prod(td**md for td, md in zip(tau, m))
-        delta = principal_arg(mean) / (TWO_PI * tau_pow)
+        delta = _average(cfg.averaging, diffed, weight_axes(m, tau, N)) / tau_pow
         values[:, M.position(m)] += delta
         diagnostics[(m, tau)] = delta
-        moved = delta != 0.0
-        if moved.any() and i < len(stages) - 1:
-            rot = _rotation(delta[moved].reshape(lead) * basis_field(m, N))
-            data = data.copy()
-            data[moved] *= rot
+        if i < len(stages) - 1:
+            turns = turns - _turns(delta.reshape(lead), basis_field(m, N))
     return values, diagnostics
 
 

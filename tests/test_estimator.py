@@ -187,6 +187,17 @@ def test_all_ones_signal_gives_zero():
     assert est.binomial.values == pytest.approx([0.0])
 
 
+@pytest.mark.parametrize("lags", [(), ((1,), (2,))])
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_zero_and_one_rows_estimate_to_exactly_zero(kind, lags):
+    # Every zero sample has phase 0, whatever the signs of its parts:
+    # arctan2(-0.0, -0.0) alone would read -pi.
+    rows = [np.full(16, complex(-0.0, -0.0)), np.full(16, complex(0.0, -0.0)), np.ones(16)]
+    values, diagnostics = estimate_batch(np.stack(rows), EstimatorConfig(M012, kind, lags=lags))
+    assert np.all(values == 0.0)
+    assert all(np.all(delta == 0.0) for delta in diagnostics.values())
+
+
 def test_estimator_window_guard():
     s = Signal((2,), np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
@@ -507,6 +518,21 @@ def test_witness_integer_on_noisy_trials(cfg_kwargs):
         parameter_invariance_witness(y, x_true, cfg)  # raises on violation
 
 
+@pytest.mark.parametrize(
+    "M, N", [(M012, (2**14,)), (M2D_TOTAL2, (128, 128))], ids=["1d-2^14", "2d-128x128"]
+)
+def test_witness_integer_above_the_anchor_subsample(M, N):
+    # Above 4096 samples the CIRCULAR anchor reads a strided subsample of
+    # each field; rotating the field must still rotate the anchor alike.
+    cfg = EstimatorConfig(M)
+    for t in range(3):
+        rng = np.random.default_rng(1100 + t)
+        b = _cv(rng.uniform(-0.5, 0.5, len(M)), M)
+        y, _ = _noisy(b, N, 10.0, 1200 + t)
+        x_true = RealField(N, phase_field(b, N))
+        parameter_invariance_witness(y, x_true, cfg)  # raises on violation
+
+
 def test_witness_general_path_integer():
     M3 = build_total_order([(3,)])
     cfg = EstimatorConfig(M3)
@@ -619,7 +645,8 @@ def test_kernel_skips_last_cancellation(monkeypatch, estimator, field_name, lags
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_extreme_magnitudes_estimate(kind, scale):
     # A product of four raw samples would overflow at 1e160 and underflow at
-    # 1e-160.  The kernel projects the batch once at entry, so neither happens.
+    # 1e-160.  The kernel takes each sample's argument once at entry, so
+    # neither happens.
     b = _cv([0.0, 0.05, 0.1], M012)
     y = Signal((16,), scale * synthesize(b, (16,)).data)
     est = estimate(y, EstimatorConfig(M012, kind))
@@ -643,8 +670,8 @@ def _extreme_signal(case):
 @pytest.mark.parametrize("case", ["overflowing modulus", "one subnormal sample", "all subnormal"])
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_extreme_finite_samples_estimate(kind, case):
-    # Dividing by such a modulus gives 0 or inf + nan j.  The projection
-    # first scales each such sample by an exact power of two, part by part.
+    # Dividing by such a modulus gives 0 or inf + nan j.  The kernel divides
+    # by no modulus: arctan2 reads the two parts as they are.
     b, data = _extreme_signal(case)
     assert np.isfinite(data).all()
     est = estimate(Signal((16,), data), EstimatorConfig(M012, kind))

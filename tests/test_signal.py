@@ -13,16 +13,10 @@ from ppsg.signal import (
     principal_arg,
     read_signal,
     synthesize,
-    unit_project,
     write_signal,
 )
 
 from oracles import finite_difference, finite_difference_stencil, phase_diff
-
-
-def project_unit_circle(s: Signal) -> Signal:
-    """:func:`unit_project` applied to a signal."""
-    return Signal(s.window, unit_project(s.data))
 
 
 def arg_field(s: Signal) -> RealField:
@@ -143,28 +137,6 @@ def test_phase_diff_multi_commutes():
     a = phase_diff_multi(phase_diff_multi(s, (1, 0)), (0, 2))
     b = phase_diff_multi(phase_diff_multi(s, (0, 2)), (1, 0))
     assert np.allclose(a.data, b.data, atol=1e-12)
-
-
-def test_project_unit_circle():
-    s = Signal((3,), np.array([3 + 4j, 0, 0.5j]))
-    out = project_unit_circle(s)
-    assert out.data[0] == pytest.approx(0.6 + 0.8j)
-    assert out.data[1] == 0
-    assert out.data[2] == pytest.approx(1j)
-    again = project_unit_circle(out)
-    assert np.allclose(again.data, out.data)
-
-
-def test_unit_project_extreme_finite_samples():
-    # Moduli that overflow, sit near overflow, or are subnormal are scaled
-    # by an exact power of two first; 3 + 4j divides as it is.
-    big, tiny = 1.5e308, 1e-310
-    z = np.array([big + big * 1j, -big + 0j, tiny, tiny * (1 - 1j), 5e-324j, 0j, 3 + 4j])
-    out = unit_project(z)
-    q = np.exp(0.25j * np.pi)
-    expected = np.array([q, -1, 1, np.conj(q), 1j, 0, 0.6 + 0.8j])
-    assert np.max(np.abs(out - expected)) < 1e-15
-    assert out[-1] == (z[-1:] / np.abs(z[-1:]))[0]
 
 
 def test_arg_field_conventions():
