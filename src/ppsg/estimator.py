@@ -15,6 +15,13 @@ tau^m.  Each degree then subtracts its summed term over the full window
 once, before the next degree, and only over the axes the degree touches.
 Both cancellations take their phases from :func:`_turns`, which drops whole
 cycles exactly in float64 before converting; no trig runs past the entry.
+The turns are the one window-sized array the kernel holds.  The entry
+writes them, and every later pass reads them, in blocks of at most
+``_BLOCK_SAMPLES`` (2^15) samples per signal cut along the first window
+axis, so each pass's temporaries stay in cache instead of streaming fresh
+window-sized arrays through memory.  A stage differences a block together
+with the ``m[0] * tau[0]`` slices after it (its halo); a CIRCULAR window of
+several blocks is read once before that to gather its anchor's samples.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -24,7 +31,10 @@ weights.
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and row t of its result equals ``estimate`` of signal t
 bit for bit: every step is elementwise or a reduction that sums each row
-exactly as a lone signal is summed.  All estimators are pure functions of
+exactly as a lone signal is summed.  The blocks keep that order: each sum
+is formed as ``einsum`` forms it over one signal's whole field, the axes
+after the first row by row inside a block and the first axis in
+``np.getbufsize()``-sample pieces added in order (:func:`_mean_phase`).  All estimators are pure functions of
 (signal, config); a run is inherently sequential across degrees.
 """
 
@@ -90,7 +100,8 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
     flat = s.data.reshape(1, -1)
-    mean = _average(kind, _phase_turns(flat.real, flat.imag), [u.data.ravel()])
+    turns = _phase_turns(flat.real, flat.imag)
+    mean = _mean_phase(kind, turns, (0,), (1,), None, [u.data.ravel()])
     return complex(np.exp(1j * TWO_PI * mean[0]))
 
 
@@ -98,6 +109,24 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
 _TURN = 2.0**-64
 # The CIRCULAR anchor reads at most this many samples of a field.
 _ANCHOR_SAMPLES = 4096
+# Every pass of the kernel works on blocks of at most this many samples per
+# signal, cut along the first window axis; a block holds at least one slice
+# of that axis, however long.
+_BLOCK_SAMPLES = 1 << 15
+
+
+def _block_rows(N: tuple[int, ...], piece: int) -> int:
+    """Slices of the first axis of window N per block.  In 1-D it is a
+    multiple of ``piece``, so the blocks cut the weighted sum only where
+    :func:`_piece_sums` cuts it."""
+    if len(N) == 1:
+        return max(1, _BLOCK_SAMPLES // piece) * piece
+    return max(1, _BLOCK_SAMPLES // math.prod(N[1:]))
+
+
+def _blocks(count: int, rows: int) -> list[tuple[int, int]]:
+    """The spans [a, b) of at most ``rows`` that tile range(count), in order."""
+    return [(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
 def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -108,6 +137,18 @@ def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     adding +0.0 to the real part sends every zero sample to +-0 over +0.
     """
     return _to_turns(np.arctan2(im, re + 0.0) / TWO_PI)
+
+
+def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
+    """The batch as int64 turns, written block by block into one array; a
+    non-finite sample raises before its block is converted."""
+    turns = np.empty(data.shape, np.int64)
+    for a, b in _blocks(data.shape[1], rows):
+        block = data[:, a:b]
+        if not np.isfinite(block).all():
+            raise ValueError("signal has non-finite samples")
+        turns[:, a:b] = _phase_turns(block.real, block.imag)
+    return turns
 
 
 def _turns(acc: np.ndarray, factor: np.ndarray | int) -> np.ndarray:
@@ -131,33 +172,117 @@ def _to_turns(cycles: np.ndarray) -> np.ndarray:
     return cycles.astype(np.int64)
 
 
-def _average(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]) -> np.ndarray:
-    """Weighted mean phase of each field of a batch of int64 turns,
-    shape (B, *window) -> (B,), in cycles in [-1/2, 1/2).
+def _piece_sums(f: np.ndarray, wd: np.ndarray, piece: int) -> np.ndarray:
+    """``einsum`` of the last axis of ``f`` with ``wd`` over each run of
+    ``piece`` samples, from the first: shape (..., pieces)."""
+    n = f.shape[-1]
+    cut = n - n % piece
+    sums = []
+    if cut:
+        runs = f[..., :cut].reshape(f.shape[:-1] + (-1, piece))
+        sums.append(np.einsum("...pn,pn->...p", runs, wd[:cut].reshape(-1, piece)))
+    if cut < n:
+        sums.append(np.einsum("...n,n->...", f[..., cut:], wd[cut:])[..., None])
+    return np.concatenate(sums, axis=-1) if len(sums) > 1 else sums[0]
+
+
+def _in_order(sums: np.ndarray) -> np.ndarray:
+    """The sum of the last axis, left to right."""
+    return np.cumsum(sums, axis=-1)[..., -1]
+
+
+def _sum_rows(f: np.ndarray, wd: np.ndarray, in_one_pass: bool, piece: int) -> np.ndarray:
+    """``einsum`` of the last axis of ``f`` with ``wd``, each row summed in
+    one pass or, if not ``in_one_pass``, in pieces of ``piece`` samples.
+
+    ``einsum`` itself sums a row longer than its buffer in one pass when the
+    call holds more than one row, and in pieces added in order when it holds
+    one, so a lone row that must be summed in one pass is given a twin.
+    """
+    if f.shape[-1] > piece:
+        if not in_one_pass:
+            return _in_order(_piece_sums(f, wd, piece))
+        if f.size == f.shape[-1]:
+            return np.einsum("...n,n->...", np.broadcast_to(f, (2,) + f.shape), wd)[0]
+    return np.einsum("...n,n->...", f, wd)
+
+
+def _mean_phase(
+    kind: AveragingKind,
+    turns: np.ndarray,
+    m: MultiIndex,
+    tau: MultiIndex,
+    shift: np.ndarray | None,
+    w: list[np.ndarray],
+) -> np.ndarray:
+    """Weighted mean phase of the (m, tau) differences of each field of a
+    batch of int64 turns, less ``shift`` (int64 per field, or None), shape
+    (B, *N) -> (B,), in cycles in [-1/2, 1/2).  ``turns`` is never written.
 
     LINEAR reads the turns as they are, so its branch cut sits at -pi.
-    CIRCULAR first subtracts, as an integer, a per-field anchor: the argument
-    of the resultant of at most ``_ANCHOR_SAMPLES`` samples taken at a fixed
-    stride, so any shorter field is read whole; a zero resultant anchors at
-    phase 0.  Rotating a field rotates its anchor alike, so the mean is
-    rotation-equivariant.  ``einsum``, not BLAS, whose threads reorder sums,
-    contracts ``w`` one axis at a time.  ``turns`` is never written.
+    CIRCULAR adds to the shift, as an integer, a per-field anchor: the
+    argument of the resultant of at most ``_ANCHOR_SAMPLES`` differences
+    taken at a fixed flat stride, so any shorter field is read whole; a zero
+    resultant anchors at phase 0.  Rotating a field rotates its anchor alike,
+    so the mean is rotation-equivariant.
+
+    The differences are formed in blocks of :func:`_block_rows` slices of
+    the first axis, each from its input slices plus the ``m[0] * tau[0]``
+    after them (the halo), then shifted, converted to float and contracted
+    with the weights while in cache.  A CIRCULAR window of several blocks
+    takes a first pass over them to gather the anchor's samples, copied out
+    so that no block outlives its pass; a window of one block is differenced
+    once.
+
+    ``einsum``, not BLAS, whose threads reorder sums, contracts ``w`` one
+    axis at a time, the last first.  Every sum is formed as ``einsum`` forms
+    it over the whole differenced field of one signal, so the blocks change
+    no bit and a batch row equals its lone estimate: a block contracts each
+    axis after the first row by row, each row in one pass unless the axes
+    before it hold one sample (:func:`_sum_rows`), and the first axis is
+    summed in ``np.getbufsize()`` pieces added in order, which the 1-D
+    blocks never split.
     """
-    anchor = np.zeros(len(turns), np.int64)
+    B, N = len(turns), turns.shape[1:]
+    L = [Nd - td * md for Nd, td, md in zip(N, tau, m)]
+    halo = m[0] * tau[0]
+    piece = np.getbufsize()  # einsum's buffer, which sets how it splits a sum
+    spans = _blocks(L[0], _block_rows(N, piece))
+
+    def differences(a: int, b: int) -> np.ndarray:
+        return _difference(turns[:, a : b + halo], m, tau, np.subtract)
+
+    single = differences(*spans[0]) if len(spans) == 1 else None
+    anchor = np.zeros(B, np.int64)
     if kind is AveragingKind.CIRCULAR:
-        flat = turns.reshape(len(turns), -1)
-        sub = flat[:, :: -(-flat.shape[1] // _ANCHOR_SAMPLES)] * (TWO_PI * _TURN)
-        anchor = _phase_turns(np.cos(sub).sum(axis=-1), np.sin(sub).sum(axis=-1))
-        turns = turns - anchor.reshape((-1,) + (1,) * (turns.ndim - 1))
-    f = turns.astype(float)
-    for wd in reversed(w):
-        if f.shape[-1] > np.getbufsize():
-            # einsum sums an axis longer than its buffer in pieces, split one
-            # way for a batch and another for a lone row; go row by row.
-            f = np.stack([np.einsum("...n,n->...", row, wd) for row in f])
+        size = math.prod(L)
+        step = -(-size // _ANCHOR_SAMPLES)
+        if single is not None:
+            sub = single.reshape(B, -1)[:, ::step]
         else:
-            f = np.einsum("...n,n->...", f, wd)
-    return wrap_to_cell((anchor + f) * _TURN)
+            sub = np.empty((B, -(-size // step)), np.int64)
+            inner = size // L[0]
+            for a, b in spans:
+                k = -(-a * inner // step)
+                taken = differences(a, b).reshape(B, -1)[:, k * step - a * inner :: step]
+                sub[:, k : k + taken.shape[1]] = taken
+        if shift is not None:
+            sub = sub - shift[:, None]
+        sub = sub * (TWO_PI * _TURN)
+        anchor = _phase_turns(np.cos(sub).sum(axis=-1), np.sin(sub).sum(axis=-1))
+        shift = anchor if shift is None else shift + anchor
+    lead = (-1,) + (1,) * len(N)
+    pieces = len(N) == 1 and single is None  # 1-D blocks sum their own pieces
+    parts = []
+    for a, b in spans:
+        d = single if single is not None else differences(a, b)
+        f = (d if shift is None else d - shift.reshape(lead)).astype(float)
+        for k in range(len(N) - 1, 0, -1):
+            f = _sum_rows(f, w[k], math.prod(L[:k]) > 1, piece)
+        parts.append(_piece_sums(f, w[0][a:b], piece) if pieces else f)
+    partials = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    total = _in_order(partials) if pieces else _sum_rows(partials, w[0], False, piece)
+    return wrap_to_cell((anchor + total) * _TURN)
 
 
 @dataclass(frozen=True)
@@ -237,13 +362,6 @@ def _check_cell(values: np.ndarray) -> None:
         raise ValueError(f"binomial estimate left the cell [-1/2, 1/2): {values}")
 
 
-def _require_estimable(cfg: EstimatorConfig, data: np.ndarray) -> None:
-    if not np.isfinite(data).all():
-        raise ValueError("signal has non-finite samples")
-    # The last lag is the largest in every dimension, so it bounds the window.
-    diff_window(data.shape[1:], cfg.degree_set.max_degree, cfg.lags[-1])
-
-
 def _sequential(
     data: np.ndarray,
     cfg: EstimatorConfig,
@@ -264,18 +382,35 @@ def _sequential(
     once, over the axes where m_d > 0, since the field is constant along the
     others; the last degree skips it, since nothing reads the turns after
     it.  Both cancellations drop whole cycles before converting (:func:`_turns`)
-    and subtract integers, so no trig runs past the entry.  The window rule
-    is checked once, up front, so the stages difference the turns directly.
+    and subtract integers, so no trig runs past the entry.
+
+    The turns are the one window-sized array.  Every pass over them runs in
+    blocks of at most ``_BLOCK_SAMPLES`` samples per signal along the first
+    window axis (:func:`_block_rows`): the entry, which rejects a non-finite
+    sample block by block; each stage (:func:`_mean_phase`); and the
+    degree's cancellation, in place.  A stage differences a block with its
+    ``m[0] * tau[0]`` halo slices, subtracts the lag scalar and the CIRCULAR
+    anchor as one int64 per signal, converts and contracts the block; the
+    anchor comes from a first pass over the blocks that copies out its
+    strided samples, skipped when the window is one block.  The axes after
+    the first are contracted inside the block and the first axis at the
+    end, in ``np.getbufsize()``-sample pieces added in order, so every sum
+    is the one the whole window gives and batch rows stay bitwise equal to
+    lone estimates.  A block's temporaries stay in cache and nothing is kept
+    between calls.  The window rule is checked once, up front, so the
+    stages difference the turns directly.
 
     The weights are built first, so a cold build's temporaries never share
     memory with the batch.  Returns the coefficients, shape (B, |M|), and
     each stage's increments.
     """
-    _require_estimable(cfg, data)
     M = cfg.degree_set
     N = data.shape[1:]
+    # The last lag is the largest in every dimension, so it bounds the window.
+    diff_window(N, M.max_degree, cfg.lags[-1])
     weights = {(m, tau): weight_axes(m, tau, N) for m in M.degrees for tau in cfg.lags}
-    turns = _phase_turns(data.real, data.imag)
+    rows = _block_rows(N, np.getbufsize())
+    turns = _entry_turns(data, rows)
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
     lead = (-1,) + (1,) * len(N)
@@ -283,16 +418,15 @@ def _sequential(
         acc = np.zeros(len(data))
         for j, tau in enumerate(cfg.lags):
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
-            diffed = _difference(turns, m, tau, np.subtract)
-            if j:
-                diffed = diffed - _turns(acc, tau_pow).reshape(lead)
-            delta = _average(cfg.averaging, diffed, weights[m, tau]) / tau_pow
+            shift = _turns(acc, tau_pow) if j else None
+            delta = _mean_phase(cfg.averaging, turns, m, tau, shift, weights[m, tau]) / tau_pow
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1:
             touched = basis_field(m, N)[tuple(slice(None if md else 1) for md in m)]
-            turns -= _turns(acc.reshape(lead), touched)
+            for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
+                turns[:, a:b] -= _turns(acc.reshape(lead), touched[a:b])
     return values, diagnostics
 
 

@@ -13,14 +13,15 @@ from typing import Sequence
 import numpy as np
 
 from ppsg.analysis import FisherMatrix, fisher_matrix, outlier_predicate
-from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field
+from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field, wrap_to_cell
 from ppsg.degrees import DegreeSet, as_index, diff_window
 from ppsg.estimator import (
+    _ANCHOR_SAMPLES,
+    _TURN,
+    TWO_PI,
     AveragingKind,
     EstimatorConfig,
-    _average,
     _phase_turns,
-    _require_estimable,
     _turns,
     estimate,
 )
@@ -384,8 +385,43 @@ def reference_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(tuple(records), cfg)
 
 
+def whole_field_mean(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]) -> np.ndarray:
+    """Weighted mean phase of each field of a batch of int64 turns, shape
+    (B, *window) -> (B,), in cycles, over the whole field at once.
+
+    CIRCULAR subtracts the anchor, the argument of the resultant of the
+    samples at flat stride ``ceil(size / _ANCHOR_SAMPLES)``.  ``einsum``
+    contracts ``w`` one axis at a time; it sums an axis longer than its
+    buffer in pieces, split one way for a batch and another for a lone
+    signal, so such an axis is contracted signal by signal.
+    """
+    anchor = np.zeros(len(turns), np.int64)
+    if kind is AveragingKind.CIRCULAR:
+        flat = turns.reshape(len(turns), -1)
+        sub = flat[:, :: -(-flat.shape[1] // _ANCHOR_SAMPLES)] * (TWO_PI * _TURN)
+        anchor = _phase_turns(np.cos(sub).sum(axis=-1), np.sin(sub).sum(axis=-1))
+        turns = turns - anchor.reshape((-1,) + (1,) * (turns.ndim - 1))
+    f = turns.astype(float)
+    for wd in reversed(w):
+        if f.shape[-1] > np.getbufsize():
+            f = np.stack([np.einsum("...n,n->...", row, wd) for row in f])
+        else:
+            f = np.einsum("...n,n->...", f, wd)
+    return wrap_to_cell((anchor + f) * _TURN)
+
+
+def whole_field_stage(kind, turns, m, tau, shift, w) -> np.ndarray:
+    """One (m, tau) stage over the whole window: the full difference of the
+    turns, less ``shift`` (int64 per signal, or None), averaged."""
+    diffed = _difference(turns, m, tau, np.subtract)
+    if shift is not None:
+        diffed = diffed - shift.reshape((-1,) + (1,) * len(m))
+    return whole_field_mean(kind, diffed, w)
+
+
 def reference_sequential(data: np.ndarray, cfg, basis_field):
-    """The sequential loop one (degree, lag) stage at a time, in int64 turns.
+    """The sequential loop one (degree, lag) stage at a time, in int64 turns,
+    every stage over the whole window.
 
     Every stage but the last subtracts the turns of its own increment times
     ``basis_field(m, N)`` over the full window, so each lag of a degree
@@ -395,18 +431,20 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     ``arctan2`` per sample at entry and averages with the per-axis weights.
     Returns the coefficients and increments.
     """
-    _require_estimable(cfg, data)
-    turns = _phase_turns(data.real, data.imag)
+    if not np.isfinite(data).all():
+        raise ValueError("signal has non-finite samples")
     M = cfg.degree_set
     N = data.shape[1:]
+    diff_window(N, M.max_degree, cfg.lags[-1])
+    turns = _phase_turns(data.real, data.imag)
     lead = (-1,) + (1,) * len(N)
     stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
     values = np.zeros((len(data), len(M)))
     diagnostics = {}
     for i, (m, tau) in enumerate(stages):
-        diffed = _difference(turns, m, tau, np.subtract)
         tau_pow = math.prod(td**md for td, md in zip(tau, m))
-        delta = _average(cfg.averaging, diffed, weight_axes(m, tau, N)) / tau_pow
+        mean = whole_field_stage(cfg.averaging, turns, m, tau, None, weight_axes(m, tau, N))
+        delta = mean / tau_pow
         values[:, M.position(m)] += delta
         diagnostics[(m, tau)] = delta
         if i < len(stages) - 1:

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,14 @@ from ppsg.estimator import (
     estimate_coefficients_direct,
 )
 from ppsg.signal import RealField, Signal, add_noise, synthesize
-from ppsg.weights import WeightField, weight_multi
+from ppsg.weights import WeightField, weight_axes, weight_multi
 
-from oracles import parameter_invariance_witness, reference_sequential, run_python
+from oracles import (
+    parameter_invariance_witness,
+    reference_sequential,
+    run_python,
+    whole_field_stage,
+)
 
 M01 = build_total_order([(0,), (1,)])
 M012 = build_total_order([(0,), (1,), (2,)])
@@ -408,9 +414,8 @@ def test_kernel_matches_per_stage_reference(M, N, lags, kind, snr_db):
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_kernel_is_per_stage_reference_with_unit_lag(kind):
     # With one lag each degree's increments are its stage's increments, so
-    # the unit-lag path is the reference bit for bit.  The reference skips
-    # the rotation of a signal whose increment is 0; the kernel rotates it
-    # by 1, which the noise-free rows with zero increments exercise.
+    # the unit-lag path is the reference bit for bit, including noise-free
+    # rows whose increments are 0 and signals of -0.0 and of ones.
     noisy = ((M012, (512,)), (M2D_TOTAL2, (40, 36)))
     batches = [(M, _noisy_batch(M, N, 10.0, 8)) for M, N in noisy]
     for M, N in ((M012, (64,)), (M2D_TOTAL2, (16, 12))):
@@ -704,6 +709,109 @@ def test_batch_above_256_kib_rows_equal_single_estimates(kind, M, N, lags):
         assert repr(one.diagnostics) == repr({k: float(d[t]) for k, d in diagnostics.items()})
 
 
+# -- Blocks --------------------------------------------------------------------
+
+_BLOCK = estimator_module._BLOCK_SAMPLES
+M3D = build_total_order([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0)])
+_BLOCK_EDGE_WINDOWS = [
+    (_BLOCK - 1,),
+    (_BLOCK,),
+    (_BLOCK + 1,),
+    (3 * _BLOCK + 5,),
+    (3, 40000),
+    (2, 9000),
+    (70, 600),
+    (20, 30, 40),
+]
+
+
+def _stage_degrees(dim):
+    return [(0,) * dim, (1,) + (0,) * (dim - 1), (0,) * (dim - 1) + (1,), (2,) + (0,) * (dim - 1)]
+
+
+@pytest.mark.parametrize("N", _BLOCK_EDGE_WINDOWS, ids=str)
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_blocked_stage_is_whole_field_stage(kind, N):
+    # A stage differences each block with the m[0] * tau[0] rows after it,
+    # gathers the anchor's samples across blocks and contracts the block, and
+    # every sum is formed as the whole field forms it: bit for bit, with and
+    # without a lag shift, for a batch and for each of its rows alone.  Rows
+    # of (3, 40000) exceed a block, and degree (2, 0) leaves one row there.
+    rng = np.random.default_rng(sum(N))
+    turns = rng.integers(-(2**63), 2**63, size=(2,) + N, dtype=np.int64)
+    lag_shift = rng.integers(-(2**63), 2**63, size=2, dtype=np.int64)
+    for m in _stage_degrees(len(N)):
+        for t in (1, 2, 4):
+            tau = (t,) * len(N)
+            if any(Nd - t * md < 1 for Nd, md in zip(N, m)):
+                continue
+            w = weight_axes(m, tau, N)
+            for shift in (None, lag_shift):
+                got = estimator_module._mean_phase(kind, turns, m, tau, shift, w)
+                want = whole_field_stage(kind, turns, m, tau, shift, w)
+                assert got.tobytes() == want.tobytes(), (m, tau)
+                for r in range(len(turns)):
+                    one = None if shift is None else shift[r : r + 1]
+                    lone = estimator_module._mean_phase(kind, turns[r : r + 1], m, tau, one, w)
+                    assert lone.tobytes() == got[r : r + 1].tobytes(), (m, tau, r)
+
+
+@pytest.mark.parametrize(
+    "M, N, lags",
+    [
+        pytest.param(M012, (_BLOCK - 1,), ((1,), (2,), (4,)), id="block-1"),
+        pytest.param(M012, (_BLOCK,), ((1,), (2,), (4,)), id="block"),
+        pytest.param(M012, (_BLOCK + 1,), ((1,), (2,), (4,)), id="block+1"),
+        pytest.param(M012, (3 * _BLOCK + 5,), ((1,), (2,), (4,)), id="3block+5"),
+        pytest.param(M012, (2**20,), ((1,), (2,), (4,)), id="2^20"),
+        pytest.param(M2D_TOTAL2, (3, 40000), (), id="3x40000"),
+        pytest.param(M2D, (2, 9000), (), id="2x9000"),
+        pytest.param(M3D, (20, 30, 40), ((1, 1, 1), (2, 2, 2), (4, 4, 4)), id="20x30x40"),
+    ],
+)
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_blocked_kernel_is_whole_window_reference(kind, M, N, lags):
+    # On the unit lag the kernel is the whole-window reference bit for bit,
+    # and under every schedule a batch row is its lone estimate bit for bit.
+    data = _noisy_batch(M, N, 10.0, 13, rows=2)
+    cfg = EstimatorConfig(M, kind)
+    values, diagnostics = estimator_module._sequential(data, cfg, binomial_field)
+    ref_values, ref_diagnostics = reference_sequential(data, cfg, binomial_field)
+    assert values.tobytes() == ref_values.tobytes()
+    assert all(d.tobytes() == ref_diagnostics[k].tobytes() for k, d in diagnostics.items())
+    for cfg in dict.fromkeys((cfg, EstimatorConfig(M, kind, lags=lags))):
+        values, diagnostics = estimate_batch(data, cfg)
+        for t, row in enumerate(data):
+            one = estimate(Signal(N, row), cfg)
+            assert one.binomial.values.tobytes() == values[t].tobytes()
+            assert repr(one.diagnostics) == repr({k: float(d[t]) for k, d in diagnostics.items()})
+
+
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_estimate_holds_one_window_sized_array(kind):
+    # Past its input an estimate holds the int64 turns, 8 MiB at 2^20, and
+    # cache-sized blocks.  Each block's anchor samples are copied out, so no
+    # block outlives its pass (a strided view would keep all 32 alive).
+    N = (2**20,)
+    y, _ = _noisy(_cv([0.25, -0.375, 0.125], M012), N, 1000.0, 14)
+    cfg = EstimatorConfig(M012, kind)
+    estimate(y, cfg)  # builds the cached weights and basis axes
+    tracemalloc.start()
+    try:
+        estimate(y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * N[0]
+
+
+def test_non_finite_sample_in_a_later_block_is_rejected():
+    data = np.ones(3 * _BLOCK + 5, dtype=complex)
+    data[-1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate(Signal(data.shape, data), EstimatorConfig(M01))
+
+
 @pytest.mark.parametrize(
     "M, lags",
     [(M2D_TOTAL2, M2D_TOTAL2_LAGS), (build_total_order([(0, 0)]), M2D_TOTAL2_LAGS)],
@@ -711,10 +819,11 @@ def test_batch_above_256_kib_rows_equal_single_estimates(kind, M, N, lags):
 )
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_estimators_never_write_their_input(kind, M, lags):
-    # The kernel rotates its projected copy in place, and at degree 0 the
-    # differenced field is that copy; neither may reach the caller's array.
+    # The kernel cancels each degree from its own int64 turns in place, and
+    # at degree 0 a differenced block is a view of those turns; neither may
+    # reach the caller's array.
     data = _noisy_batch(M, (20, 18), 10.0, 12)
-    data[1] = 1.0  # a row whose increments are 0 takes the per-row path
+    data[1] = 1.0  # a row whose increments are 0
     before = data.tobytes()
     cfg = EstimatorConfig(M, kind, lags=lags)
     estimate_batch(data, cfg)
