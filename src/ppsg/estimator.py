@@ -14,14 +14,13 @@ signal, since the m-th difference at lag tau of C(n, m) is the constant
 tau^m.  Each degree then subtracts its summed term over the full window
 once, before the next degree, and only over the axes the degree touches.
 Both cancellations take their phases from :func:`_turns`, which drops whole
-cycles exactly in float64 before converting; no trig runs past the entry.
-The turns are the one window-sized array the kernel holds.  The entry
-writes them, and every later pass reads them, in blocks of at most
-``_BLOCK_SAMPLES`` (2^15) samples per signal cut along the first window
-axis, so each pass's temporaries stay in cache instead of streaming fresh
-window-sized arrays through memory.  A stage differences a block together
-with the ``m[0] * tau[0]`` slices after it (its halo); a CIRCULAR window of
-several blocks is read once before that to gather its anchor's samples.
+cycles exactly in float64 before converting.  Past the entry the only trig
+is the CIRCULAR anchor's float32 ``cos`` and ``sin`` of at most
+``_ANCHOR_SAMPLES`` (4096) gathered samples per field and stage.  The turns
+are the one window-sized array the kernel holds.  Every pass over them runs
+in blocks of at most ``_BLOCK_SAMPLES`` (2^15) samples per signal cut along
+the first window axis, so its temporaries stay in cache, and a stage
+differences each block once.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -31,11 +30,9 @@ weights.
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and row t of its result equals ``estimate`` of signal t
 bit for bit: every step is elementwise or a reduction that sums each row
-exactly as a lone signal is summed.  The blocks keep that order: each sum
-is formed as ``einsum`` forms it over one signal's whole field, the axes
-after the first row by row inside a block and the first axis in
-``np.getbufsize()``-sample pieces added in order (:func:`_mean_phase`).  All estimators are pure functions of
-(signal, config); a run is inherently sequential across degrees.
+exactly as a lone signal is summed, which the blocks keep
+(:func:`_mean_phase`).  All estimators are pure functions of (signal,
+config); a run is inherently sequential across degrees.
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
     flat = s.data.reshape(1, -1)
-    turns = _phase_turns(flat.real, flat.imag)
+    turns = _phase_turns(flat.real, flat.imag).astype(np.int64)
     mean = _mean_phase(kind, turns, (0,), (1,), None, [u.data.ravel()])
     return complex(np.exp(1j * TWO_PI * mean[0]))
 
@@ -130,13 +127,17 @@ def _blocks(count: int, rows: int) -> list[tuple[int, int]]:
 
 
 def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The argument of re + j*im as int64 turns; a zero sample has phase 0.
+    """The argument of re + j*im as turns in one float temporary, for the
+    caller to convert to int64; a zero sample has phase 0.
 
     ``arctan2`` reads the two parts as they are, so any finite sample has
     its phase, however large or small.  It returns +-pi for +-0 over -0, so
     adding +0.0 to the real part sends every zero sample to +-0 over +0.
     """
-    return _to_turns(np.arctan2(im, re + 0.0) / TWO_PI)
+    x = re + 0.0
+    np.arctan2(im, x, out=x)
+    x /= TWO_PI
+    return _to_turns(x)
 
 
 def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
@@ -162,14 +163,15 @@ def _turns(acc: np.ndarray, factor: np.ndarray | int) -> np.ndarray:
     """
     t = np.multiply(acc, factor)
     t -= np.rint(t)
-    return _to_turns(t)
+    return _to_turns(t).astype(np.int64)
 
 
 def _to_turns(cycles: np.ndarray) -> np.ndarray:
-    """Float cycles in [-1/2, 1/2] as int64 turns; +1/2 folds to -1/2."""
+    """Float cycles in [-1/2, 1/2] scaled in place to turns, in int64 range
+    for a conversion that truncates; +1/2 folds to -1/2."""
     cycles /= _TURN
     cycles[cycles == 2.0**63] = -(2.0**63)
-    return cycles.astype(np.int64)
+    return cycles
 
 
 def _piece_sums(f: np.ndarray, wd: np.ndarray, piece: int) -> np.ndarray:
@@ -207,6 +209,27 @@ def _sum_rows(f: np.ndarray, wd: np.ndarray, in_one_pass: bool, piece: int) -> n
     return np.einsum("...n,n->...", f, wd)
 
 
+def _anchor_samples(turns: np.ndarray, m: MultiIndex, tau: MultiIndex) -> np.ndarray:
+    """The (m, tau) differences of a batch of int64 turns at flat stride
+    ``ceil(size / _ANCHOR_SAMPLES)`` over the differenced window, shape
+    (B, K), C-ordered: each differences its prod(m_d + 1) stencil samples
+    n + j * tau, gathered by ``np.take``, at unit lag, bitwise as the whole
+    field does."""
+    N, D = turns.shape[1:], len(m)
+    L = [Nd - td * md for Nd, td, md in zip(N, tau, m)]
+    rest = np.arange(0, math.prod(L), -(-math.prod(L) // _ANCHOR_SAMPLES))
+    base, stencil, stride = 0, 0, 1
+    for d in reversed(range(D)):  # unravel over the differenced window, ravel over N
+        q = rest // L[d]  # a floor division by a scalar is vectorized; % is not
+        base = base + (rest - q * L[d]) * stride
+        j = np.arange(m[d] + 1).reshape((1,) * d + (-1,) + (1,) * (D - d))
+        stencil = stencil + j * (tau[d] * stride)
+        rest, stride = q, stride * N[d]
+    idx = base + stencil  # shape (m_0 + 1, ..., m_{D-1} + 1, K)
+    gathered = np.take(turns.reshape(len(turns), -1), idx, axis=1)
+    return _difference(gathered, m, (1,) * D, np.subtract).reshape(len(turns), -1)
+
+
 def _mean_phase(
     kind: AveragingKind,
     turns: np.ndarray,
@@ -221,18 +244,15 @@ def _mean_phase(
 
     LINEAR reads the turns as they are, so its branch cut sits at -pi.
     CIRCULAR adds to the shift, as an integer, a per-field anchor: the
-    argument of the resultant of at most ``_ANCHOR_SAMPLES`` differences
-    taken at a fixed flat stride, so any shorter field is read whole; a zero
-    resultant anchors at phase 0.  Rotating a field rotates its anchor alike,
-    so the mean is rotation-equivariant.
+    argument of the resultant of the :func:`_anchor_samples` less the shift,
+    summed in float64 from float32 ``cos`` and ``sin``; a zero resultant
+    anchors at phase 0.  Rotating a field rotates its anchor alike up to
+    float32 rounding, so the mean is rotation-equivariant unless that
+    rounding moves a sample across the cut, and the mean by its weight.
 
-    The differences are formed in blocks of :func:`_block_rows` slices of
-    the first axis, each from its input slices plus the ``m[0] * tau[0]``
-    after them (the halo), then shifted, converted to float and contracted
-    with the weights while in cache.  A CIRCULAR window of several blocks
-    takes a first pass over them to gather the anchor's samples, copied out
-    so that no block outlives its pass; a window of one block is differenced
-    once.
+    Each block of :func:`_block_rows` slices of the first axis is
+    differenced once, from its slices plus the ``m[0] * tau[0]`` after them
+    (the halo), then shifted, converted and contracted while in cache.
 
     ``einsum``, not BLAS, whose threads reorder sums, contracts ``w`` one
     axis at a time, the last first.  Every sum is formed as ``einsum`` forms
@@ -245,37 +265,22 @@ def _mean_phase(
     """
     B, N = len(turns), turns.shape[1:]
     L = [Nd - td * md for Nd, td, md in zip(N, tau, m)]
-    halo = m[0] * tau[0]
     piece = np.getbufsize()  # einsum's buffer, which sets how it splits a sum
     spans = _blocks(L[0], _block_rows(N, piece))
-
-    def differences(a: int, b: int) -> np.ndarray:
-        return _difference(turns[:, a : b + halo], m, tau, np.subtract)
-
-    single = differences(*spans[0]) if len(spans) == 1 else None
     anchor = np.zeros(B, np.int64)
     if kind is AveragingKind.CIRCULAR:
-        size = math.prod(L)
-        step = -(-size // _ANCHOR_SAMPLES)
-        if single is not None:
-            sub = single.reshape(B, -1)[:, ::step]
-        else:
-            sub = np.empty((B, -(-size // step)), np.int64)
-            inner = size // L[0]
-            for a, b in spans:
-                k = -(-a * inner // step)
-                taken = differences(a, b).reshape(B, -1)[:, k * step - a * inner :: step]
-                sub[:, k : k + taken.shape[1]] = taken
+        sub = _anchor_samples(turns, m, tau)
         if shift is not None:
-            sub = sub - shift[:, None]
-        sub = sub * (TWO_PI * _TURN)
-        anchor = _phase_turns(np.cos(sub).sum(axis=-1), np.sin(sub).sum(axis=-1))
+            sub -= shift[:, None]
+        x = (sub * (TWO_PI * _TURN)).astype(np.float32)
+        resultant = (f(x).sum(axis=-1, dtype=float) for f in (np.cos, np.sin))
+        anchor = _phase_turns(*resultant).astype(np.int64)
         shift = anchor if shift is None else shift + anchor
     lead = (-1,) + (1,) * len(N)
-    pieces = len(N) == 1 and single is None  # 1-D blocks sum their own pieces
+    pieces = len(N) == 1 and len(spans) > 1  # 1-D blocks sum their own pieces
     parts = []
     for a, b in spans:
-        d = single if single is not None else differences(a, b)
+        d = _difference(turns[:, a : b + m[0] * tau[0]], m, tau, np.subtract)  # with the halo
         f = (d if shift is None else d - shift.reshape(lead)).astype(float)
         for k in range(len(N) - 1, 0, -1):
             f = _sum_rows(f, w[k], math.prod(L[:k]) > 1, piece)
@@ -382,23 +387,14 @@ def _sequential(
     once, over the axes where m_d > 0, since the field is constant along the
     others; the last degree skips it, since nothing reads the turns after
     it.  Both cancellations drop whole cycles before converting (:func:`_turns`)
-    and subtract integers, so no trig runs past the entry.
+    and subtract integers.
 
-    The turns are the one window-sized array.  Every pass over them runs in
-    blocks of at most ``_BLOCK_SAMPLES`` samples per signal along the first
-    window axis (:func:`_block_rows`): the entry, which rejects a non-finite
-    sample block by block; each stage (:func:`_mean_phase`); and the
-    degree's cancellation, in place.  A stage differences a block with its
-    ``m[0] * tau[0]`` halo slices, subtracts the lag scalar and the CIRCULAR
-    anchor as one int64 per signal, converts and contracts the block; the
-    anchor comes from a first pass over the blocks that copies out its
-    strided samples, skipped when the window is one block.  The axes after
-    the first are contracted inside the block and the first axis at the
-    end, in ``np.getbufsize()``-sample pieces added in order, so every sum
-    is the one the whole window gives and batch rows stay bitwise equal to
-    lone estimates.  A block's temporaries stay in cache and nothing is kept
-    between calls.  The window rule is checked once, up front, so the
-    stages difference the turns directly.
+    The turns are the one window-sized array.  The entry, which rejects a
+    non-finite sample, each stage (:func:`_mean_phase`, whose CIRCULAR
+    anchor takes the only trig past the entry) and each cancellation run
+    over it in blocks of :func:`_block_rows`, and every sum is the one the
+    whole window gives.  Nothing is kept between calls, and the window rule
+    is checked once, up front.
 
     The weights are built first, so a cold build's temporaries never share
     memory with the batch.  Returns the coefficients, shape (B, |M|), and

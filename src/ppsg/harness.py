@@ -250,7 +250,7 @@ def _trial_generators(master_seed: int, snr_index: int, trials: range):
         yield rng
 
 
-def _draw_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+def _draw_coefficients(cfg: ExperimentConfig, rng: np.random.Generator | None) -> np.ndarray:
     size = len(cfg.degree_set)
     if cfg.parameter_mode == "zero":
         return np.zeros(size)
@@ -263,17 +263,21 @@ def _draw_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range
     """Ground truths (B, |M|) and complex noise (B, *N) of ``trials``.
 
     One generator pass: each trial's stream, seeded as by ``_trial_rng``,
-    draws the ground truth and then the real and the imaginary parts of the
-    noise into one (B, 2, *N) buffer.  The noise is then formed over the
-    whole chunk with the elementwise operations of ``complex_noise``, so
-    every number is bit for bit the per-trial one.
+    draws the ground truth, if its mode draws one, and then the real and the
+    imaginary parts of the noise into one (B, 2, *N) buffer.  The noise is
+    then formed over the whole chunk with the elementwise operations of
+    ``complex_noise``, so every number is bit for bit the per-trial one.
     """
     if not snr > 0:  # NaN fails too
         raise ValueError(f"snr must be positive, got {snr}")
+    drawn = cfg.parameter_mode == "uniform_cell"
     truths = np.empty((len(trials), len(cfg.degree_set)))
+    if not drawn:
+        truths[:] = _draw_coefficients(cfg, None)
     gauss = np.empty((len(trials), 2, *cfg.window))
     for row, rng in enumerate(_trial_generators(cfg.master_seed, snr_index, trials)):
-        truths[row] = _draw_coefficients(cfg, rng)
+        if drawn:
+            truths[row] = _draw_coefficients(cfg, rng)
         rng.standard_normal(out=gauss[row])
     noise = 1j * gauss[:, 1]
     noise += gauss[:, 0]

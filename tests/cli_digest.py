@@ -4,11 +4,14 @@ Runs ``simulate``, ``crb``, ``weights`` and ``estimate`` through
 ``ppsg.cli.main`` with fixed seeds on small windows, in a temporary
 directory, and prints the sha256 of each output file, sorted by name.  The
 sidecar's ``version`` field names the checkout, so it is left out.  Two trees
-that print the same lines write byte-identical outputs.
+that print the same lines write byte-identical outputs.  ``--keep DIR`` also
+writes the outputs to DIR, so two trees that differ can be compared number
+by number.
 
-    PYTHONPATH=src python tests/cli_digest.py
+    PYTHONPATH=src python tests/cli_digest.py [--keep DIR]
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -117,13 +120,20 @@ def _outputs(work: Path) -> dict[str, bytes]:
     return out
 
 
-def digests() -> dict[str, str]:
-    """The sha256 of every output, by output name."""
+def digests(keep: Path | None = None) -> dict[str, str]:
+    """The sha256 of every output, by output name; ``keep`` is a directory
+    that also receives each output under its name."""
     with tempfile.TemporaryDirectory() as work:
         outputs = _outputs(Path(work))
+    if keep is not None:
+        keep.mkdir(parents=True, exist_ok=True)
+        for name, data in outputs.items():
+            (keep / name).write_bytes(data)
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
 
 
 if __name__ == "__main__":
-    for name, digest in digests().items():
+    parser = argparse.ArgumentParser(description="Digest the fixed-seed CLI outputs.")
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="also write the outputs to DIR")
+    for name, digest in digests(parser.parse_args().keep).items():
         sys.stdout.write(f"{digest}  {name}\n")

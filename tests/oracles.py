@@ -390,7 +390,8 @@ def whole_field_mean(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]
     (B, *window) -> (B,), in cycles, over the whole field at once.
 
     CIRCULAR subtracts the anchor, the argument of the resultant of the
-    samples at flat stride ``ceil(size / _ANCHOR_SAMPLES)``.  ``einsum``
+    samples at flat stride ``ceil(size / _ANCHOR_SAMPLES)``, summed in
+    float64 from the float32 ``cos`` and ``sin`` of their phases.  ``einsum``
     contracts ``w`` one axis at a time; it sums an axis longer than its
     buffer in pieces, split one way for a batch and another for a lone
     signal, so such an axis is contracted signal by signal.
@@ -399,7 +400,9 @@ def whole_field_mean(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]
     if kind is AveragingKind.CIRCULAR:
         flat = turns.reshape(len(turns), -1)
         sub = flat[:, :: -(-flat.shape[1] // _ANCHOR_SAMPLES)] * (TWO_PI * _TURN)
-        anchor = _phase_turns(np.cos(sub).sum(axis=-1), np.sin(sub).sum(axis=-1))
+        x = sub.astype(np.float32)
+        re, im = np.cos(x).sum(axis=-1, dtype=float), np.sin(x).sum(axis=-1, dtype=float)
+        anchor = _phase_turns(re, im).astype(np.int64)
         turns = turns - anchor.reshape((-1,) + (1,) * (turns.ndim - 1))
     f = turns.astype(float)
     for wd in reversed(w):
@@ -436,7 +439,7 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     M = cfg.degree_set
     N = data.shape[1:]
     diff_window(N, M.max_degree, cfg.lags[-1])
-    turns = _phase_turns(data.real, data.imag)
+    turns = _phase_turns(data.real, data.imag).astype(np.int64)
     lead = (-1,) + (1,) * len(N)
     stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
     values = np.zeros((len(data), len(M)))

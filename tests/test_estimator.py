@@ -30,7 +30,7 @@ from ppsg.estimator import (
     estimate_batch,
     estimate_coefficients_direct,
 )
-from ppsg.signal import RealField, Signal, add_noise, synthesize
+from ppsg.signal import RealField, Signal, _difference, add_noise, synthesize
 from ppsg.weights import WeightField, weight_axes, weight_multi
 
 from oracles import (
@@ -507,33 +507,38 @@ def test_witness_noise_free_zero():
 
 
 @pytest.mark.parametrize(
-    "cfg_kwargs",
+    "cfg_kwargs, N, snr, trials",
     [
-        {},
-        {"lags": ((1,), (2,))},
+        pytest.param({}, 32, 1.5, 25, id="cfg_kwargs0"),
+        pytest.param({"lags": ((1,), (2,))}, 32, 1.5, 25, id="cfg_kwargs1"),
+        # The sweep config at its lowest SNR, where samples cross the cut.
+        pytest.param({}, 64, 1.0, 300, id="sweep-64-0db"),
     ],
 )
-def test_witness_integer_on_noisy_trials(cfg_kwargs):
+def test_witness_integer_on_noisy_trials(cfg_kwargs, N, snr, trials):
     cfg = EstimatorConfig(M01, **cfg_kwargs)
-    for t in range(25):
+    for t in range(trials):
         rng = np.random.default_rng(600 + t)
         b = _cv(rng.uniform(-0.5, 0.5, 2), M01)
-        y, _ = _noisy(b, (32,), 1.5, 700 + t)
-        x_true = RealField((32,), phase_field(b, (32,)))
+        y, _ = _noisy(b, (N,), snr, 700 + t)
+        x_true = RealField((N,), phase_field(b, (N,)))
         parameter_invariance_witness(y, x_true, cfg)  # raises on violation
 
 
 @pytest.mark.parametrize(
-    "M, N", [(M012, (2**14,)), (M2D_TOTAL2, (128, 128))], ids=["1d-2^14", "2d-128x128"]
+    "M, N, snr",
+    [(M012, (2**14,), 10.0), (M2D_TOTAL2, (128, 128), 10.0), (M012, (2**14,), 1.0)],
+    ids=["1d-2^14", "2d-128x128", "1d-2^14-0db"],
 )
-def test_witness_integer_above_the_anchor_subsample(M, N):
+def test_witness_integer_above_the_anchor_subsample(M, N, snr):
     # Above 4096 samples the CIRCULAR anchor reads a strided subsample of
-    # each field; rotating the field must still rotate the anchor alike.
+    # each field; rotating the field must still rotate the anchor alike, up
+    # to the float32 rounding that at 0 dB has the most samples to cross.
     cfg = EstimatorConfig(M)
     for t in range(3):
         rng = np.random.default_rng(1100 + t)
         b = _cv(rng.uniform(-0.5, 0.5, len(M)), M)
-        y, _ = _noisy(b, N, 10.0, 1200 + t)
+        y, _ = _noisy(b, N, snr, 1200 + t)
         x_true = RealField(N, phase_field(b, N))
         parameter_invariance_witness(y, x_true, cfg)  # raises on violation
 
@@ -732,11 +737,11 @@ def _stage_degrees(dim):
 @pytest.mark.parametrize("N", _BLOCK_EDGE_WINDOWS, ids=str)
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_blocked_stage_is_whole_field_stage(kind, N):
-    # A stage differences each block with the m[0] * tau[0] rows after it,
-    # gathers the anchor's samples across blocks and contracts the block, and
-    # every sum is formed as the whole field forms it: bit for bit, with and
-    # without a lag shift, for a batch and for each of its rows alone.  Rows
-    # of (3, 40000) exceed a block, and degree (2, 0) leaves one row there.
+    # A stage gathers the anchor's samples from the turns, then differences
+    # each block once with the m[0] * tau[0] rows after it and contracts it,
+    # and every sum is formed as the whole field forms it: bit for bit, with
+    # and without a lag shift, for a batch and for each of its rows alone.
+    # Rows of (3, 40000) exceed a block, and degree (2, 0) leaves one row.
     rng = np.random.default_rng(sum(N))
     turns = rng.integers(-(2**63), 2**63, size=(2,) + N, dtype=np.int64)
     lag_shift = rng.integers(-(2**63), 2**63, size=2, dtype=np.int64)
@@ -754,6 +759,79 @@ def test_blocked_stage_is_whole_field_stage(kind, N):
                     one = None if shift is None else shift[r : r + 1]
                     lone = estimator_module._mean_phase(kind, turns[r : r + 1], m, tau, one, w)
                     assert lone.tobytes() == got[r : r + 1].tobytes(), (m, tau, r)
+
+
+@pytest.mark.parametrize("N", _BLOCK_EDGE_WINDOWS, ids=str)
+def test_anchor_gather_is_the_strided_whole_field_difference(N):
+    # The anchor gathers each sample's stencil from the turns instead of
+    # differencing the window: bit for bit the whole field's differences at
+    # the flat stride, and C-ordered (a plain a[:, idx] is not, and a
+    # reduction may then sum its rows in another order), so that a batch's
+    # resultant sums equal those of each row alone.
+    rng = np.random.default_rng(sum(N) + 1)
+    turns = rng.integers(-(2**63), 2**63, size=(3,) + N, dtype=np.int64)
+
+    def sums(samples):
+        x = (samples * (estimator_module.TWO_PI * 2.0**-64)).astype(np.float32)
+        return [f(x).sum(axis=-1, dtype=float) for f in (np.cos, np.sin)]
+
+    for m in _stage_degrees(len(N)):
+        for t in (1, 2, 4):
+            tau = (t,) * len(N)
+            if any(Nd - t * md < 1 for Nd, md in zip(N, m)):
+                continue
+            got = estimator_module._anchor_samples(turns, m, tau)
+            whole = _difference(turns, m, tau, np.subtract).reshape(len(turns), -1)
+            want = whole[:, :: -(-whole.shape[1] // estimator_module._ANCHOR_SAMPLES)]
+            assert got.flags.c_contiguous and got.shape == want.shape, (m, tau)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (m, tau)
+            batch = sums(got)
+            for r in range(len(turns)):
+                lone = estimator_module._anchor_samples(turns[r : r + 1], m, tau)
+                assert lone.tobytes() == got[r].tobytes(), (m, tau, r)
+                for one, all_rows in zip(sums(lone), batch):
+                    assert one.tobytes() == all_rows[r : r + 1].tobytes(), (m, tau, r)
+
+
+@pytest.mark.parametrize(
+    "M, N, lags",
+    [
+        (M012, (2**14,), ()),
+        (M2D_TOTAL2, (128, 128), ()),
+        (M2D_TOTAL2, (512, 512), ((1, 1), (2, 2), (4, 4))),
+    ],
+    ids=["2^14", "128x128", "512x512-3-lags"],
+)
+def test_circular_stage_differences_each_block_once_with_float32_trig(monkeypatch, M, N, lags):
+    # Past the entry the only trig is the anchor's: float32 cos and sin of at
+    # most 4096 samples per signal and stage.  Each stage differences every
+    # block once, plus one stencil of gathered anchor samples: 144 block
+    # calls and 18 stencil calls for the 512x512 three-lag estimate.
+    data = _noisy_batch(M, N, 10.0, 15, rows=2)
+    cfg = EstimatorConfig(M, lags=lags)
+    trig, differenced = [], []
+    for name in ("cos", "sin"):
+
+        def recording(x, *args, _f=getattr(np, name), **kwargs):
+            trig.append((x.dtype, x.shape))
+            return _f(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+
+    def counting(data, k, tau, step):
+        differenced.append(data.shape)
+        return _difference(data, k, tau, step)
+
+    monkeypatch.setattr(estimator_module, "_difference", counting)
+    estimate_batch(data, cfg)
+    stages = [(m, tau) for m in M.degrees for tau in cfg.lags]
+    assert len(trig) == 2 * len(stages)
+    assert all(dtype == np.float32 and shape[0] == 2 and shape[-1] <= 4096 for dtype, shape in trig)
+    rows = estimator_module._block_rows(N, np.getbufsize())
+    blocks = sum(len(estimator_module._blocks(N[0] - tau[0] * m[0], rows)) for m, tau in stages)
+    assert len(differenced) == blocks + len(stages)
+    if N == (512, 512):
+        assert blocks == 144 and len(stages) == 18
 
 
 @pytest.mark.parametrize(
@@ -790,8 +868,8 @@ def test_blocked_kernel_is_whole_window_reference(kind, M, N, lags):
 @pytest.mark.parametrize("kind", list(AveragingKind))
 def test_estimate_holds_one_window_sized_array(kind):
     # Past its input an estimate holds the int64 turns, 8 MiB at 2^20, and
-    # cache-sized blocks.  Each block's anchor samples are copied out, so no
-    # block outlives its pass (a strided view would keep all 32 alive).
+    # cache-sized blocks, each freed after its pass; the anchor gathers at
+    # most 4096 samples per stencil point from the turns.
     N = (2**20,)
     y, _ = _noisy(_cv([0.25, -0.375, 0.125], M012), N, 1000.0, 14)
     cfg = EstimatorConfig(M012, kind)
