@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
@@ -83,11 +83,31 @@ class ChangeOfBasis:
 
 # -- Gridded evaluation -------------------------------------------------------
 #
-# The estimator cancels exp(-j2*pi*c*basis_m(n)) over the full window at every
-# step, so per-dimension basis samples are cached and combined by broadcasting.
+# Fields are combined from per-dimension axes by broadcasting.  The estimator
+# cancels each recovered term in exact turns, from the basis function's
+# integer numerator modulo 2^64 (:func:`integer_field`); synthesis and
+# reconstruction read the float fields.
+
+# Axes and fields bigger than this are rebuilt on demand instead of cached,
+# bounding resident memory; the integer axes, which the estimator reads on
+# every call, are cached at any length.  The size of a field is that of the
+# compact field, which spans only the touched axes.
+_FIELD_CACHE_LIMIT = 1 << 17
 
 
-@lru_cache(maxsize=64)
+def _short_cached(build):
+    """``build`` behind a cache that holds only axes of at most
+    :data:`_FIELD_CACHE_LIMIT` samples; a longer axis is rebuilt."""
+    cached = lru_cache(maxsize=64)(build)
+
+    @wraps(build)
+    def axis(n_count: int, m: int) -> np.ndarray:
+        return cached(n_count, m) if n_count <= _FIELD_CACHE_LIMIT else build(n_count, m)
+
+    return axis
+
+
+@_short_cached
 def _binomial_axis(n_count: int, m: int) -> np.ndarray:
     """C(n, m) for n in [n_count], float64, read-only."""
     out = np.ones(n_count)
@@ -98,7 +118,7 @@ def _binomial_axis(n_count: int, m: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
+@_short_cached
 def _monomial_axis(n_count: int, m: int) -> np.ndarray:
     """n^m / m! for n in [n_count], float64, read-only."""
     out = np.arange(n_count, dtype=float) ** m / math.factorial(m)
@@ -106,8 +126,36 @@ def _monomial_axis(n_count: int, m: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _pascal_axis(n_count: int, m: int) -> np.ndarray:
+    """C(n, m) mod 2^64 for n in [n_count], as int64, read-only.
+
+    C(n, m) is the sum of C(j, m - 1) over j < n, so m cumulative sums of
+    ones, each shifted one sample on, build it; uint64 sums wrap, exactly
+    modulo 2^64.
+    """
+    out = np.ones(n_count, np.uint64)
+    for _ in range(m):
+        out[1:] = np.cumsum(out[:-1])
+        out[:1] = 0
+    out = out.view(np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _power_axis(n_count: int, m: int) -> np.ndarray:
+    """n^m mod 2^64 for n in [n_count], as int64, read-only; uint64
+    products wrap, exactly modulo 2^64."""
+    out = np.arange(n_count, dtype=np.uint64) ** np.uint64(m)
+    out = out.view(np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Outer product of per-dimension axes, multiplied left to right.
+    """Outer product of per-dimension axes, multiplied left to right; int64
+    axes multiply with wrapping, exactly modulo 2^64.
 
     A single axis is returned as is, so treat the result as read-only.
     """
@@ -115,12 +163,6 @@ def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
     for ax in axes[1:]:
         out = np.multiply.outer(out, ax)
     return out
-
-
-# Fields bigger than this are rebuilt on demand instead of cached; the 1-D
-# axis caches keep the rebuild cheap while bounding resident memory.  The
-# size is that of the compact field, which spans only the touched axes.
-_FIELD_CACHE_LIMIT = 1 << 17
 
 
 def _compact_field(axis, m: MultiIndex, N: MultiIndex) -> np.ndarray:
@@ -140,6 +182,16 @@ def _monomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
     return _compact_field(_monomial_axis, m, N)
 
 
+@lru_cache(maxsize=256)
+def _pascal_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
+    return _compact_field(_pascal_axis, m, N)
+
+
+@lru_cache(maxsize=256)
+def _power_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
+    return _compact_field(_power_axis, m, N)
+
+
 def _field(cached, axis, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     m, N = as_index(m), as_index(N)
     small = math.prod(Nd for Nd, md in zip(N, m) if md) <= _FIELD_CACHE_LIMIT
@@ -154,6 +206,18 @@ def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
 def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """n^m / m! sampled over the window [N]; a read-only broadcast of shape N."""
     return _field(_monomial_field_cached, _monomial_axis, m, N)
+
+
+def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.ndarray, int]:
+    """The basis function at m over the window [N] as an integer field over
+    a divisor: C(n, m) over 1 for BINOMIAL, n^m over m! = prod m_d! for
+    MONOMIAL.  The field is taken modulo 2^64, as int64 (a read-only
+    broadcast of shape N), which is all that exact turns of an integer
+    multiple of it need."""
+    if basis == BINOMIAL:
+        return _field(_pascal_field_cached, _pascal_axis, m, N), 1
+    divisor = math.prod(math.factorial(md) for md in as_index(m))
+    return _field(_power_field_cached, _power_axis, m, N), divisor
 
 
 def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:

@@ -13,19 +13,30 @@ cancel the increments of the earlier lags by subtracting one scalar per
 signal, since the m-th difference at lag tau of C(n, m) is the constant
 tau^m.  Each degree then subtracts its summed term over the full window
 once, before the next degree, and only over the axes the degree touches.
-Both cancellations take their phases from :func:`_turns`, which drops whole
-cycles exactly in float64 before converting.  Past the entry the only trig
-is the CIRCULAR anchor's float32 ``cos`` and ``sin`` of at most
-``_ANCHOR_SAMPLES`` (4096) gathered samples per field and stage.  The turns
-are the one window-sized array the kernel holds.  Every pass over them runs
-in blocks of at most ``_BLOCK_SAMPLES`` (2^15) samples per signal cut along
-the first window axis, so its temporaries stay in cache, and a stage
-differences each block once.
+Both cancellations take their turns from :func:`_turns`, which multiplies
+an integer factor modulo 2^64 with wrapping int64 arithmetic, so a term is
+cancelled exactly however large C(n, m) grows; only a coefficient fraction
+below 2^-12 cycle leaves a float64 remainder below one turn.  Past the
+entry the only trig is the CIRCULAR anchor's float32 ``cos`` and ``sin`` of
+at most ``_ANCHOR_SAMPLES`` (4096) gathered samples per field and stage,
+taken relative to the first, so the anchor rotates with its field exactly.
+The turns are the one window-sized array the kernel holds.  Every pass over
+them runs in blocks of at most ``_BLOCK_SAMPLES`` (2^15) samples per signal
+cut along the first window axis, so its temporaries stay in cache, and a
+stage differences each block once.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
 downward closed is estimated over its closure, then projected with Fisher
 weights.
+
+A noise-free phase given exactly is recovered exactly with CIRCULAR
+averaging, whose anchor reads a constant field exactly, and under a lag
+schedule such as 1/16/256, whose later lags take up the first one's
+rounding.  LINEAR on the unit lag alone rounds each increment in float64,
+by up to 2.2e-16 cycle, and cancelling it carries that rounding times
+C(n, m) down to the lower degrees: with degrees 0-3, 3e-4 to 7e-4 cycle at
+2^16 samples and 0.2 to 0.4 at 2^20.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and row t of its result equals ``estimate`` of signal t
@@ -40,7 +51,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -51,6 +61,7 @@ from .basis import (
     CoefficientVector,
     binomial_field,
     binomial_to_monomial_matrix,
+    integer_field,
     monomial_field,
     wrap_to_cell,
 )
@@ -133,11 +144,13 @@ def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     ``arctan2`` reads the two parts as they are, so any finite sample has
     its phase, however large or small.  It returns +-pi for +-0 over -0, so
     adding +0.0 to the real part sends every zero sample to +-0 over +0.
+    One division scales radians to turns: 2*pi*2^-64 is a power of two
+    times 2*pi, so it rounds as a division by 2*pi and a scaling would.
     """
     x = re + 0.0
     np.arctan2(im, x, out=x)
-    x /= TWO_PI
-    return _to_turns(x)
+    x /= TWO_PI * _TURN
+    return _fold(x)
 
 
 def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
@@ -152,26 +165,52 @@ def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
     return turns
 
 
-def _turns(acc: np.ndarray, factor: np.ndarray | int) -> np.ndarray:
-    """The phase ``acc * factor`` in cycles as int64 turns, broadcast: every
-    cancellation of the kernel, ``acc`` per signal, ``factor`` tau^m or a
-    basis field.
+def _split(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The fraction c = acc - rint(acc) of a cycle (+1/2 read as -1/2),
+    split exactly into k turns, an int64, and a remainder r = c - k * 2^-64
+    below one turn, in cycles, or None when every r is 0.
 
-    ``t - rint(t)`` is exact in float64, so only the product is rounded;
-    C(n, 2) at 2^20 is ~5e11, so that rounding reaches ~1e-5 cycle.  An
-    integer factor would admit exact turns modulo 2^64 instead.
+    A float64 c with |c| >= 2^-12 is a multiple of 2^-64, so r is nonzero
+    only for smaller c.
     """
-    t = np.multiply(acc, factor)
-    t -= np.rint(t)
-    return _to_turns(t).astype(np.int64)
+    x = _fold((acc - np.rint(acc)) / _TURN)
+    k = x.astype(np.int64)
+    r = (x - k) * _TURN
+    return k, (r if r.any() else None)
 
 
-def _to_turns(cycles: np.ndarray) -> np.ndarray:
-    """Float cycles in [-1/2, 1/2] scaled in place to turns, in int64 range
-    for a conversion that truncates; +1/2 folds to -1/2."""
-    cycles /= _TURN
-    cycles[cycles == 2.0**63] = -(2.0**63)
-    return cycles
+def _turns(
+    split: tuple[np.ndarray, np.ndarray | None], exact: np.ndarray, approx: np.ndarray | None
+) -> np.ndarray:
+    """The phase ``acc * F`` in cycles as int64 turns, broadcast, from the
+    :func:`_split` of ``acc``, for an integer factor F: every cancellation
+    of the kernel, ``acc`` per signal, F the lag's tau^m or the integer
+    field of a basis function.  ``exact`` is F modulo 2^64 as int64;
+    ``approx`` is F in float64, needed only when the split has a remainder.
+
+    k * F wraps, exactly modulo 2^64, so the turns are exact unless the
+    remainder r is nonzero; then the turns of r * F, rounded in float64 to
+    about F * 2^-52 turns, are added.
+    """
+    k, r = split
+    out = k * exact
+    if r is not None:
+        t = r * approx
+        t -= np.rint(t)
+        out += _fold(t / _TURN).astype(np.int64)
+    return out
+
+
+def _int64(value: int) -> np.ndarray:
+    """A Python integer modulo 2^64, as a 0-d int64 array."""
+    return np.array(value % 2**64, np.uint64).view(np.int64)
+
+
+def _fold(turns: np.ndarray) -> np.ndarray:
+    """Float turns in [-2^63, 2^63] folded in place into int64 range, for a
+    conversion that truncates: +2^63, a phase of +1/2 cycle, is -2^63."""
+    turns[turns == 2.0**63] = -(2.0**63)
+    return turns
 
 
 def _piece_sums(f: np.ndarray, wd: np.ndarray, piece: int) -> np.ndarray:
@@ -230,6 +269,30 @@ def _anchor_samples(turns: np.ndarray, m: MultiIndex, tau: MultiIndex) -> np.nda
     return _difference(gathered, m, (1,) * D, np.subtract).reshape(len(turns), -1)
 
 
+def _anchor(
+    turns: np.ndarray, m: MultiIndex, tau: MultiIndex, shift: np.ndarray | None
+) -> np.ndarray:
+    """The CIRCULAR anchor of the (m, tau) differences of each field of a
+    batch of int64 turns, less ``shift`` (int64 per field, or None), shape
+    (B, *N) -> (B,), in int64 turns.
+
+    It is the argument of the resultant of the :func:`_anchor_samples`,
+    summed in float64 from float32 ``cos`` and ``sin``, taken relative to
+    each field's first gathered sample and added back to it as an integer;
+    a zero resultant anchors at that sample.  The relative phases are
+    wrapping integer differences, unchanged bit for bit when a field is
+    rotated, so the anchor rotates with the field exactly.
+    """
+    sub = _anchor_samples(turns, m, tau)
+    if shift is not None:
+        sub -= shift[:, None]
+    first = sub[:, 0].copy()
+    sub -= first[:, None]
+    x = (sub * (TWO_PI * _TURN)).astype(np.float32)
+    resultant = (f(x).sum(axis=-1, dtype=float) for f in (np.cos, np.sin))
+    return first + _phase_turns(*resultant).astype(np.int64)
+
+
 def _mean_phase(
     kind: AveragingKind,
     turns: np.ndarray,
@@ -243,12 +306,10 @@ def _mean_phase(
     (B, *N) -> (B,), in cycles in [-1/2, 1/2).  ``turns`` is never written.
 
     LINEAR reads the turns as they are, so its branch cut sits at -pi.
-    CIRCULAR adds to the shift, as an integer, a per-field anchor: the
-    argument of the resultant of the :func:`_anchor_samples` less the shift,
-    summed in float64 from float32 ``cos`` and ``sin``; a zero resultant
-    anchors at phase 0.  Rotating a field rotates its anchor alike up to
-    float32 rounding, so the mean is rotation-equivariant unless that
-    rounding moves a sample across the cut, and the mean by its weight.
+    CIRCULAR adds to the shift, as an integer, a per-field :func:`_anchor`,
+    which rotates with the field exactly; the contraction is then unchanged
+    bit for bit by a rotation, and the mean moves with it up to the final
+    float64 rounding.
 
     Each block of :func:`_block_rows` slices of the first axis is
     differenced once, from its slices plus the ``m[0] * tau[0]`` after them
@@ -269,12 +330,7 @@ def _mean_phase(
     spans = _blocks(L[0], _block_rows(N, piece))
     anchor = np.zeros(B, np.int64)
     if kind is AveragingKind.CIRCULAR:
-        sub = _anchor_samples(turns, m, tau)
-        if shift is not None:
-            sub -= shift[:, None]
-        x = (sub * (TWO_PI * _TURN)).astype(np.float32)
-        resultant = (f(x).sum(axis=-1, dtype=float) for f in (np.cos, np.sin))
-        anchor = _phase_turns(*resultant).astype(np.int64)
+        anchor = _anchor(turns, m, tau, shift)
         shift = anchor if shift is None else shift + anchor
     lead = (-1,) + (1,) * len(N)
     pieces = len(N) == 1 and len(spans) > 1  # 1-D blocks sum their own pieces
@@ -368,9 +424,7 @@ def _check_cell(values: np.ndarray) -> None:
 
 
 def _sequential(
-    data: np.ndarray,
-    cfg: EstimatorConfig,
-    basis_field: Callable[[MultiIndex, MultiIndex], np.ndarray],
+    data: np.ndarray, cfg: EstimatorConfig, basis: str
 ) -> tuple[np.ndarray, Diagnostics]:
     """The sequential loop shared by every estimator, over a batch (B, *N).
 
@@ -383,11 +437,15 @@ def _sequential(
     C(n, m) is the constant tau^m, so the increments ``acc`` of the earlier
     lags are cancelled from the differenced field by one scalar per signal,
     the turns of ``acc * tau^m``; the first lag has none to cancel.  After
-    the last lag the degree subtracts the turns of ``acc * basis_field(m, N)``
+    the last lag the degree subtracts the turns of its term in ``basis``
     once, over the axes where m_d > 0, since the field is constant along the
     others; the last degree skips it, since nothing reads the turns after
-    it.  Both cancellations drop whole cycles before converting (:func:`_turns`)
-    and subtract integers.
+    it.  Both cancellations take exact turns from an integer factor modulo
+    2^64 (:func:`_turns`) and subtract integers.  The term's factor is the
+    :func:`~ppsg.basis.integer_field` of m, with coefficient ``acc`` over
+    its divisor: C(n, m) over 1 for the binomial basis, exact but for a
+    remainder below 2^-64 cycle, and n^m over m! for the monomial basis,
+    whose coefficient ``acc / m!`` is rounded in float64.
 
     The turns are the one window-sized array.  The entry, which rejects a
     non-finite sample, each stage (:func:`_mean_phase`, whose CIRCULAR
@@ -414,21 +472,28 @@ def _sequential(
         acc = np.zeros(len(data))
         for j, tau in enumerate(cfg.lags):
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
-            shift = _turns(acc, tau_pow) if j else None
+            shift = _turns(_split(acc), _int64(tau_pow), float(tau_pow)) if j else None
             delta = _mean_phase(cfg.averaging, turns, m, tau, shift, weights[m, tau]) / tau_pow
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1:
-            touched = basis_field(m, N)[tuple(slice(None if md else 1) for md in m)]
+            touched = tuple(slice(None if md else 1) for md in m)
+            exact, divisor = integer_field(m, N, basis)
+            exact = exact[touched]
+            split = _split((acc / divisor).reshape(lead))
+            if split[1] is not None:  # F in float64, for the remainder
+                sample = binomial_field if basis == BINOMIAL else monomial_field
+                floats = divisor * sample(m, N)[touched]
             for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
-                turns[:, a:b] -= _turns(acc.reshape(lead), touched[a:b])
+                approx = None if split[1] is None else floats[a:b]
+                turns[:, a:b] -= _turns(split, exact[a:b], approx)
     return values, diagnostics
 
 
 def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
     """The loop cancelling binomial fields; a lag schedule's sums are wrapped."""
-    values, diagnostics = _sequential(data, cfg, binomial_field)
+    values, diagnostics = _sequential(data, cfg, BINOMIAL)
     return (values if cfg.single_unit_lag else wrap_to_cell(values)), diagnostics
 
 
@@ -461,7 +526,7 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
         raise ValueError("direct estimation supports only the unit lag")
     if not cfg.degree_set.is_downward_closed():
         raise ValueError("direct estimation needs a downward-closed degree set")
-    values, diagnostics = _sequential(y.data[None], cfg, monomial_field)
+    values, diagnostics = _sequential(y.data[None], cfg, MONOMIAL)
     M = cfg.degree_set
     T = binomial_to_monomial_matrix(M)
     binomial = CoefficientVector(

@@ -6,14 +6,18 @@ directory, and prints the sha256 of each output file, sorted by name.  The
 sidecar's ``version`` field names the checkout, so it is left out.  Two trees
 that print the same lines write byte-identical outputs.  ``--keep DIR`` also
 writes the outputs to DIR, so two trees that differ can be compared number
-by number.
+by number: ``--compare DIR_A DIR_B`` prints, for each output, the largest
+absolute difference between the numbers of its two copies, read in order.
 
     PYTHONPATH=src python tests/cli_digest.py [--keep DIR]
+    PYTHONPATH=src python tests/cli_digest.py --compare DIR_A DIR_B
 """
 
 import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -132,8 +136,45 @@ def digests(keep: Path | None = None) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def max_abs_difference(a: str, b: str) -> float | None:
+    """The largest |x - y| over the numbers of two texts, paired in order
+    (inf where one is NaN and the other is not), or None when the texts
+    differ outside their numbers."""
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return None
+    pairs = zip(_NUMBER.findall(a), _NUMBER.findall(b))
+    gaps = [0.0 if x == y else abs(float(x) - float(y)) for x, y in pairs]
+    return max((math.inf if math.isnan(g) else g for g in gaps), default=0.0)
+
+
+def compare(first: Path, second: Path) -> dict[str, str]:
+    """For each output name in either tree, its largest number difference,
+    ``text differs`` or the tree it is missing from."""
+    out = {}
+    for name in sorted({p.name for p in first.iterdir()} | {p.name for p in second.iterdir()}):
+        a, b = first / name, second / name
+        if not (a.exists() and b.exists()):
+            out[name] = f"missing from {second if a.exists() else first}"
+            continue
+        gap = max_abs_difference(a.read_text(), b.read_text())
+        out[name] = "text differs" if gap is None else f"{gap:.3g}"
+    return out
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Digest the fixed-seed CLI outputs.")
     parser.add_argument("--keep", type=Path, metavar="DIR", help="also write the outputs to DIR")
-    for name, digest in digests(parser.parse_args().keep).items():
-        sys.stdout.write(f"{digest}  {name}\n")
+    parser.add_argument(
+        "--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+        help="print each output's largest number difference between two --keep trees",
+    )
+    args = parser.parse_args()
+    if args.compare:
+        for name, gap in compare(*args.compare).items():
+            sys.stdout.write(f"{gap}  {name}\n")
+    else:
+        for name, digest in digests(args.keep).items():
+            sys.stdout.write(f"{digest}  {name}\n")

@@ -22,7 +22,6 @@ from ppsg.estimator import (
     AveragingKind,
     EstimatorConfig,
     _phase_turns,
-    _turns,
     estimate,
 )
 from ppsg.harness import (
@@ -389,9 +388,10 @@ def whole_field_mean(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]
     """Weighted mean phase of each field of a batch of int64 turns, shape
     (B, *window) -> (B,), in cycles, over the whole field at once.
 
-    CIRCULAR subtracts the anchor, the argument of the resultant of the
-    samples at flat stride ``ceil(size / _ANCHOR_SAMPLES)``, summed in
-    float64 from the float32 ``cos`` and ``sin`` of their phases.  ``einsum``
+    CIRCULAR subtracts the anchor: the argument of the resultant of the
+    samples at flat stride ``ceil(size / _ANCHOR_SAMPLES)``, each taken
+    relative to the first and summed in float64 from the float32 ``cos`` and
+    ``sin`` of its phase, plus the first sample.  ``einsum``
     contracts ``w`` one axis at a time; it sums an axis longer than its
     buffer in pieces, split one way for a batch and another for a lone
     signal, so such an axis is contracted signal by signal.
@@ -399,10 +399,10 @@ def whole_field_mean(kind: AveragingKind, turns: np.ndarray, w: list[np.ndarray]
     anchor = np.zeros(len(turns), np.int64)
     if kind is AveragingKind.CIRCULAR:
         flat = turns.reshape(len(turns), -1)
-        sub = flat[:, :: -(-flat.shape[1] // _ANCHOR_SAMPLES)] * (TWO_PI * _TURN)
-        x = sub.astype(np.float32)
+        sub = flat[:, :: -(-flat.shape[1] // _ANCHOR_SAMPLES)]
+        x = ((sub - sub[:, :1]) * (TWO_PI * _TURN)).astype(np.float32)
         re, im = np.cos(x).sum(axis=-1, dtype=float), np.sin(x).sum(axis=-1, dtype=float)
-        anchor = _phase_turns(re, im).astype(np.int64)
+        anchor = sub[:, 0] + _phase_turns(re, im).astype(np.int64)
         turns = turns - anchor.reshape((-1,) + (1,) * (turns.ndim - 1))
     f = turns.astype(float)
     for wd in reversed(w):
@@ -422,15 +422,66 @@ def whole_field_stage(kind, turns, m, tau, shift, w) -> np.ndarray:
     return whole_field_mean(kind, diffed, w)
 
 
-def reference_sequential(data: np.ndarray, cfg, basis_field):
+@lru_cache(maxsize=None)
+def comb_axis_mod(n_count: int, m: int) -> np.ndarray:
+    """C(n, m) mod 2^64 for n in [n_count], from ``math.comb``, as uint64."""
+    return np.array([math.comb(n, m) % 2**64 for n in range(n_count)], dtype=np.uint64)
+
+
+def exact_term_turns(coeff: float, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
+    """The turns of ``coeff * C(n, m)`` over the window [N], as int64, from
+    exact integer arithmetic.
+
+    The fraction c = coeff - round(coeff) (+1/2 read as -1/2) is k turns,
+    k = trunc(c * 2^64), plus a remainder r below one turn.  The turns are
+    k * C(n, m) modulo 2^64 plus, where r is nonzero, r * C(n, m) taken
+    modulo one cycle into [-1/2, 1/2) and truncated to turns, each in
+    Python integers.
+    """
+    c = Fraction(coeff) - round(Fraction(coeff))
+    if c == Fraction(1, 2):
+        c = -c
+    k = int(c * 2**64)
+    r = c * 2**64 - k
+    field = tensor_field([comb_axis_mod(Nd, md) for Nd, md in zip(N, m)])
+    out = np.broadcast_to(np.uint64(k % 2**64) * field, tuple(N)).copy()
+    if r:
+        p, q = r.numerator, r.denominator  # q is a power of two
+        for n in np.ndindex(*N):
+            t = p * math.prod(math.comb(nd, md) for nd, md in zip(n, m)) % (2**64 * q)
+            t = t - 2**64 * q if t >= 2**63 * q else t
+            out[n] = (int(out[n]) + abs(t) // q * (1 if t >= 0 else -1)) % 2**64
+    return out.view(np.int64)
+
+
+def exact_signal(values: Sequence[float], M: DegreeSet, N: Sequence[int]) -> np.ndarray:
+    """The unit signal of the binomial coefficients ``values`` of ``M`` over
+    the window [N], with its phase summed exactly: each coefficient is an
+    integer k of turns of 2^-64 cycle (a float64 of magnitude 2^-12 or more
+    is), the phase is sum_m k_m * C(n, m) modulo 2^64 from
+    :func:`comb_axis_mod`, and only the float64 ``exp`` rounds it."""
+    phase = np.zeros(tuple(N), np.uint64)
+    for b, m in zip(values, M.degrees):
+        k = Fraction(float(b)) * 2**64
+        if k.denominator != 1:
+            raise ValueError(f"coefficient {b!r} is not a whole number of turns")
+        field = tensor_field([comb_axis_mod(Nd, md) for Nd, md in zip(N, m)])
+        phase += np.uint64(int(k) % 2**64) * field
+    return np.exp(1j * TWO_PI * _TURN * phase.view(np.int64))
+
+
+def reference_sequential(data: np.ndarray, cfg):
     """The sequential loop one (degree, lag) stage at a time, in int64 turns,
-    every stage over the whole window.
+    every stage over the whole window, cancelling binomial fields.
 
     Every stage but the last subtracts the turns of its own increment times
-    ``basis_field(m, N)`` over the full window, so each lag of a degree
-    differences the turns left by the lag before it.  The kernel cancels
-    each degree once, over the axes it touches, and cancels the lag passes
-    by a scalar; the two agree to rounding.  Like the kernel, it takes one
+    C(n, m) over the full window, from exact integer arithmetic
+    (:func:`exact_term_turns`), so each lag of a degree differences the
+    turns left by the lag before it.  The kernel cancels each degree once,
+    over the axes it touches, and cancels the lag passes by a scalar.  Under
+    one lag the two agree bit for bit, unless an increment's fraction of a
+    cycle is below 2^-12, whose sub-turn remainder the kernel rounds in
+    float64.  Like the kernel, it takes one
     ``arctan2`` per sample at entry and averages with the per-axis weights.
     Returns the coefficients and increments.
     """
@@ -440,7 +491,6 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
     N = data.shape[1:]
     diff_window(N, M.max_degree, cfg.lags[-1])
     turns = _phase_turns(data.real, data.imag).astype(np.int64)
-    lead = (-1,) + (1,) * len(N)
     stages = [(m, tau) for m in reversed(M.degrees) for tau in cfg.lags]
     values = np.zeros((len(data), len(M)))
     diagnostics = {}
@@ -451,7 +501,7 @@ def reference_sequential(data: np.ndarray, cfg, basis_field):
         values[:, M.position(m)] += delta
         diagnostics[(m, tau)] = delta
         if i < len(stages) - 1:
-            turns = turns - _turns(delta.reshape(lead), basis_field(m, N))
+            turns = turns - np.stack([exact_term_turns(d, m, N) for d in delta])
     return values, diagnostics
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from typing import Sequence
 
@@ -13,6 +14,7 @@ from ppsg.basis import (
     binomial_to_monomial_matrix,
     compute_lattice_point,
     compute_new_coordinate,
+    integer_field,
     monomial_field,
     phase_field,
     wrap_to_cell,
@@ -253,3 +255,28 @@ def test_coefficient_vector_json_roundtrip():
     assert back.basis == BINOMIAL
     assert np.array_equal(back.values, b.values)
     assert back.degree_set == M01
+
+
+@pytest.mark.parametrize("N", [(3000,), (2**20,), (700, 9), (40, 5, 33)], ids=str)
+def test_integer_field_is_exact_modulo_2_64(N):
+    # C(n, m) and n^m modulo 2^64, against math.comb and Python powers, for
+    # every degree of total order <= 4; C(2^20, 4) is about 2^75, so the
+    # wrapping sums and products are checked where they wrap.
+    rng = np.random.default_rng(len(N))
+    points = [tuple(int(rng.integers(Nd)) for Nd in N) for _ in range(1500)]
+    points += [(0,) * len(N), tuple(Nd - 1 for Nd in N)]
+    if N == (3000,):
+        points = [(n,) for n in range(3000)]
+    for m in itertools.product(range(5), repeat=len(N)):
+        if sum(m) > 4:
+            continue
+        pascal, one = integer_field(m, N, BINOMIAL)
+        power, divisor = integer_field(m, N, MONOMIAL)
+        assert one == 1 and divisor == math.prod(map(math.factorial, m))
+        for field in (pascal, power):
+            assert field.dtype == np.int64 and field.shape == N and not field.flags.writeable
+        for n in points:
+            want = math.prod(math.comb(nd, md) for nd, md in zip(n, m))
+            assert int(pascal[n]) % 2**64 == want % 2**64, (m, n)
+            want = math.prod(nd**md for nd, md in zip(n, m))
+            assert int(power[n]) % 2**64 == want % 2**64, (m, n)

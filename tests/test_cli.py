@@ -536,3 +536,19 @@ def test_cli_digest_is_reproducible_in_one_process():
     first = cli_digest.digests()
     assert len(first) == 16
     assert cli_digest.digests() == first
+
+
+def test_cli_digest_compare_reads_number_differences(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "x.csv").write_text("snr_db,mse\n-10.0,1.5e-3\n5,nan\n")
+    (b / "x.csv").write_text("snr_db,mse\n-10.0,1.25e-3\n5,nan\n")
+    (a / "y.json").write_text('{"v": [1, 2]}')
+    (b / "y.json").write_text('{"w": [1, 2]}')
+    (a / "z.json").write_text("{}")
+    assert cli_digest.compare(a, b) == {
+        "x.csv": "0.00025",
+        "y.json": "text differs",
+        "z.json": f"missing from {b}",
+    }

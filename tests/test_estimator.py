@@ -1,9 +1,11 @@
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from ppsg.signal import RealField, Signal, _difference, add_noise, synthesize
 from ppsg.weights import WeightField, weight_axes, weight_multi
 
 from oracles import (
+    exact_signal,
     parameter_invariance_witness,
     reference_sequential,
     run_python,
@@ -403,8 +406,8 @@ def test_kernel_matches_per_stage_reference(M, N, lags, kind, snr_db):
     # window.  The two differ only in rounding.
     data = _noisy_batch(M, N, 10 ** (snr_db / 10), 7)
     cfg = EstimatorConfig(M, kind, lags=lags)
-    values, diagnostics = estimator_module._sequential(data, cfg, binomial_field)
-    ref_values, ref_diagnostics = reference_sequential(data, cfg, binomial_field)
+    values, diagnostics = estimator_module._sequential(data, cfg, BINOMIAL)
+    ref_values, ref_diagnostics = reference_sequential(data, cfg)
     assert np.max(np.abs(values - ref_values)) <= 1e-9
     assert diagnostics.keys() == ref_diagnostics.keys()
     for key, delta in diagnostics.items():
@@ -428,8 +431,8 @@ def test_kernel_is_per_stage_reference_with_unit_lag(kind):
         batches.append((M, np.stack(clean + flat + [_noisy_batch(M, N, 10.0, 9, rows=1)[0]])))
     for M, data in batches:
         cfg = EstimatorConfig(M, kind)
-        values, diagnostics = estimator_module._sequential(data, cfg, binomial_field)
-        ref_values, ref_diagnostics = reference_sequential(data, cfg, binomial_field)
+        values, diagnostics = estimator_module._sequential(data, cfg, BINOMIAL)
+        ref_values, ref_diagnostics = reference_sequential(data, cfg)
         assert values.tobytes() == ref_values.tobytes()
         assert all(d.tobytes() == ref_diagnostics[k].tobytes() for k, d in diagnostics.items())
 
@@ -457,6 +460,117 @@ def test_noise_free_recovery_with_lag_schedules(M, b, N, lags):
     y = Signal(N, np.exp(2j * np.pi * (x - np.rint(x))))
     est = estimate(y, EstimatorConfig(M, lags=lags))
     assert np.max(np.abs(est.binomial.values - np.array(b))) <= 1e-15
+
+
+M0123 = build_total_order([(0,), (1,), (2,), (3,)])
+
+
+@pytest.fixture(scope="module")
+def exact_cubics_2e20():
+    rng = np.random.default_rng(2024)
+    truth = rng.uniform(-0.5, 0.5, (3, len(M0123)))
+    return truth, np.stack([exact_signal(b, M0123, (2**20,)) for b in truth])
+
+
+@pytest.mark.parametrize(
+    "kind, lags",
+    [
+        (AveragingKind.CIRCULAR, ()),
+        (AveragingKind.CIRCULAR, ((1,), (16,), (256,))),
+        (AveragingKind.LINEAR, ((1,), (16,), (256,))),
+    ],
+    ids=["circular", "circular-1/16/256", "linear-1/16/256"],
+)
+def test_noise_free_degree_3_at_2e20(exact_cubics_2e20, kind, lags):
+    # Each degree's term is cancelled in exact turns, so a phase given
+    # exactly comes back exactly, even where C(n, 3) reaches 2^57.  LINEAR on
+    # the unit lag alone is left out: the float64 rounding of its degree-3
+    # increment, up to 2.2e-16, times C(N, 3) is 0.2-0.4 cycles at 2^20.
+    truth, data = exact_cubics_2e20
+    values, _ = estimate_batch(data, EstimatorConfig(M0123, kind, lags=lags))
+    assert np.max(np.abs(wrap_to_cell(values - truth))) <= 1e-9
+
+
+@pytest.mark.parametrize("estimator", [estimate, estimate_coefficients_direct])
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_small_coefficients_cancel_through_the_remainder(estimator, kind):
+    # Fractions below 2^-12 cycle have bits below a turn, which each degree's
+    # cancellation takes from the float64 field: recovery stays exact to
+    # the synthesizer's rounding.
+    for M, N, b in (
+        (M012, (4096,), [0.25, 3e-6, -7e-9]),
+        (M2D, (64, 48), [0.125, -2e-7, 5e-6, 1e-9]),
+    ):
+        est = estimator(synthesize(_cv(b, M), N), EstimatorConfig(M, kind))
+        assert np.max(np.abs(est.binomial.values - np.array(b))) <= 1e-14
+
+
+def _turn_gap(a: int, b: int) -> int:
+    """The distance between two int64 phases in turns, modulo 2^64."""
+    d = (a - b) % 2**64
+    return min(d, 2**64 - d)
+
+
+def test_cancellation_turns_match_a_fraction_oracle():
+    # acc * F modulo one cycle, in turns: exact for |acc - rint(acc)| >=
+    # 2^-12, and within the float64 rounding of the remainder below one
+    # turn, about F * 2^-52 turns, for smaller fractions.
+    rng = np.random.default_rng(77)
+    tiny = [1e-5, -3e-10, 2.0**-70, -(2.0**-64) * 1.5, 1e-300, 2.0**-12, -(2.0**-13)]
+    accs = np.concatenate([rng.uniform(-3, 3, 40), tiny, [0.5, -0.5, 2.5, 0.0, -0.0]])
+    N = (2**20,)
+    points = np.concatenate([rng.integers(0, N[0], 200), [0, 1, 2, N[0] - 1]])
+    for m in ((1,), (2,), (3,), (4,)):
+        exact, divisor = estimator_module.integer_field(m, N, BINOMIAL)
+        assert divisor == 1
+        split = estimator_module._split(accs[:, None])
+        got = estimator_module._turns(split, exact[points], binomial_field(m, N)[points])
+        for acc, row in zip(accs, got):
+            for n, turns in zip(points, row):
+                F = math.comb(int(n), m[0])
+                phase = Fraction(float(acc)) * F
+                want = (phase - math.floor(phase + Fraction(1, 2))) * 2**64
+                gap = _turn_gap(int(turns), math.trunc(want))
+                if abs(acc - np.rint(acc)) >= 2.0**-12:
+                    assert gap == 0, (acc, m, n)
+                else:
+                    assert gap <= 1 + F * 2.0**-51, (acc, m, n)
+    for tau_pow in (16**3, 256**3, 256**8, 3**41, 2**63 + 5):
+        exact = estimator_module._int64(tau_pow)
+        got = estimator_module._turns(estimator_module._split(accs), exact, float(tau_pow))
+        for acc, turns in zip(accs, got):
+            phase = Fraction(float(acc)) * tau_pow
+            want = (phase - math.floor(phase + Fraction(1, 2))) * 2**64
+            limit = 0 if abs(acc - np.rint(acc)) >= 2.0**-12 else 1 + tau_pow * 2.0**-51
+            assert _turn_gap(int(turns), math.trunc(want)) <= limit, (acc, tau_pow)
+
+
+@pytest.mark.parametrize("N", [(64,), (2**14,), (40, 36)], ids=str)
+def test_circular_anchor_rotates_exactly_with_the_field(N):
+    # Rotating a field by c turns moves its anchor by exactly c, with and
+    # without a lag shift, so the contraction about the anchor is unchanged
+    # bit for bit.  The fields spread over 0.45 cycle, so float32 trig of
+    # their absolute phases would move some anchors by c plus rounding.
+    rng = np.random.default_rng(sum(N) + 5)
+    B, m, tau = 4, (0,) * len(N), (1,) * len(N)
+    w = weight_axes(m, tau, N)
+    lead = (-1,) + (1,) * len(N)
+    for _ in range(50):
+        centre = rng.integers(-(2**63), 2**63, size=B, dtype=np.int64).reshape(lead)
+        spread = rng.uniform(-0.225, 0.225, (B,) + N) * 2.0**64
+        turns = centre + spread.astype(np.int64)
+        c = rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)
+        rotated = turns + c.reshape(lead)
+        for shift in (None, rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)):
+            anchor = estimator_module._anchor(turns, m, tau, shift)
+            moved = estimator_module._anchor(rotated, m, tau, shift)
+            assert np.array_equal(moved - anchor, c)
+            base = anchor if shift is None else shift + anchor
+            kept = moved if shift is None else shift + moved
+            linear = AveragingKind.LINEAR
+            before = estimator_module._mean_phase(linear, turns, m, tau, base, w)
+            after = estimator_module._mean_phase(linear, rotated, m, tau, kept, w)
+            assert before.tobytes() == after.tobytes()
 
 
 def test_multilag_lag_window_guard():
@@ -532,8 +646,7 @@ def test_witness_integer_on_noisy_trials(cfg_kwargs, N, snr, trials):
 )
 def test_witness_integer_above_the_anchor_subsample(M, N, snr):
     # Above 4096 samples the CIRCULAR anchor reads a strided subsample of
-    # each field; rotating the field must still rotate the anchor alike, up
-    # to the float32 rounding that at 0 dB has the most samples to cross.
+    # each field; rotating the field must still rotate the anchor alike.
     cfg = EstimatorConfig(M)
     for t in range(3):
         rng = np.random.default_rng(1100 + t)
@@ -623,25 +736,27 @@ def test_estimate_batch_rows_equal_single_estimates(kind):
 
 
 @pytest.mark.parametrize(
-    "estimator, field_name, lags",
+    "estimator, lags",
     [
-        (estimate, "binomial_field", ()),
-        (estimate, "binomial_field", ((1, 1), (2, 2))),
-        (estimate_coefficients_direct, "monomial_field", ()),
+        pytest.param(estimate, (), id="estimate-binomial_field-lags0"),
+        pytest.param(estimate, ((1, 1), (2, 2)), id="estimate-binomial_field-lags1"),
+        pytest.param(
+            estimate_coefficients_direct, (), id="estimate_coefficients_direct-monomial_field-lags2"
+        ),
     ],
 )
-def test_kernel_skips_last_cancellation(monkeypatch, estimator, field_name, lags):
+def test_kernel_skips_last_cancellation(monkeypatch, estimator, lags):
     # Every stage of a noisy input has a nonzero increment.  Lag passes
-    # rotate by a scalar, so each degree but the last cancels a basis field
-    # once, whatever the lag schedule: |M| degrees make |M| - 1 calls.
+    # rotate by a scalar, so each degree but the last cancels its integer
+    # field once, whatever the lag schedule: |M| degrees make |M| - 1 calls.
     calls = []
-    original = getattr(estimator_module, field_name)
+    original = estimator_module.integer_field
 
-    def counting(m, N):
+    def counting(m, N, basis):
         calls.append(m)
-        return original(m, N)
+        return original(m, N, basis)
 
-    monkeypatch.setattr(estimator_module, field_name, counting)
+    monkeypatch.setattr(estimator_module, "integer_field", counting)
     y, _ = _noisy(_cv([0.1, -0.2, 0.3, 0.05], M2D), (12, 10), 5.0, 45)
     cfg = EstimatorConfig(M2D, lags=lags)
     est = estimator(y, cfg)
@@ -853,8 +968,8 @@ def test_blocked_kernel_is_whole_window_reference(kind, M, N, lags):
     # and under every schedule a batch row is its lone estimate bit for bit.
     data = _noisy_batch(M, N, 10.0, 13, rows=2)
     cfg = EstimatorConfig(M, kind)
-    values, diagnostics = estimator_module._sequential(data, cfg, binomial_field)
-    ref_values, ref_diagnostics = reference_sequential(data, cfg, binomial_field)
+    values, diagnostics = estimator_module._sequential(data, cfg, BINOMIAL)
+    ref_values, ref_diagnostics = reference_sequential(data, cfg)
     assert values.tobytes() == ref_values.tobytes()
     assert all(d.tobytes() == ref_diagnostics[k].tobytes() for k, d in diagnostics.items())
     for cfg in dict.fromkeys((cfg, EstimatorConfig(M, kind, lags=lags))):
