@@ -130,14 +130,14 @@ def _monomial_axis(n_count: int, m: int) -> np.ndarray:
 def _pascal_axis(n_count: int, m: int) -> np.ndarray:
     """C(n, m) mod 2^64 for n in [n_count], as int64, read-only.
 
-    C(n, m) is the sum of C(j, m - 1) over j < n, so m cumulative sums of
-    ones, each shifted one sample on, build it; uint64 sums wrap, exactly
-    modulo 2^64.
+    m cumulative sums of ones give C(j + m, m) at j, so m in-place sums of
+    the ones from sample m on build it in one array; uint64 sums wrap,
+    exactly modulo 2^64.
     """
-    out = np.ones(n_count, np.uint64)
+    out = np.zeros(n_count, np.uint64)
+    out[m:] = 1
     for _ in range(m):
-        out[1:] = np.cumsum(out[:-1])
-        out[:1] = 0
+        np.cumsum(out, out=out)
     out = out.view(np.int64)
     out.setflags(write=False)
     return out

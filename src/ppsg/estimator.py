@@ -155,13 +155,14 @@ def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
     """The batch as int64 turns, written block by block into one array; a
-    non-finite sample raises before its block is converted."""
+    non-finite sample raises before its block is converted.  A contiguous
+    copy of the imaginary part lets ``arctan2`` take its contiguous loop."""
     turns = np.empty(data.shape, np.int64)
     for a, b in _blocks(data.shape[1], rows):
-        block = data[:, a:b]
-        if not np.isfinite(block).all():
+        re, im = data[:, a:b].real, data[:, a:b].imag.copy()
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("signal has non-finite samples")
-        turns[:, a:b] = _phase_turns(block.real, block.imag)
+        turns[:, a:b] = _phase_turns(re, im)
     return turns
 
 

@@ -44,15 +44,24 @@ def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
     integer times a power of two: while those integers stay below 2^53 the
     weights are the correctly rounded rationals, and past that they carry
     about k roundings.
+
+    ``lo`` and ``hi`` are floored in int64, exactly for any window, and
+    converted to float once; each step forms ``lo * hi`` in one reused buffer
+    before it multiplies the product, then counts both down by one.  So a
+    build holds at most four window-sized arrays, and one at k = 0.
     """
-    n = np.arange(N - tau * k, dtype=float)
-    lo = n // tau + k  # floor(n/tau) + k
-    hi = (N - 1 - n) // tau  # ceil((N-n)/tau) - 1
-    w = np.ones_like(n)
+    size = N - tau * k
+    w = np.ones(size)
+    if k:
+        lo = (np.arange(size) // tau + k).astype(float)  # floor(n/tau) + k
+        hi = (np.arange(N - 1, N - 1 - size, -1) // tau).astype(float)  # ceil((N-n)/tau) - 1
+        step = np.empty(size)
     for i in range(k):
-        w *= (lo - i) * (hi - i)
+        w *= np.multiply(lo, hi, out=step)
         w /= (i + 1) ** 2
         np.ldexp(w, -np.frexp(w.max())[1], out=w)
+        lo -= 1
+        hi -= 1
     w /= w.sum()
     w.setflags(write=False)
     return w

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -189,6 +190,22 @@ def weight_fraction(k: int, tau: int, N: int, points: Sequence[int]) -> list[Fra
     return [
         Fraction(binom(n // tau + k, k) * binom((N - 1 - n) // tau, k), total) for n in points
     ]
+
+
+def weight_axis_float_floor(k: int, tau: int, N: int) -> np.ndarray:
+    """The earlier build of the closed-form weights, kept as a bitwise
+    reference: ``lo`` and ``hi`` floored on float64 arrays, and a fresh
+    temporary for each step's product."""
+    n = np.arange(N - tau * k, dtype=float)
+    lo = n // tau + k  # floor(n/tau) + k
+    hi = (N - 1 - n) // tau  # ceil((N-n)/tau) - 1
+    w = np.ones_like(n)
+    for i in range(k):
+        w *= (lo - i) * (hi - i)
+        w /= (i + 1) ** 2
+        np.ldexp(w, -np.frexp(w.max())[1], out=w)
+    w /= w.sum()
+    return w
 
 
 def binomial_transform(x: np.ndarray, k: Sequence[int]) -> float:
@@ -503,6 +520,16 @@ def reference_sequential(data: np.ndarray, cfg):
         if i < len(stages) - 1:
             turns = turns - np.stack([exact_term_turns(d, m, N) for d in delta])
     return values, diagnostics
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes that ``tracemalloc`` traces over one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:

@@ -10,6 +10,7 @@ from ppsg.basis import (
     MONOMIAL,
     ChangeOfBasis,
     CoefficientVector,
+    _pascal_axis,
     binomial_field,
     binomial_to_monomial_matrix,
     compute_lattice_point,
@@ -21,7 +22,7 @@ from ppsg.basis import (
 )
 from ppsg.degrees import as_index, build_total_order
 
-from oracles import binomial_transform, multi_binom
+from oracles import binomial_transform, multi_binom, traced_peak
 
 
 def eval_binomial(b: CoefficientVector, n: Sequence[int]) -> float:
@@ -280,3 +281,10 @@ def test_integer_field_is_exact_modulo_2_64(N):
             assert int(pascal[n]) % 2**64 == want % 2**64, (m, n)
             want = math.prod(nd**md for nd, md in zip(n, m))
             assert int(power[n]) % 2**64 == want % 2**64, (m, n)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_pascal_axis_is_built_in_one_array(m):
+    # In-place cumulative sums: the traced peak is the result alone.
+    N = 2**20
+    assert traced_peak(_pascal_axis.__wrapped__, N, m) <= 8 * N + 2**16

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from oracles import (
     parameter_invariance_witness,
     reference_sequential,
     run_python,
+    traced_peak,
     whole_field_stage,
 )
 
@@ -989,13 +989,7 @@ def test_estimate_holds_one_window_sized_array(kind):
     y, _ = _noisy(_cv([0.25, -0.375, 0.125], M012), N, 1000.0, 14)
     cfg = EstimatorConfig(M012, kind)
     estimate(y, cfg)  # builds the cached weights and basis axes
-    tracemalloc.start()
-    try:
-        estimate(y, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 8 * N[0]
+    assert traced_peak(estimate, y, cfg) <= 1.5 * 8 * N[0]
 
 
 def test_non_finite_sample_in_a_later_block_is_rejected():

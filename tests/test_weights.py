@@ -10,7 +10,9 @@ from oracles import (
     covariance_axis,
     covariance_matrix,
     run_python,
+    traced_peak,
     weight_1d,
+    weight_axis_float_floor,
     weight_fraction,
     weight_via_inversion,
 )
@@ -128,6 +130,28 @@ def test_weight_matches_exact_integer_products_bitwise():
             for N in range(tau * k + 1, 65):
                 exact = weight_fraction(k, tau, N, range(N - tau * k))
                 assert weight_1d(k, tau, N).tolist() == list(map(float, exact)), (k, tau, N)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_weight_matches_float_floor_build_bitwise(k):
+    # The int64 floors and the reused step buffer give the bytes of the
+    # earlier build, which floored float64 arrays, up to 2^20 samples.
+    windows = [1, 2, 3, 4, 5, 7, 8, 31, 64, 100, 511, 512, 513, 1000, 4096]
+    windows += [2**16 - 1, 2**16, 2**16 + 1, 2**20 - 3, 2**20]
+    for tau in [1, 2, 3, 4, 5, 16, 256]:
+        for N in windows:
+            if N > tau * k:
+                want = weight_axis_float_floor(k, tau, N).tobytes()
+                assert _weight_axis.__wrapped__(k, tau, N).tobytes() == want, (tau, N)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_weight_axis_holds_at_most_four_window_sized_arrays(k):
+    # One array, the weights, at k = 0; the weights, lo, hi and the step
+    # buffer otherwise.
+    N = 2**20
+    peak = traced_peak(_weight_axis.__wrapped__, k, 1, N)
+    assert peak <= (1 if k == 0 else 4) * 8 * N + 2**16, peak
 
 
 @pytest.mark.parametrize("N", [65, 512, 2**12, 2**16, 2**20])
