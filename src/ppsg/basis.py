@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -86,44 +86,27 @@ class ChangeOfBasis:
 # Fields are combined from per-dimension axes by broadcasting.  The estimator
 # cancels each recovered term in exact turns, from the basis function's
 # integer numerator modulo 2^64 (:func:`integer_field`); synthesis and
-# reconstruction read the float fields.
-
-# Axes and fields bigger than this are rebuilt on demand instead of cached,
-# bounding resident memory; the integer axes, which the estimator reads on
-# every call, are cached at any length.  The size of a field is that of the
-# compact field, which spans only the touched axes.
+# reconstruction read the float fields.  Each kind is cached at one layer.
+# A float field is cached whole up to this many samples, bounding resident
+# memory, and rebuilt from fresh axes above it; the size of a field is that
+# of the compact field, which spans only the touched axes.  The integer
+# axes, which the estimator reads on every call, are cached at any length,
+# and their fields are formed from them on each call.
 _FIELD_CACHE_LIMIT = 1 << 17
 
 
-def _short_cached(build):
-    """``build`` behind a cache that holds only axes of at most
-    :data:`_FIELD_CACHE_LIMIT` samples; a longer axis is rebuilt."""
-    cached = lru_cache(maxsize=64)(build)
-
-    @wraps(build)
-    def axis(n_count: int, m: int) -> np.ndarray:
-        return cached(n_count, m) if n_count <= _FIELD_CACHE_LIMIT else build(n_count, m)
-
-    return axis
-
-
-@_short_cached
 def _binomial_axis(n_count: int, m: int) -> np.ndarray:
-    """C(n, m) for n in [n_count], float64, read-only."""
+    """C(n, m) for n in [n_count], float64."""
     out = np.ones(n_count)
     for i in range(m):
         out *= np.arange(n_count) - i
         out /= i + 1
-    out.setflags(write=False)
     return out
 
 
-@_short_cached
 def _monomial_axis(n_count: int, m: int) -> np.ndarray:
-    """n^m / m! for n in [n_count], float64, read-only."""
-    out = np.arange(n_count, dtype=float) ** m / math.factorial(m)
-    out.setflags(write=False)
-    return out
+    """n^m / m! for n in [n_count], float64."""
+    return np.arange(n_count, dtype=float) ** m / math.factorial(m)
 
 
 @lru_cache(maxsize=64)
@@ -182,17 +165,7 @@ def _monomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
     return _compact_field(_monomial_axis, m, N)
 
 
-@lru_cache(maxsize=256)
-def _pascal_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    return _compact_field(_pascal_axis, m, N)
-
-
-@lru_cache(maxsize=256)
-def _power_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    return _compact_field(_power_axis, m, N)
-
-
-def _field(cached, axis, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
+def _float_field(cached, axis, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     m, N = as_index(m), as_index(N)
     small = math.prod(Nd for Nd, md in zip(N, m) if md) <= _FIELD_CACHE_LIMIT
     return np.broadcast_to(cached(m, N) if small else _compact_field(axis, m, N), N)
@@ -200,12 +173,12 @@ def _field(cached, axis, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
 
 def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """C(n, m) sampled over the window [N]; a read-only broadcast of shape N."""
-    return _field(_binomial_field_cached, _binomial_axis, m, N)
+    return _float_field(_binomial_field_cached, _binomial_axis, m, N)
 
 
 def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """n^m / m! sampled over the window [N]; a read-only broadcast of shape N."""
-    return _field(_monomial_field_cached, _monomial_axis, m, N)
+    return _float_field(_monomial_field_cached, _monomial_axis, m, N)
 
 
 def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.ndarray, int]:
@@ -214,10 +187,11 @@ def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.nd
     MONOMIAL.  The field is taken modulo 2^64, as int64 (a read-only
     broadcast of shape N), which is all that exact turns of an integer
     multiple of it need."""
+    m, N = as_index(m), as_index(N)
     if basis == BINOMIAL:
-        return _field(_pascal_field_cached, _pascal_axis, m, N), 1
-    divisor = math.prod(math.factorial(md) for md in as_index(m))
-    return _field(_power_field_cached, _power_axis, m, N), divisor
+        return np.broadcast_to(_compact_field(_pascal_axis, m, N), N), 1
+    divisor = math.prod(math.factorial(md) for md in m)
+    return np.broadcast_to(_compact_field(_power_axis, m, N), N), divisor
 
 
 def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import IO
 
 import numpy as np
@@ -27,8 +27,8 @@ import numpy as np
 from .analysis import reconstruction_bound
 from .basis import BINOMIAL, CoefficientVector, phase_fields
 from .degrees import DegreeSet, as_index, as_int, diff_window
-from .estimator import Estimate, EstimatorConfig, estimate_batch
-from .signal import _difference, principal_arg
+from .estimator import _TURN, Estimate, EstimatorConfig, _phase_turns, estimate_batch
+from .signal import _difference, _form_noise
 
 # Not called: benchmarks/spans.py rebinds these names to time the layers of
 # the former per-trial path, and records a missing name as an absent hook.
@@ -144,17 +144,7 @@ class ExperimentResult:
         writer = csv.writer(fh)
         writer.writerow(self.CSV_COLUMNS)
         for r in self.records:
-            writer.writerow(
-                [
-                    repr(r.snr_db),
-                    repr(r.mse_mean),
-                    repr(r.mse_stderr),
-                    repr(r.wrap_probability),
-                    repr(r.mse_given_wrap),
-                    repr(r.mse_given_nowrap),
-                    repr(r.crb_bound),
-                ]
-            )
+            writer.writerow([repr(v) for v in astuple(r)])
 
 
 def _trial_rng(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> np.random.Generator:
@@ -265,11 +255,10 @@ def _draw_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range
     One generator pass: each trial's stream, seeded as by ``_trial_rng``,
     draws the ground truth, if its mode draws one, and then the real and the
     imaginary parts of the noise into one (B, 2, *N) buffer.  The noise is
-    then formed over the whole chunk with the elementwise operations of
-    ``complex_noise``, so every number is bit for bit the per-trial one.
+    then formed over the whole chunk by the helper that ``complex_noise``
+    forms its own (1, 2, *N) draw with, so every number is bit for bit the
+    per-trial one.
     """
-    if not snr > 0:  # NaN fails too
-        raise ValueError(f"snr must be positive, got {snr}")
     drawn = cfg.parameter_mode == "uniform_cell"
     truths = np.empty((len(trials), len(cfg.degree_set)))
     if not drawn:
@@ -279,10 +268,7 @@ def _draw_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range
         if drawn:
             truths[row] = _draw_coefficients(cfg, rng)
         rng.standard_normal(out=gauss[row])
-    noise = 1j * gauss[:, 1]
-    noise += gauss[:, 0]
-    noise *= np.sqrt(0.5 / snr)
-    return truths, noise
+    return truths, _form_noise(gauss, snr)
 
 
 def _run_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range):
@@ -334,8 +320,8 @@ def _wrap_event(
     degree; a trial wraps when, for any degree k, b_k plus an increment
     leaves the cell [-1/2, 1/2).
     """
-    rotated = np.conj(clean) * noise
-    increments = principal_arg(1.0 + rotated) / (2.0 * np.pi)
+    z = 1.0 + np.conj(clean) * noise
+    increments = _phase_turns(z.real, z.imag) * _TURN
     axes = tuple(range(1, increments.ndim))
     lead = (-1,) + (1,) * len(axes)
     wrapped = np.zeros(len(truths), dtype=bool)

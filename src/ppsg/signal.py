@@ -57,21 +57,6 @@ class RealField(_Field):
     _dtype = float
 
 
-def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
-    """Argument in [-pi, pi), with arg(0) = 0.
-
-    numpy's angle() lands in (-pi, pi]; the single boundary value +pi
-    (exact negative reals) is folded to -pi.  ``arctan2(imag, real)`` is
-    exactly ``angle``.
-    """
-    if np.ndim(z) == 0:
-        a = np.angle(z)
-        return float(-np.pi) if a == np.pi else float(a)
-    a = np.arctan2(z.imag, z.real)
-    a[a == np.pi] = -np.pi
-    return a
-
-
 def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:
     """Unit-modulus signal exp(j 2 pi x(n)) over [N] from phase coefficients."""
     N = as_index(N)
@@ -88,10 +73,18 @@ def complex_noise(
     parts are drawn before the imaginary parts, so results are reproducible
     given the generator state.
     """
+    return _form_noise(rng.standard_normal((1, 2, *window)), snr)[0]
+
+
+def _form_noise(gauss: np.ndarray, snr: float) -> np.ndarray:
+    """Complex noise of variance 1/snr (linear), shape (B, *N), from a
+    (B, 2, *N) buffer of standard normals, the real parts first."""
     if not snr > 0:  # NaN fails too
         raise ValueError(f"snr must be positive, got {snr}")
-    scale = np.sqrt(0.5 / snr)
-    return scale * (rng.standard_normal(window) + 1j * rng.standard_normal(window))
+    noise = 1j * gauss[:, 1]
+    noise += gauss[:, 0]
+    noise *= np.sqrt(0.5 / snr)
+    return noise
 
 
 def add_noise(s: Signal, snr: float, rng: np.random.Generator) -> Signal:

@@ -9,7 +9,13 @@ writes the outputs to DIR, so two trees that differ can be compared number
 by number: ``--compare DIR_A DIR_B`` prints, for each output, the largest
 absolute difference between the numbers of its two copies, read in order.
 
+The digest listing starts with a header naming the Python and numpy
+versions, which the bytes depend on.  ``cli_digest.golden`` holds the
+committed listing, which the tests compare against under those versions; a
+change that moves the outputs on purpose rewrites it with the second command.
+
     PYTHONPATH=src python tests/cli_digest.py [--keep DIR]
+    PYTHONPATH=src python tests/cli_digest.py > tests/cli_digest.golden
     PYTHONPATH=src python tests/cli_digest.py --compare DIR_A DIR_B
 """
 
@@ -17,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import re
 import sys
 import tempfile
@@ -136,6 +143,20 @@ def digests(keep: Path | None = None) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
 
 
+GOLDEN = Path(__file__).with_name("cli_digest.golden")
+
+
+def environment() -> str:
+    """The header line of a digest listing."""
+    return f"# python {platform.python_version()} numpy {np.__version__}"
+
+
+def read_golden() -> tuple[str, dict[str, str]]:
+    """The header and the digests, by output name, of :data:`GOLDEN`."""
+    header, *lines = GOLDEN.read_text().splitlines()
+    return header, {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b")
 
 
@@ -176,5 +197,6 @@ if __name__ == "__main__":
         for name, gap in compare(*args.compare).items():
             sys.stdout.write(f"{gap}  {name}\n")
     else:
+        sys.stdout.write(environment() + "\n")
         for name, digest in digests(args.keep).items():
             sys.stdout.write(f"{digest}  {name}\n")

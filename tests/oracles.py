@@ -1,5 +1,6 @@
 """Reference implementations and helpers that only the tests use."""
 
+import gc
 import math
 import os
 import subprocess
@@ -40,10 +41,22 @@ from ppsg.signal import (
     _difference,
     complex_noise,
     phase_diff_multi,
-    principal_arg,
     synthesize,
 )
 from ppsg.weights import WeightField, _weight_axis, weight_axes
+
+
+def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
+    """Argument in [-pi, pi), with arg(0) = 0 for a zero of either sign.
+
+    ``arctan2(imag, real)`` lands in [-pi, pi] and returns +-pi for +-0 over
+    -0, so +0.0 is added to the real part first; the single boundary value
+    +pi (exact negative reals) is folded to -pi.
+    """
+    z = np.asarray(z)
+    a = np.arctan2(z.imag, z.real + 0.0)
+    a = np.where(a == np.pi, -np.pi, a)
+    return float(a) if a.ndim == 0 else a
 
 
 def binom(n: int, k: int) -> int:
@@ -528,6 +541,19 @@ def traced_peak(fn, *args) -> int:
     try:
         fn(*args)
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_retained(fn, *args) -> int:
+    """The bytes that ``tracemalloc`` still traces after one call of ``fn``
+    and a garbage collection: what the call left cached."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 

@@ -37,9 +37,11 @@ from ppsg.weights import WeightField, weight_axes, weight_multi
 from oracles import (
     exact_signal,
     parameter_invariance_witness,
+    principal_arg,
     reference_sequential,
     run_python,
     traced_peak,
+    traced_retained,
     whole_field_stage,
 )
 
@@ -590,7 +592,7 @@ def test_single_lag_identifiability_cell():
     def single_lag_estimate(b1):
         # a lag schedule must start at 1, so drive the tau-only pass through
         # the operator machinery directly
-        from ppsg.signal import phase_diff_multi, principal_arg
+        from ppsg.signal import phase_diff_multi
 
         b = _cv([0.0, b1], M1)
         s = synthesize(b, (33,))
@@ -990,6 +992,17 @@ def test_estimate_holds_one_window_sized_array(kind):
     cfg = EstimatorConfig(M012, kind)
     estimate(y, cfg)  # builds the cached weights and basis axes
     assert traced_peak(estimate, y, cfg) <= 1.5 * 8 * N[0]
+
+
+def test_estimate_on_a_fresh_window_retains_no_field():
+    # The integer fields are formed from the cached axes on every call, so
+    # one estimate on a window not seen before leaves only its few KiB of
+    # Pascal and weight axes cached, not its 700 KiB degree-(1, 1) field.
+    b = _cv(np.random.default_rng(24).uniform(-0.4, 0.4, len(M2D_TOTAL2)), M2D_TOTAL2)
+    cfg = EstimatorConfig(M2D_TOTAL2)
+    estimate(synthesize(b, (20, 20)), cfg)  # any first-call set-up
+    y = synthesize(b, (300, 300))
+    assert traced_retained(estimate, y, cfg) <= 64 * 1024
 
 
 def test_non_finite_sample_in_a_later_block_is_rejected():

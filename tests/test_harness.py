@@ -10,7 +10,7 @@ from ppsg import harness
 from ppsg.analysis import fisher_matrix, reconstruction_bound
 from ppsg.basis import BINOMIAL, CoefficientVector, wrap_to_cell
 from ppsg.degrees import build_total_order
-from ppsg.estimator import AveragingKind, Estimate, EstimatorConfig
+from ppsg.estimator import _TURN, AveragingKind, Estimate, EstimatorConfig, _phase_turns
 from ppsg.harness import (
     PARAMETER_MODES,
     ExperimentConfig,
@@ -20,7 +20,7 @@ from ppsg.harness import (
 )
 from ppsg.signal import Signal, add_noise, complex_noise
 
-from oracles import reference_sweep, reference_trial, run_python, tr_kj
+from oracles import principal_arg, reference_sweep, reference_trial, run_python, tr_kj
 
 
 def empirical_covariance(
@@ -340,6 +340,24 @@ def test_chunk_draws_match_default_rng(master_seed, mode):
                     truth = np.array(fixed or (0.0, 0.0))
                 assert truths[row].tobytes() == truth.tobytes()
                 assert noise[row].tobytes() == complex_noise(cfg.window, snr, rng).tobytes()
+
+
+def test_wrap_increments_are_the_principal_argument():
+    # The wrap flags read the phase noise of 1 + z through the kernel's
+    # _phase_turns, in cycles: principal_arg / 2pi bit for bit wherever it
+    # is zero or normal.  Below 2^-1022 the two round a subnormal in two
+    # steps and in one, a last-bit gap far below any cell edge.
+    rng = np.random.default_rng(24)
+    n = 10**5
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n)
+    parts = (0.0, -0.0, -1.0, -2.0, 5e-324, 1e-310, -1e-300, 1e300)
+    edge = np.array([complex(a, b) for a in parts for b in parts])
+    w = 1.0 + np.concatenate([z, edge, -1.0 + edge])
+    got = _phase_turns(w.real, w.imag) * _TURN
+    want = principal_arg(w) / (2 * np.pi)
+    normal = (want == 0) | (np.abs(want) >= 2.0**-1022)
+    assert got[normal].tobytes() == want[normal].tobytes()
+    assert np.all(np.abs(got - want) <= 2.0**-1074)
 
 
 @pytest.mark.parametrize("trial_index", [2**32 - 1, 2**32])

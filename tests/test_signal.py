@@ -9,14 +9,14 @@ from ppsg.signal import (
     RealField,
     Signal,
     add_noise,
+    complex_noise,
     phase_diff_multi,
-    principal_arg,
     read_signal,
     synthesize,
     write_signal,
 )
 
-from oracles import finite_difference, finite_difference_stencil, phase_diff
+from oracles import finite_difference, finite_difference_stencil, phase_diff, principal_arg
 
 
 def arg_field(s: Signal) -> RealField:
@@ -151,6 +151,19 @@ def test_arg_field_conventions():
 def test_principal_arg_scalar():
     assert principal_arg(-1 + 0j) == pytest.approx(-np.pi)
     assert principal_arg(0j) == 0.0
+    assert principal_arg(complex(-0.0, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("N", [(64,), (10, 9), (3, 4, 5)], ids=str)
+def test_complex_noise_draws_the_real_parts_first(N):
+    # One (1, 2, *N) draw formed by the helper the sweeps use, bit for bit
+    # the two draws of the documented formula.
+    snr = 10.0 ** 0.7
+    got = complex_noise(N, snr, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = np.sqrt(0.5 / snr) * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    assert got.shape == N
+    assert got.tobytes() == want.tobytes()
 
 
 def test_finite_difference_pascal_rule():
