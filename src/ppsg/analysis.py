@@ -2,20 +2,20 @@
 phase-polynomial estimation.
 
 The Fisher matrix for binomial-basis coefficients is a scaled Gram matrix of
-the binomial fields over the window, and the CRB is its inverse.  Its
-decomposition through discrete orthogonal polynomials, and the ``tr(KJ)``
-efficiency measure, are test oracles in ``tests/oracles.py``.
+the binomial fields over the window, summed exactly axis by axis, and the
+CRB is its inverse.  Its orthogonal-polynomial decomposition and the
+``tr(KJ)`` efficiency measure are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .degrees import DegreeSet, as_index, diff_window
-from .basis import binomial_field
 from .signal import RealField
 
 
@@ -35,17 +35,24 @@ class FisherMatrix:
         object.__setattr__(self, "matrix", matrix)
 
 
-def _design_matrix(M: DegreeSet, N: tuple[int, ...]) -> np.ndarray:
-    """Columns are the binomial fields C(n, m) flattened over [N]."""
-    return np.column_stack([binomial_field(m, N).ravel() for m in M.degrees])
+def _gram_axis(n_count: int, a: int, b: int) -> int:
+    """sum_{n < n_count} C(n, a) C(n, b), exactly: the product is the sum of
+    C(j, a) C(a, j - b) C(n, j) over j in [max(a, b), a + b], and C(n, j)
+    sums to C(n_count, j + 1) (the hockey-stick identity)."""
+    js = range(max(a, b), a + b + 1)
+    return sum(math.comb(j, a) * math.comb(a, j - b) * math.comb(n_count, j + 1) for j in js)
 
 
 def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> FisherMatrix:
-    """Entries 8 pi^2 snr sum_n C(n, m) C(n, m')."""
+    """Entries 8 pi^2 snr sum_n C(n, m) C(n, m'), for a linear SNR that is,
+    with its inverse, finite and positive.  Each sum over the window is a
+    product of :func:`_gram_axis` sums, rounded to float once."""
     N = as_index(N)
     diff_window(N, M.max_degree)
-    B = _design_matrix(M, N)
-    return FisherMatrix(8 * np.pi**2 * snr * (B.T @ B), M, float(snr))
+    if not (0.0 < snr < math.inf and 1.0 / snr < math.inf):  # NaN fails too
+        raise ValueError(f"snr {snr} is not a finite, positive SNR with a finite inverse")
+    gram = [[float(math.prod(map(_gram_axis, N, m, k))) for k in M.degrees] for m in M.degrees]
+    return FisherMatrix(8 * np.pi**2 * snr * np.array(gram), M, float(snr))
 
 
 def crb(M: DegreeSet, N: Sequence[int], snr: float) -> np.ndarray:

@@ -84,29 +84,27 @@ class ChangeOfBasis:
 # -- Gridded evaluation -------------------------------------------------------
 #
 # Fields are combined from per-dimension axes by broadcasting.  The estimator
-# cancels each recovered term in exact turns, from the basis function's
-# integer numerator modulo 2^64 (:func:`integer_field`); synthesis and
-# reconstruction read the float fields.  Each kind is cached at one layer.
-# A float field is cached whole up to this many samples, bounding resident
-# memory, and rebuilt from fresh axes above it; the size of a field is that
-# of the compact field, which spans only the touched axes.  The integer
-# axes, which the estimator reads on every call, are cached at any length,
-# and their fields are formed from them on each call.
+# cancels each term in exact turns from the basis function's integer
+# numerator modulo 2^64 (:func:`integer_field`), whose axes are cached at any
+# length and whose fields are formed on each call, and takes a sub-turn
+# remainder's float factor block by block (:func:`_float_rows`).  Only
+# synthesis reads the float fields.  A binomial one is cached whole up to
+# this many samples of its compact form, which spans the touched axes only.
 _FIELD_CACHE_LIMIT = 1 << 17
 
 
-def _binomial_axis(n_count: int, m: int) -> np.ndarray:
-    """C(n, m) for n in [n_count], float64."""
-    out = np.ones(n_count)
+def _binomial_axis(start: int, stop: int, m: int) -> np.ndarray:
+    """C(n, m) for n in [start, stop), float64."""
+    out = np.ones(stop - start)
     for i in range(m):
-        out *= np.arange(n_count) - i
+        out *= np.arange(start, stop) - i
         out /= i + 1
     return out
 
 
-def _monomial_axis(n_count: int, m: int) -> np.ndarray:
-    """n^m / m! for n in [n_count], float64."""
-    return np.arange(n_count, dtype=float) ** m / math.factorial(m)
+def _monomial_axis(start: int, stop: int, m: int) -> np.ndarray:
+    """n^m / m! for n in [start, stop), float64."""
+    return np.arange(start, stop, dtype=float) ** m / math.factorial(m)
 
 
 @lru_cache(maxsize=64)
@@ -148,37 +146,33 @@ def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _compact_field(axis, m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    """The field over the axes with m_d > 0, length 1 elsewhere (C(n, 0) = 1)."""
-    out = tensor_field([axis(Nd if md else 1, md) for Nd, md in zip(N, m)])
+def _float_rows(
+    m: MultiIndex, N: MultiIndex, basis: str = BINOMIAL, a: int = 0, b: int | None = None
+) -> np.ndarray:
+    """The basis function at m in float64 over the rows [a, b) of the first
+    window axis (all by default), of length 1 where m_d = 0; each value is
+    formed from its own index alone, so these are the whole field's rows."""
+    axis = _binomial_axis if basis == BINOMIAL else _monomial_axis
+    spans = [(a, N[0] if b is None else b)] + [(0, Nd) for Nd in N[1:]]
+    out = tensor_field([axis(lo, hi, md) if md else np.ones(1) for (lo, hi), md in zip(spans, m)])
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=256)
-def _binomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    return _compact_field(_binomial_axis, m, N)
-
-
-@lru_cache(maxsize=256)
-def _monomial_field_cached(m: MultiIndex, N: MultiIndex) -> np.ndarray:
-    return _compact_field(_monomial_axis, m, N)
-
-
-def _float_field(cached, axis, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
-    m, N = as_index(m), as_index(N)
-    small = math.prod(Nd for Nd, md in zip(N, m) if md) <= _FIELD_CACHE_LIMIT
-    return np.broadcast_to(cached(m, N) if small else _compact_field(axis, m, N), N)
+_binomial_field_cached = lru_cache(maxsize=256)(_float_rows)
 
 
 def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """C(n, m) sampled over the window [N]; a read-only broadcast of shape N."""
-    return _float_field(_binomial_field_cached, _binomial_axis, m, N)
+    m, N = as_index(m), as_index(N)
+    small = math.prod(Nd for Nd, md in zip(N, m) if md) <= _FIELD_CACHE_LIMIT
+    return np.broadcast_to((_binomial_field_cached if small else _float_rows)(m, N), N)
 
 
 def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """n^m / m! sampled over the window [N]; a read-only broadcast of shape N."""
-    return _float_field(_monomial_field_cached, _monomial_axis, m, N)
+    m, N = as_index(m), as_index(N)
+    return np.broadcast_to(_float_rows(m, N, MONOMIAL), N)
 
 
 def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.ndarray, int]:
@@ -188,10 +182,9 @@ def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.nd
     broadcast of shape N), which is all that exact turns of an integer
     multiple of it need."""
     m, N = as_index(m), as_index(N)
-    if basis == BINOMIAL:
-        return np.broadcast_to(_compact_field(_pascal_axis, m, N), N), 1
-    divisor = math.prod(math.factorial(md) for md in m)
-    return np.broadcast_to(_compact_field(_power_axis, m, N), N), divisor
+    axis = _pascal_axis if basis == BINOMIAL else _power_axis
+    field = np.broadcast_to(tensor_field([axis(Nd if md else 1, md) for Nd, md in zip(N, m)]), N)
+    return field, 1 if basis == BINOMIAL else math.prod(math.factorial(md) for md in m)
 
 
 def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:

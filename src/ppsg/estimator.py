@@ -20,11 +20,11 @@ below 2^-12 cycle leaves a float64 remainder below one turn.  Past the
 entry the only trig is the CIRCULAR anchor's float32 ``cos`` and ``sin`` of
 at most ``_ANCHOR_SAMPLES`` (4096) gathered samples per field and stage,
 taken relative to the first, so the anchor rotates with its field exactly.
-The turns are the one window-sized array the kernel holds, but on the
-remainder path (:func:`_sequential`).  Every pass over them runs in blocks
-of at most ``_BLOCK_SAMPLES`` (2^15) samples per signal cut along the first
-window axis, so its temporaries stay in cache, and a stage differences each
-block once.
+The turns are the one window-sized array the kernel holds, but for the int64
+field of a degree touching every axis of a multi-axis window
+(:func:`_sequential`).  Every pass over them runs in blocks of at most
+``_BLOCK_SAMPLES`` (2^15) samples per signal cut along the first window axis,
+so its temporaries stay in cache, and a stage differences each block once.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -60,12 +60,12 @@ from .basis import (
     BINOMIAL,
     MONOMIAL,
     CoefficientVector,
-    binomial_field,
+    _float_rows,
     binomial_to_monomial_matrix,
     integer_field,
-    monomial_field,
     wrap_to_cell,
 )
+from .basis import binomial_field  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .degrees import (
     DegreeSet,
     MultiIndex,
@@ -449,12 +449,12 @@ def _sequential(
     remainder below 2^-64 cycle, and n^m over m! for the monomial basis,
     whose coefficient ``acc / m!`` is rounded in float64.
 
-    The turns are the one window-sized array unless a degree's coefficient
-    lies within 2^-12 of an integer, a zero one say: its remainder then reads
-    the float basis field, rebuilt on every call above 2^17 samples, and a
-    2^20 estimate of degrees 0-2 traces 24.1 MiB, not 9.0.  The entry, which
-    rejects a non-finite sample, each stage (:func:`_mean_phase`, whose
-    CIRCULAR anchor takes the only trig past the entry) and each
+    The turns are the one window-sized array, but for the int64 field of a
+    degree that touches every axis of a window of two or more: 2 MiB for
+    (1, 1) at 512x512, where a total-degree-2 estimate traces 4.9 MiB.  A
+    sub-turn remainder takes its float factor over each block's rows.  The
+    entry, which rejects a non-finite sample, each stage (:func:`_mean_phase`,
+    whose CIRCULAR anchor takes the only trig past the entry) and each
     cancellation run over the turns in blocks of :func:`_block_rows`, and
     every sum is the one the whole window gives.  Nothing is kept between
     calls, and the window rule is checked once, up front.
@@ -487,11 +487,8 @@ def _sequential(
             exact, divisor = integer_field(m, N, basis)
             exact = exact[touched]
             split = _split((acc / divisor).reshape(lead))
-            if split[1] is not None:  # F in float64, for the remainder
-                sample = binomial_field if basis == BINOMIAL else monomial_field
-                floats = divisor * sample(m, N)[touched]
             for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
-                approx = None if split[1] is None else floats[a:b]
+                approx = None if split[1] is None else divisor * _float_rows(m, N, basis, a, b)
                 turns[:, a:b] -= _turns(split, exact[a:b], approx)
     return values, diagnostics
 
@@ -503,17 +500,20 @@ def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagn
 
 
 def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
-    """Closure estimate, then a Fisher-weighted projection of each row, which
-    restores the constrained CRB (zeroing would not), wrapped to the cell."""
+    """Closure estimate, then a Fisher-weighted projection of each row r,
+    r_M + J_MM^-1 J_MR r_R over the rows M of the set and R of the rest, so
+    only the nuisance part meets the ill-conditioned solve.  It restores the
+    constrained CRB (zeroing would not); the result is wrapped to the cell."""
     from scipy.linalg import cho_factor, cho_solve
 
     closure = downward_closure(cfg.degree_set)
     closure_values, diagnostics = _binomial(data, replace(cfg, degree_set=closure))
     rows = [closure.position(m) for m in cfg.degree_set.degrees]
+    rest = [i for i in range(len(closure)) if i not in rows]
     J = fisher_matrix(closure, data.shape[1:], 1.0).matrix  # SNR scale cancels
     factor = cho_factor(J[rows][:, rows])
-    weighted = J[rows]
-    projected = np.array([cho_solve(factor, weighted @ v) for v in closure_values])
+    nuisance = J[rows][:, rest]
+    projected = np.array([v[rows] + cho_solve(factor, nuisance @ v[rest]) for v in closure_values])
     return wrap_to_cell(projected), diagnostics
 
 

@@ -72,6 +72,10 @@ _SIMULATE = {
 _CRB = {
     "crb-1d": ["--degrees", "[[0],[1],[2]]", "--window", "[32]", "--snr-db-range=-10:20:5"],
     "crb-2d": ["--degrees", "[[0,0],[0,1],[1,0]]", "--window", "[8,7]", "--snr-db-range", "0:5:5"],
+    # Its Gram sums pass 2^53, so this pins the exactly rounded Fisher matrix.
+    "crb-1d-2e20": [
+        "--degrees", "[[0],[1],[2],[3]]", "--window", "[1048576]", "--snr-db-range", "0:30:10"
+    ],
 }
 
 _WEIGHTS = {

@@ -306,6 +306,13 @@ def _inner_product_axis(m: int, k: int, N: int) -> int:
     return total
 
 
+def integer_gram(M: DegreeSet, N: Sequence[int]) -> list[list[int]]:
+    """sum_n C(n, m) C(n, m') over the window [N] for every pair of degrees of
+    M, summed sample by sample in Python integers."""
+    fields = [[math.prod(map(math.comb, n, m)) for n in np.ndindex(*N)] for m in M.degrees]
+    return [[sum(x * y for x, y in zip(f, g)) for g in fields] for f in fields]
+
+
 def decomposition(M: DegreeSet, N: Sequence[int]) -> DecompositionPair:
     """Build S and Q for the Fisher decomposition over a downward-closed set."""
     N = as_index(N)

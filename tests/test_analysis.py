@@ -16,10 +16,12 @@ from oracles import (
     binom,
     decomposition,
     finite_difference,
+    integer_gram,
     naive_penalty,
     orthogonal_poly_field,
     run_python,
     tr_kj,
+    traced_peak,
 )
 
 
@@ -56,6 +58,43 @@ def test_fisher_snr_linearity():
     J1 = fisher_matrix(M01, (8,), 3.0)
     J2 = fisher_matrix(M01, (8,), 6.0)
     assert np.allclose(J2.matrix, 2.0 * J1.matrix)
+
+
+@pytest.mark.parametrize(
+    "degrees, N",
+    [
+        ([(0,), (1,), (2,)], (4096,)),
+        ([(0,), (1,), (2,), (3,)], (1024,)),
+        ([(0,), (2,), (5,)], (300,)),
+        ([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)], (40, 33)),
+        ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)], (17, 9)),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, 2)], (6, 5, 4)),
+    ],
+)
+def test_fisher_matrix_is_the_rounded_integer_gram(degrees, N):
+    # Each entry is the exact integer Gram rounded once, at any window: B^T B
+    # in float64 was up to 2.8e-15 relative off where its sums pass 2^53, as
+    # at (4096,) with degrees 0-2 and (1024,) with 0-3.
+    M = build_total_order(degrees)
+    gram = np.array([[float(v) for v in row] for row in integer_gram(M, N)])
+    assert fisher_matrix(M, N, 3.0).matrix.tobytes() == (8 * np.pi**2 * 3.0 * gram).tobytes()
+
+
+def test_crb_holds_no_window_sized_array():
+    # The Fisher matrix is summed axis by axis, so no field is built: the
+    # design matrix of degrees 0-3 took 128 MiB at 2^22 samples.
+    M = build_total_order([(0,), (1,), (2,), (3,)])
+    crb(M, (64,), 1.0)  # imports scipy.linalg
+    assert traced_peak(crb, M, (2**22,), 1.0) < 2**20
+
+
+@pytest.mark.parametrize("snr", [-1.0, 0.0, np.nan, np.inf, 1e-320])
+def test_fisher_matrix_rejects_a_bad_snr(snr):
+    # Each gave a negative, zero or NaN matrix, or CRBs of inf, and crb then
+    # failed with a message about the window or about infs and NaNs.
+    for call in (fisher_matrix, crb):
+        with pytest.raises(ValueError, match=f"snr {snr} is not a finite, positive SNR"):
+            call(M01, (8,), snr)
 
 
 def test_crb_scalar():

@@ -10,6 +10,7 @@ from ppsg.basis import (
     MONOMIAL,
     ChangeOfBasis,
     CoefficientVector,
+    _float_rows,
     _pascal_axis,
     binomial_field,
     binomial_to_monomial_matrix,
@@ -288,3 +289,24 @@ def test_pascal_axis_is_built_in_one_array(m):
     # In-place cumulative sums: the traced peak is the result alone.
     N = 2**20
     assert traced_peak(_pascal_axis.__wrapped__, N, m) <= 8 * N + 2**16
+
+
+@pytest.mark.parametrize("basis", [BINOMIAL, MONOMIAL])
+@pytest.mark.parametrize("N", [(2**18,), (301, 57), (23, 9, 6)])
+def test_float_rows_are_rows_of_the_whole_field(N, basis):
+    # The kernel builds a sub-turn remainder's float factor over one block's
+    # rows.  Each value is formed from its own index alone, so the rows are
+    # the whole field's bit for bit, also where C(n, 3) and n^3 / 6 round.
+    whole_field = binomial_field if basis == BINOMIAL else monomial_field
+    rng = np.random.default_rng(len(N))
+    spans = [(0, N[0]), (N[0] - 1, N[0])]
+    spans += [tuple(sorted(rng.choice(N[0] + 1, 2, replace=False))) for _ in range(6)]
+    for m in itertools.product(range(4), repeat=len(N)):
+        if sum(m) > 3:
+            continue
+        whole = whole_field(m, N)
+        for a, b in spans:
+            rows = _float_rows(m, N, basis, a, b)
+            compact = tuple(Nd if md else 1 for Nd, md in zip((b - a,) + N[1:], m))
+            assert rows.shape == compact
+            assert np.broadcast_to(rows, (b - a,) + N[1:]).tobytes() == whole[a:b].tobytes()

@@ -534,7 +534,7 @@ def test_cli_digest_is_reproducible_in_one_process():
     # tests/cli_digest.py is the byte-identity check of the fixed-seed CLI
     # outputs; it must give the same digests each time it runs.
     first = cli_digest.digests()
-    assert len(first) == 16
+    assert len(first) == 17
     assert cli_digest.digests() == first
 
 

@@ -15,6 +15,7 @@ from ppsg.analysis import crb, reconstruction_bound
 from ppsg.basis import (
     BINOMIAL,
     CoefficientVector,
+    _float_rows,
     binomial_field,
     binomial_to_monomial_matrix,
     compute_new_coordinate,
@@ -369,6 +370,41 @@ def test_general_output_in_cell():
         y, _ = _noisy(_cv([0.49], M3), (16,), 2.0, 500 + t)
         v = estimate(y, cfg).binomial.values
         assert np.all((v >= -0.5) & (v < 0.5))
+
+
+M013 = build_total_order([(0,), (1,), (3,)])
+
+
+@pytest.mark.parametrize(
+    "M, N",
+    [(M013, (2**16,)), (M013, (2**20,)), (build_total_order([(0, 0), (2, 0), (0, 2)]), (256, 256))],
+    ids=["2^16", "2^20", "256x256"],
+)
+def test_non_closed_noise_free_recovery_is_exact(M, N):
+    # The projection adds J_MM^-1 J_MR r_R to the kept coefficients, so a
+    # nuisance part that comes back 0 leaves them as the closure estimated
+    # them: exactly, with CIRCULAR, from a phase given exactly.  Sending all
+    # of r through the ill-conditioned solve missed by 1e-2 cycles at 2^16,
+    # 0.48 at 2^20 and 1.9e-12 at 256x256.
+    truth = np.random.default_rng(31).uniform(-0.5, 0.5, (3, len(M)))
+    values, _ = estimate_batch(np.stack([exact_signal(b, M, N) for b in truth]), EstimatorConfig(M))
+    assert np.max(np.abs(wrap_to_cell(values - truth))) <= 1e-15
+
+
+def test_non_closed_mse_stays_at_the_constrained_crb():
+    # At 2^16 and 30 dB each coefficient of {0, 1, 3} reads its constrained
+    # CRB.  Over 32 draws an efficient estimator's MSE over CRB is about
+    # chi^2_32 / 32, which exceeds 3 with probability below 1e-9; degree 3
+    # reads below 1, since its CRB lies below the float64 resolution of the
+    # coefficient.  Projecting all of r through the solve read 4e4 to 7e4.
+    N, snr = (2**16,), 1000.0
+    truth = np.random.default_rng(32).uniform(-0.5, 0.5, (32, len(M013)))
+    clean = np.stack([exact_signal(b, M013, N) for b in truth])
+    noise = np.random.default_rng(33).standard_normal((2,) + clean.shape)
+    noisy = clean + np.sqrt(0.5 / snr) * (noise[0] + 1j * noise[1])
+    values, _ = estimate_batch(noisy, EstimatorConfig(M013))
+    mse = np.mean(wrap_to_cell(values - truth) ** 2, axis=0)
+    assert np.all(mse / np.diag(crb(M013, N, snr)) <= 3.0)
 
 
 # -- Multi-lag estimator ---------------------------------------------------------
@@ -991,6 +1027,24 @@ def test_estimate_holds_one_window_sized_array(kind):
     y, _ = _noisy(_cv([0.25, -0.375, 0.125], M012), N, 1000.0, 14)
     cfg = EstimatorConfig(M012, kind)
     estimate(y, cfg)  # builds the cached weights and basis axes
+    assert traced_peak(estimate, y, cfg) <= 1.5 * 8 * N[0]
+
+
+def test_remainder_path_holds_one_window_sized_array(monkeypatch):
+    # A zero degree-1 coefficient comes back within 2^-12 of an integer, so
+    # its cancellation has a sub-turn remainder.  Its float factor is built
+    # over each block's rows, so the estimate still holds its turns alone;
+    # the whole float field took it to 24.1 MiB.
+    N = (2**20,)
+    y = synthesize(_cv([0.25, 0.0, 0.125], M012), N)
+    cfg = EstimatorConfig(M012)
+    blocks = []
+    monkeypatch.setattr(
+        estimator_module, "_float_rows", lambda *args: blocks.append(args) or _float_rows(*args)
+    )
+    estimate(y, cfg)  # warm, and on the remainder path
+    assert blocks
+    monkeypatch.undo()
     assert traced_peak(estimate, y, cfg) <= 1.5 * 8 * N[0]
 
 
