@@ -10,6 +10,7 @@ CRB is its inverse.  Its orthogonal-polynomial decomposition and the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,11 +47,15 @@ def _gram_axis(n_count: int, a: int, b: int) -> int:
 def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> FisherMatrix:
     """Entries 8 pi^2 snr sum_n C(n, m) C(n, m'), for a linear SNR that is,
     with its inverse, finite and positive.  Each sum over the window is a
-    product of :func:`_gram_axis` sums, rounded to float once."""
+    product of :func:`_gram_axis` sums, rounded to float once; ``ValueError``
+    if that overflows."""
     N = as_index(N)
     diff_window(N, M.max_degree)
     if not (0.0 < snr < math.inf and 1.0 / snr < math.inf):  # NaN fails too
         raise ValueError(f"snr {snr} is not a finite, positive SNR with a finite inverse")
+    largest = max(math.prod(map(_gram_axis, N, m, m)) for m in M.degrees)  # bounds every entry
+    if largest > sys.float_info.max or 8 * np.pi**2 * snr * float(largest) == math.inf:
+        raise ValueError(f"degrees up to {M.max_degree} on window {N} overflow the Fisher matrix")
     gram = [[float(math.prod(map(_gram_axis, N, m, k))) for k in M.degrees] for m in M.degrees]
     return FisherMatrix(8 * np.pi**2 * snr * np.array(gram), M, float(snr))
 

@@ -83,14 +83,12 @@ class ChangeOfBasis:
 
 # -- Gridded evaluation -------------------------------------------------------
 #
-# Fields are combined from per-dimension axes by broadcasting.  The estimator
-# cancels each term in exact turns from the basis function's integer
-# numerator modulo 2^64 (:func:`integer_field`), whose axes are cached at any
-# length and whose fields are formed on each call, and takes a sub-turn
-# remainder's float factor block by block (:func:`_float_rows`).  Only
-# synthesis reads the float fields.  A binomial one is cached whole up to
-# this many samples of its compact form, which spans the touched axes only.
-_FIELD_CACHE_LIMIT = 1 << 17
+# Fields are combined from per-dimension axes by broadcasting.  Every phase
+# the library synthesizes, scores or cancels is exact turns (:func:`_turns`)
+# of an :func:`integer_field`; float fields serve :func:`phase_field`, tests
+# and a sub-turn remainder.  A turn is 2^-64 cycle: an int64 phase read as
+# signed lies in [-pi, pi).
+_TURN = 2.0**-64
 
 
 def _binomial_axis(start: int, stop: int, m: int) -> np.ndarray:
@@ -159,20 +157,14 @@ def _float_rows(
     return out
 
 
+# Never called: benchmarks/run.py reads its cache_info() in traced runs.
 _binomial_field_cached = lru_cache(maxsize=256)(_float_rows)
 
 
 def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
-    """C(n, m) sampled over the window [N]; a read-only broadcast of shape N."""
+    """C(n, m) over the window [N] in float64; a read-only broadcast of shape N."""
     m, N = as_index(m), as_index(N)
-    small = math.prod(Nd for Nd, md in zip(N, m) if md) <= _FIELD_CACHE_LIMIT
-    return np.broadcast_to((_binomial_field_cached if small else _float_rows)(m, N), N)
-
-
-def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
-    """n^m / m! sampled over the window [N]; a read-only broadcast of shape N."""
-    m, N = as_index(m), as_index(N)
-    return np.broadcast_to(_float_rows(m, N, MONOMIAL), N)
+    return np.broadcast_to(_float_rows(m, N), N)
 
 
 def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.ndarray, int]:
@@ -187,25 +179,82 @@ def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.nd
     return field, 1 if basis == BINOMIAL else math.prod(math.factorial(md) for md in m)
 
 
-def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:
-    """Evaluate the phase polynomial over the full window [N]."""
-    return phase_fields(coeffs.values[None], coeffs.degree_set, N, coeffs.basis)[0]
+def _fold(turns: np.ndarray) -> np.ndarray:
+    """Float turns in [-2^63, 2^63] folded in place into int64 range, for a
+    conversion that truncates: +2^63, a phase of +1/2 cycle, is -2^63."""
+    turns[turns == 2.0**63] = -(2.0**63)
+    return turns
 
 
-def phase_fields(
+def _int64(value: int) -> np.ndarray:
+    """A Python integer modulo 2^64, as a 0-d int64 array."""
+    return np.array(value % 2**64, np.uint64).view(np.int64)
+
+
+def _split(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The fraction c = acc - rint(acc) of a cycle (+1/2 read as -1/2),
+    split exactly into k turns, an int64, and a remainder r = c - k * 2^-64
+    below one turn, in cycles, or None when every r is 0.
+
+    A float64 c with |c| >= 2^-12 is a multiple of 2^-64, so r is nonzero
+    only for smaller c.
+    """
+    x = _fold((acc - np.rint(acc)) / _TURN)
+    k = x.astype(np.int64)
+    r = (x - k) * _TURN
+    return k, (r if r.any() else None)
+
+
+def _turns(
+    split: tuple[np.ndarray, np.ndarray | None], exact: np.ndarray, approx: np.ndarray | None
+) -> np.ndarray:
+    """The phase ``acc * F`` in cycles as int64 turns, broadcast, from the
+    :func:`_split` of ``acc``, for an integer factor F: every phase the
+    library builds, ``acc`` per signal, F a lag's tau^m or the integer field
+    of a basis function.  ``exact`` is F modulo 2^64 as int64; ``approx`` is
+    F in float64, needed only when the split has a remainder.
+
+    k * F wraps, exactly modulo 2^64, so the turns are exact unless the
+    remainder r is nonzero; then the turns of r * F, rounded in float64 to
+    about F * 2^-52 turns, are added.
+    """
+    k, r = split
+    out = k * exact
+    if r is not None:
+        t = r * approx
+        t -= np.rint(t)
+        out += _fold(t / _TURN).astype(np.int64)
+    return out
+
+
+def phase_turns(
     values: np.ndarray, degree_set: DegreeSet, N: Sequence[int], basis: str = BINOMIAL
 ) -> np.ndarray:
-    """Phase polynomials of a batch of coefficient rows, shape (B, *N).
-
-    ``values`` has shape (B, |M|).  Terms are added in degree-set order, and
-    a degree whose coefficient is zero in every row is skipped.
-    """
+    """Phase polynomials of coefficient rows ``values`` (B, |M|) in int64
+    turns, shape (B, *N), each term formed as the estimator cancels it
+    (:func:`_split`, :func:`_turns`), so exact however large C(n, m) grows;
+    a non-finite coefficient raises ``ValueError``."""
     N = as_index(N)
-    sample = binomial_field if basis == BINOMIAL else monomial_field
-    out = np.zeros((len(values),) + N)
-    for c, m in zip(values.T, degree_set):
+    out = np.zeros((len(values),) + N, np.int64)
+    for c, m in zip(np.asarray(values, dtype=float).T, degree_set):
+        if not np.isfinite(c).all():
+            raise ValueError(f"coefficient of degree {m} is not finite: {c[~np.isfinite(c)][0]}")
         if c.any():
-            out += c.reshape((-1,) + (1,) * len(N)) * sample(m, N)
+            exact, divisor = integer_field(m, N, basis)
+            split = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
+            approx = None if split[1] is None else divisor * _float_rows(m, N, basis)
+            out += _turns(split, exact, approx)
+    return out
+
+
+def phase_field(coeffs: CoefficientVector, N: Sequence[int]) -> np.ndarray:
+    """The phase polynomial over [N] in float64 cycles, each term rounded:
+    unlike :func:`phase_turns`, it loses the phase where terms near 2^52."""
+    N = as_index(N)
+    out = np.zeros(N)
+    for c, m in zip(coeffs.values, coeffs.degree_set):
+        if c:
+            out += c * _float_rows(m, N, coeffs.basis)
     return out
 
 

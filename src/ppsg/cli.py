@@ -261,11 +261,14 @@ def _cmd_crb(args: argparse.Namespace) -> int:
         diff_window(window, degree_set.max_degree)
     except ValueError as exc:
         raise CliValidationError(f"flag --window: {exc}") from exc
+    try:
+        diags = [np.diag(crb_matrix(degree_set, window, snr)) for snr in snrs]
+    except ValueError as exc:
+        raise CliValidationError(f"flag --degrees: {exc}") from exc
     labels = ["crb_" + "_".join(str(v) for v in m) for m in degree_set.degrees]
     with _open_out(args.out) as fh:
         fh.write(",".join(["snr_db"] + labels + ["reconstruction_bound"]) + "\n")
-        for snr_db, snr in zip(grid, snrs):
-            diag = np.diag(crb_matrix(degree_set, window, snr))
+        for snr_db, snr, diag in zip(grid, snrs, diags):
             bound = reconstruction_bound(degree_set, snr)
             row = [repr(float(snr_db))] + [repr(float(v)) for v in diag] + [repr(bound)]
             fh.write(",".join(row) + "\n")

@@ -13,10 +13,10 @@ cancel the increments of the earlier lags by subtracting one scalar per
 signal, since the m-th difference at lag tau of C(n, m) is the constant
 tau^m.  Each degree then subtracts its summed term over the full window
 once, before the next degree, and only over the axes the degree touches.
-Both cancellations take their turns from :func:`_turns`, which multiplies
-an integer factor modulo 2^64 with wrapping int64 arithmetic, so a term is
-cancelled exactly however large C(n, m) grows; only a coefficient fraction
-below 2^-12 cycle leaves a float64 remainder below one turn.  Past the
+Both cancellations take their turns from :func:`~ppsg.basis._turns`, the
+arithmetic that also synthesizes and scores every phase: a term is exact
+however large C(n, m) grows, but for a float64 remainder below one turn
+from a coefficient fraction below 2^-12 cycle.  Past the
 entry the only trig is the CIRCULAR anchor's float32 ``cos`` and ``sin`` of
 at most ``_ANCHOR_SAMPLES`` (4096) gathered samples per field and stage,
 taken relative to the first, so the anchor rotates with its field exactly.
@@ -31,13 +31,13 @@ to the binomial basis.  The degree set picks the route: a set that is not
 downward closed is estimated over its closure, then projected with Fisher
 weights.
 
-A noise-free phase given exactly is recovered exactly with CIRCULAR
-averaging, whose anchor reads a constant field exactly, and under a lag
-schedule such as 1/16/256, whose later lags take up the first one's
-rounding.  LINEAR on the unit lag alone rounds each increment in float64,
-by up to 2.2e-16 cycle, and cancelling it carries that rounding times
-C(n, m) down to the lower degrees: with degrees 0-3, 3e-4 to 7e-4 cycle at
-2^16 samples and 0.2 to 0.4 at 2^20.
+A noise-free phase given exactly, as :func:`~ppsg.signal.synthesize` gives
+it, is recovered exactly with CIRCULAR averaging, whose anchor reads a
+constant field exactly, and under a lag schedule such as 1/16/256, whose
+later lags take up the first one's rounding.  LINEAR on the unit lag alone
+rounds each increment in float64, by up to 2.2e-16 cycle, and cancelling it
+carries that rounding times C(n, m) down to the lower degrees: with degrees
+0-3, 3e-4 to 7e-4 cycle at 2^16 samples and 0.2 to 0.4 at 2^20.
 
 A single signal is the batch of one.  :func:`estimate_batch` estimates many
 signals in one pass, and row t of its result equals ``estimate`` of signal t
@@ -56,15 +56,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import fisher_matrix
-from .basis import (
-    BINOMIAL,
-    MONOMIAL,
-    CoefficientVector,
-    _float_rows,
-    binomial_to_monomial_matrix,
-    integer_field,
-    wrap_to_cell,
-)
+from .basis import _TURN, _float_rows, _fold, _int64, _split, _turns, integer_field
+from .basis import BINOMIAL, MONOMIAL, CoefficientVector, binomial_to_monomial_matrix, wrap_to_cell
 from .basis import binomial_field  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .degrees import (
     DegreeSet,
@@ -114,8 +107,6 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     return complex(np.exp(1j * TWO_PI * mean[0]))
 
 
-# A turn is 2^-64 cycle: an int64 phase read as signed lies in [-pi, pi).
-_TURN = 2.0**-64
 # The CIRCULAR anchor reads at most this many samples of a field.
 _ANCHOR_SAMPLES = 4096
 # Every pass of the kernel works on blocks of at most this many samples per
@@ -164,54 +155,6 @@ def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("signal has non-finite samples")
         turns[:, a:b] = _phase_turns(re, im)
-    return turns
-
-
-def _split(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The fraction c = acc - rint(acc) of a cycle (+1/2 read as -1/2),
-    split exactly into k turns, an int64, and a remainder r = c - k * 2^-64
-    below one turn, in cycles, or None when every r is 0.
-
-    A float64 c with |c| >= 2^-12 is a multiple of 2^-64, so r is nonzero
-    only for smaller c.
-    """
-    x = _fold((acc - np.rint(acc)) / _TURN)
-    k = x.astype(np.int64)
-    r = (x - k) * _TURN
-    return k, (r if r.any() else None)
-
-
-def _turns(
-    split: tuple[np.ndarray, np.ndarray | None], exact: np.ndarray, approx: np.ndarray | None
-) -> np.ndarray:
-    """The phase ``acc * F`` in cycles as int64 turns, broadcast, from the
-    :func:`_split` of ``acc``, for an integer factor F: every cancellation
-    of the kernel, ``acc`` per signal, F the lag's tau^m or the integer
-    field of a basis function.  ``exact`` is F modulo 2^64 as int64;
-    ``approx`` is F in float64, needed only when the split has a remainder.
-
-    k * F wraps, exactly modulo 2^64, so the turns are exact unless the
-    remainder r is nonzero; then the turns of r * F, rounded in float64 to
-    about F * 2^-52 turns, are added.
-    """
-    k, r = split
-    out = k * exact
-    if r is not None:
-        t = r * approx
-        t -= np.rint(t)
-        out += _fold(t / _TURN).astype(np.int64)
-    return out
-
-
-def _int64(value: int) -> np.ndarray:
-    """A Python integer modulo 2^64, as a 0-d int64 array."""
-    return np.array(value % 2**64, np.uint64).view(np.int64)
-
-
-def _fold(turns: np.ndarray) -> np.ndarray:
-    """Float turns in [-2^63, 2^63] folded in place into int64 range, for a
-    conversion that truncates: +2^63, a phase of +1/2 cycle, is -2^63."""
-    turns[turns == 2.0**63] = -(2.0**63)
     return turns
 
 
@@ -507,10 +450,10 @@ def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagno
     from scipy.linalg import cho_factor, cho_solve
 
     closure = downward_closure(cfg.degree_set)
+    J = fisher_matrix(closure, data.shape[1:], 1.0).matrix  # SNR scale cancels
     closure_values, diagnostics = _binomial(data, replace(cfg, degree_set=closure))
     rows = [closure.position(m) for m in cfg.degree_set.degrees]
     rest = [i for i in range(len(closure)) if i not in rows]
-    J = fisher_matrix(closure, data.shape[1:], 1.0).matrix  # SNR scale cancels
     factor = cho_factor(J[rows][:, rows])
     nuisance = J[rows][:, rest]
     projected = np.array([v[rows] + cho_solve(factor, nuisance @ v[rest]) for v in closure_values])

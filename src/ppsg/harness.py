@@ -7,10 +7,10 @@ grouped.  Trials run in batches: each SNR point is cut into chunks of at
 most ``_CHUNK_SAMPLES`` samples.  A chunk seeds all its trials in one pass
 (``SeedSequence`` hashing in ``uint32`` arrays, each stream the one
 ``default_rng`` would give), draws every trial's noise into one buffer, and
-is synthesized, estimated in one kernel call and scored with array
-operations.  Every trial's numbers are bit for bit those of the trial run
-alone (:func:`run_trial`).  Wrapping
-detection follows the ground-truth segregation methodology: the noise
+is synthesized and scored in the exact turns the estimator cancels in
+(:func:`~ppsg.basis.phase_turns`) around one kernel call.  Every trial's
+numbers are bit for bit those of the trial run alone (:func:`run_trial`).
+Wrapping detection follows the ground-truth segregation methodology: the noise
 realization is synthesized explicitly and the outlier predicate is
 evaluated on the true multiplicative phase noise, not on estimates.
 """
@@ -25,9 +25,9 @@ from typing import IO
 import numpy as np
 
 from .analysis import reconstruction_bound
-from .basis import BINOMIAL, CoefficientVector, phase_fields
+from .basis import _TURN, BINOMIAL, CoefficientVector, phase_turns
 from .degrees import DegreeSet, as_index, as_int, diff_window
-from .estimator import _TURN, Estimate, EstimatorConfig, _phase_turns, estimate_batch
+from .estimator import Estimate, EstimatorConfig, _phase_turns, estimate_batch
 from .signal import _difference, _form_noise
 
 # Not called: benchmarks/spans.py rebinds these names to time the layers of
@@ -276,17 +276,18 @@ def _run_chunk(cfg: ExperimentConfig, snr: float, snr_index: int, trials: range)
 
     The chunk's ground truths and noise come from one generator pass
     (:func:`_draw_chunk`), identical to the per-trial streams.  The batch
-    is synthesized, estimated in one kernel call, and scored: the signal
-    reconstruction error sum_n |e^{j2pi xhat} - e^{j2pi x}|^2 and the
-    ground-truth wrap flag of every trial.  Returns (truths, estimates,
-    diagnostics, errors, wrapped), each with the trial axis leading.
+    is synthesized in exact turns, estimated in one kernel call, and scored:
+    sum_n |e^{j2pi xhat} - e^{j2pi x}|^2 as 4 sum_n sin^2(pi d(n)), d the
+    turns of ``values - truths`` (exact unless a trial wraps), and the wrap
+    flag.  Returns (truths, estimates, diagnostics, errors, wrapped), each
+    with the trial axis leading.
     """
     M, window = cfg.degree_set, cfg.window
     truths, noise = _draw_chunk(cfg, snr, snr_index, trials)
-    clean = np.exp(2j * np.pi * phase_fields(truths, M, window))
+    clean = np.exp(2j * np.pi * _TURN * phase_turns(truths, M, window))
     values, diagnostics = estimate_batch(clean + noise, cfg.estimator_config)
-    recon = np.exp(2j * np.pi * phase_fields(values, M, window))
-    errors = np.sum(np.abs(recon - clean) ** 2, axis=tuple(range(1, clean.ndim)))
+    half_angle = np.sin(np.pi * _TURN * phase_turns(values - truths, M, window))
+    errors = 4.0 * np.sum(half_angle**2, axis=tuple(range(1, clean.ndim)))
     wrapped = _wrap_event(M, truths, clean, noise)
     return truths, values, diagnostics, errors, wrapped
 

@@ -14,7 +14,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .basis import CoefficientVector, phase_field
+from .basis import _TURN, CoefficientVector, phase_turns
+from .basis import phase_field  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .degrees import as_index, diff_window
 from .degrees import validate_degree_set  # noqa: F401  not called; benchmarks/spans.py rebinds it
 
@@ -58,10 +59,11 @@ class RealField(_Field):
 
 
 def synthesize(coeffs: CoefficientVector, N: Sequence[int]) -> Signal:
-    """Unit-modulus signal exp(j 2 pi x(n)) over [N] from phase coefficients."""
+    """Unit-modulus signal exp(j 2 pi x(n)) over [N], one ``exp`` of exact phase turns."""
     N = as_index(N)
     diff_window(N, coeffs.degree_set.max_degree)
-    return Signal(N, np.exp(2j * np.pi * phase_field(coeffs, N)))
+    x = 2j * np.pi * _TURN * phase_turns(coeffs.values[None], coeffs.degree_set, N, coeffs.basis)
+    return Signal(N, np.exp(x[0], out=x[0]))
 
 
 def complex_noise(

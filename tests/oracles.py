@@ -15,11 +15,19 @@ from typing import Sequence
 import numpy as np
 
 from ppsg.analysis import FisherMatrix, fisher_matrix, outlier_predicate
-from ppsg.basis import BINOMIAL, CoefficientVector, phase_field, tensor_field, wrap_to_cell
+from ppsg.basis import (
+    _TURN,
+    BINOMIAL,
+    MONOMIAL,
+    CoefficientVector,
+    _float_rows,
+    phase_turns,
+    tensor_field,
+    wrap_to_cell,
+)
 from ppsg.degrees import DegreeSet, as_index, diff_window
 from ppsg.estimator import (
     _ANCHOR_SAMPLES,
-    _TURN,
     TWO_PI,
     AveragingKind,
     EstimatorConfig,
@@ -57,6 +65,12 @@ def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
     a = np.arctan2(z.imag, z.real + 0.0)
     a = np.where(a == np.pi, -np.pi, a)
     return float(a) if a.ndim == 0 else a
+
+
+def monomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
+    """n^m / m! sampled over the window [N]; a read-only broadcast of shape N."""
+    m, N = as_index(m), as_index(N)
+    return np.broadcast_to(_float_rows(m, N, MONOMIAL), N)
 
 
 def binom(n: int, k: int) -> int:
@@ -390,6 +404,15 @@ def parameter_invariance_witness(
     return rounded.astype(int)
 
 
+def recon_error(values, truths, M: DegreeSet, N: Sequence[int]):
+    """sum_n |e^{j2pi xhat} - e^{j2pi x}|^2 of coefficient rows (or one row)
+    as 4 sum_n sin^2(pi d(n)), d the exact turns of the phase of
+    ``values - truths``: the score a sweep gives each trial."""
+    d = phase_turns(np.atleast_2d(values - truths), M, N)
+    errors = 4.0 * np.sum(np.sin(np.pi * _TURN * d) ** 2, axis=tuple(range(1, d.ndim)))
+    return errors if np.ndim(values) == 2 else errors[0]
+
+
 def reference_trial(cfg: ExperimentConfig, snr: float, trial_index: int, snr_index: int = 0):
     """One Monte-Carlo trial through the single-signal functions, one step at a
     time: the per-trial pipeline that batched sweeps must reproduce."""
@@ -398,8 +421,7 @@ def reference_trial(cfg: ExperimentConfig, snr: float, trial_index: int, snr_ind
     clean = synthesize(b_true, cfg.window)
     noise = complex_noise(cfg.window, snr, rng)
     est = estimate(Signal(cfg.window, clean.data + noise), cfg.estimator_config)
-    recon = np.exp(2j * np.pi * phase_field(est.binomial, cfg.window))
-    error = float(np.sum(np.abs(recon - clean.data) ** 2))
+    error = float(recon_error(est.binomial.values, b_true.values, cfg.degree_set, cfg.window))
     rotated = np.conj(clean.data) * noise
     increments = RealField(cfg.window, principal_arg(1.0 + rotated) / (2.0 * np.pi))
     wrapped = any(

@@ -21,7 +21,6 @@ from ppsg.basis import (
     binomial_to_monomial_matrix,
     compute_new_coordinate,
     phase_field,
-    phase_fields,
     wrap_to_cell,
 )
 from ppsg.degrees import build_total_order, downward_closure
@@ -43,6 +42,7 @@ from oracles import (
     naive_penalty,
     orthogonal_poly_field,
     parameter_invariance_witness,
+    recon_error,
     run_python,
     tr_kj,
     weight_via_inversion,
@@ -233,11 +233,12 @@ def test_criterion_4_naive_penalty():
         # each; every row is bit for bit the signal estimated alone.
         for start in range(0, trials, 32):
             chunk = range(start, min(start + 32, trials))
-            pairs = []
+            pairs, truths = [], []
             for t in chunk:
                 rng = np.random.default_rng(40_000 + t)
                 b = CoefficientVector(rng.uniform(-0.5, 0.5, 1), BINOMIAL, M3)
                 pairs.append(_noisy_signal(b, N, snr, 80_000 + t))
+                truths.append(b.values)
             y = np.stack([noisy.data for noisy, _ in pairs])
             clean = np.stack([s.data for _, s in pairs])
             naive, _ = estimate_batch(y, cfg_closure)
@@ -245,8 +246,7 @@ def test_criterion_4_naive_penalty():
             recon_naive = np.exp(2j * np.pi * naive_b3[:, None] * cubic)
             errs_naive[start : chunk.stop] = np.sum(np.abs(recon_naive - clean) ** 2, axis=1)
             proposed, _ = estimate_batch(y, cfg_general)
-            recon = np.exp(2j * np.pi * phase_fields(proposed, M3, N))
-            errs_proposed[start : chunk.stop] = np.sum(np.abs(recon - clean) ** 2, axis=1)
+            errs_proposed[start : chunk.stop] = recon_error(proposed, np.stack(truths), M3, N)
         ratio = errs_naive.mean() / errs_proposed.mean()
         assert ratio > 100.0
         bound = 1.0 / (2.0 * snr)

@@ -7,9 +7,9 @@ import pytest
 from ppsg.analysis import crb, fisher_matrix, outlier_predicate, reconstruction_bound
 from ppsg.basis import binomial_field
 from ppsg.degrees import as_index, build_total_order, downward_closure
-from ppsg.estimator import EstimatorConfig
+from ppsg.estimator import EstimatorConfig, estimate
 from ppsg.harness import ExperimentConfig, run_sweep
-from ppsg.signal import RealField
+from ppsg.signal import RealField, Signal
 
 from oracles import (
     _ortho_axis_int,
@@ -95,6 +95,25 @@ def test_fisher_matrix_rejects_a_bad_snr(snr):
     for call in (fisher_matrix, crb):
         with pytest.raises(ValueError, match=f"snr {snr} is not a finite, positive SNR"):
             call(M01, (8,), snr)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fisher_matrix(build_total_order([(0,), (400,)]), (1000,), 1.0),
+        lambda: crb(build_total_order([(0,), (1,)]), (4096,), 1e300),
+        lambda: estimate(
+            Signal((1000,), np.ones(1000, complex)),
+            EstimatorConfig(build_total_order([(0,), (200,)])),
+        ),
+    ],
+    ids=["Gram past float64", "SNR scale past float64", "estimate of non-closed {0, 200}"],
+)
+def test_fisher_matrix_past_float64_is_a_validation_error(call):
+    # The Gram entry of C(n, 400) at N = 1000 exceeds 1e308: its conversion
+    # raised OverflowError, and an infinite scaled matrix failed in scipy.
+    with pytest.raises(ValueError, match=r"on window \(\d+,\) overflow the Fisher matrix"):
+        call()
 
 
 def test_crb_scalar():

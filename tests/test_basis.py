@@ -17,13 +17,19 @@ from ppsg.basis import (
     compute_lattice_point,
     compute_new_coordinate,
     integer_field,
-    monomial_field,
     phase_field,
+    phase_turns,
     wrap_to_cell,
 )
 from ppsg.degrees import as_index, build_total_order
 
-from oracles import binomial_transform, multi_binom, traced_peak
+from oracles import (
+    binomial_transform,
+    exact_term_turns,
+    monomial_field,
+    multi_binom,
+    traced_peak,
+)
 
 
 def eval_binomial(b: CoefficientVector, n: Sequence[int]) -> float:
@@ -310,3 +316,31 @@ def test_float_rows_are_rows_of_the_whole_field(N, basis):
             compact = tuple(Nd if md else 1 for Nd, md in zip((b - a,) + N[1:], m))
             assert rows.shape == compact
             assert np.broadcast_to(rows, (b - a,) + N[1:]).tobytes() == whole[a:b].tobytes()
+
+
+@pytest.mark.parametrize(
+    "degrees, N",
+    [([(0,), (1,), (2,), (3,)], (4096,)), ([(0, 0), (1, 0), (1, 2)], (40, 30))],
+    ids=["1-D", "2-D"],
+)
+def test_phase_turns_match_exact_integer_turns(degrees, N):
+    # Each term is exact but for a coefficient fraction below 2^-12 cycle,
+    # whose float64 remainder is within 1 + F * 2^-51 turns of the exact
+    # one, F = C(n, m); whole turns must match exactly.
+    M = build_total_order(degrees)
+    rows = [1e-9, -3e-10, 2.0**-70, 0.3, 7 + 2.0**-20, -0.5]
+    values = np.array([np.roll(rows, j)[: len(M)] for j in range(len(rows))])
+    got = phase_turns(values, M, N).view(np.uint64)
+    F = [binomial_field(m, N) for m in M.degrees]
+    for row, turns in zip(values, got):
+        want = sum(exact_term_turns(b, m, N).view(np.uint64) for b, m in zip(row, M.degrees))
+        gap = (turns - want).view(np.int64).astype(float)
+        inexact = [abs(b - np.rint(b)) < 2.0**-12 and b != np.rint(b) for b in row]
+        limit = sum(1 + f * 2.0**-51 for f, r in zip(F, inexact) if r)
+        assert np.all(np.abs(gap) <= limit), row
+
+
+def test_phase_turns_reject_a_non_finite_coefficient():
+    M = build_total_order([(0,), (1,)])
+    with pytest.raises(ValueError, match=r"coefficient of degree \(0,\) is not finite: nan"):
+        phase_turns(np.array([[0.1, 0.2], [np.nan, 0.2]]), M, (8,))

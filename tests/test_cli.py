@@ -310,6 +310,11 @@ _SIM_CONFIG = {
         (_ESTIMATE + ["--averaging", "kay"], None, "--averaging"),
         (_ESTIMATE + ["--averaging", "lw"], None, "--averaging"),
         (["simulate"], {"averaging": "lw"}, "averaging"),
+        (
+            ["crb", "--degrees", "[[0],[400]]", "--window", "[1000]", "--snr-db-range", "0:0:1"],
+            None,
+            "--degrees: degrees up to (400,) on window (1000,) overflow the Fisher matrix",
+        ),
     ],
     ids=[
         "scalar-lags",
@@ -361,6 +366,7 @@ _SIM_CONFIG = {
         "retired-averaging-kay",
         "retired-averaging-lw",
         "retired-averaging-in-config",
+        "crb-fisher-past-float64",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):

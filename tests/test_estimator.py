@@ -1031,12 +1031,13 @@ def test_estimate_holds_one_window_sized_array(kind):
 
 
 def test_remainder_path_holds_one_window_sized_array(monkeypatch):
-    # A zero degree-1 coefficient comes back within 2^-12 of an integer, so
-    # its cancellation has a sub-turn remainder.  Its float factor is built
-    # over each block's rows, so the estimate still holds its turns alone;
-    # the whole float field took it to 24.1 MiB.
+    # A degree-1 coefficient of 1e-9 comes back within 2^-12 of an integer
+    # and is not a whole number of turns, so its cancellation has a sub-turn
+    # remainder.  Its float factor is built over each block's rows, so the
+    # estimate still holds its turns alone; the whole float field took it
+    # to 24.1 MiB.
     N = (2**20,)
-    y = synthesize(_cv([0.25, 0.0, 0.125], M012), N)
+    y = synthesize(_cv([0.25, 1e-9, 0.125], M012), N)
     cfg = EstimatorConfig(M012)
     blocks = []
     monkeypatch.setattr(

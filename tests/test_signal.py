@@ -16,7 +16,13 @@ from ppsg.signal import (
     write_signal,
 )
 
-from oracles import finite_difference, finite_difference_stencil, phase_diff, principal_arg
+from oracles import (
+    exact_signal,
+    finite_difference,
+    finite_difference_stencil,
+    phase_diff,
+    principal_arg,
+)
 
 
 def arg_field(s: Signal) -> RealField:
@@ -52,6 +58,38 @@ def test_synthesize_window_guard():
     M012 = build_total_order([(0,), (1,), (2,)])
     with pytest.raises(ValueError):
         synthesize(_cv([0, 0, 0.1], M012), (2,))
+
+
+@pytest.mark.parametrize(
+    "M, N",
+    [
+        (build_total_order([(0,), (1,), (2,), (3,)]), (2**20,)),
+        (build_total_order([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]), (512, 512)),
+    ],
+    ids=["2^20 degrees 0-3", "512x512 total degree 2"],
+)
+def test_synthesize_matches_the_exact_signal(M, N):
+    # The phase is summed in exact turns, so only the exp rounds it; a
+    # float64 b * C(n, m) missed these draws by 0.50 cycle at 2^20 with
+    # degree 3 and by 1.8e-11 at 512x512.
+    b = np.random.default_rng(len(N)).uniform(-0.5, 0.5, len(M))
+    s = synthesize(_cv(b, M), N)
+    gap = np.angle(s.data * np.conj(exact_signal(b, M, N))) / (2 * np.pi)
+    assert np.max(np.abs(gap)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_synthesize_rejects_a_non_finite_coefficient(bad):
+    # In int64 turns a NaN would become a finite, wrong phase.
+    with pytest.raises(ValueError, match=r"coefficient of degree \(1,\) is not finite"):
+        synthesize(_cv([0.25, bad], M01), (8,))
+
+
+def test_synthesize_a_huge_whole_number_of_cycles_exactly():
+    # 1e300 is an integer, so every term is a whole number of cycles; the
+    # float64 phase 1e300 * (1 - n) gave the exp of a huge argument: noise.
+    s = synthesize(_cv([1e300, -1e300], M01), (64,))
+    assert np.array_equal(s.data, np.ones(64, complex))
 
 
 def test_add_noise_high_snr_limit():
