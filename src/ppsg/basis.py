@@ -84,10 +84,10 @@ class ChangeOfBasis:
 # -- Gridded evaluation -------------------------------------------------------
 #
 # Fields are combined from per-dimension axes by broadcasting.  Every phase
-# the library synthesizes, scores or cancels is exact turns (:func:`_turns`)
-# of an :func:`integer_field`; float fields serve :func:`phase_field`, tests
-# and a sub-turn remainder.  A turn is 2^-64 cycle: an int64 phase read as
-# signed lies in [-pi, pi).
+# the library synthesizes, scores or cancels is a sum of exact term turns
+# (:func:`term_turns`); float fields serve :func:`phase_field`, tests and a
+# sub-turn remainder.  A turn is 2^-64 cycle: an int64 phase read as signed
+# lies in [-pi, pi).
 _TURN = 2.0**-64
 
 
@@ -144,15 +144,22 @@ def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _spans(m: MultiIndex, N: MultiIndex, a: int, b: int | None) -> list[tuple[int, int, int]]:
+    """Per axis, the samples [lo, hi) of its n_count that a term takes: the
+    rows [a, b) of the first (all by default), all of the others, and [0, 1)
+    of 1 where m_d = 0, along which the basis function at m is constant."""
+    rows = [(a, N[0] if b is None else b)] + [(0, Nd) for Nd in N[1:]]
+    return [(lo, hi, Nd) if md else (0, 1, 1) for (lo, hi), Nd, md in zip(rows, N, m)]
+
+
 def _float_rows(
     m: MultiIndex, N: MultiIndex, basis: str = BINOMIAL, a: int = 0, b: int | None = None
 ) -> np.ndarray:
-    """The basis function at m in float64 over the rows [a, b) of the first
-    window axis (all by default), of length 1 where m_d = 0; each value is
-    formed from its own index alone, so these are the whole field's rows."""
+    """The basis function at m in float64 over the :func:`_spans` of the
+    rows [a, b); each value is formed from its own index alone, so these are
+    the whole field's rows."""
     axis = _binomial_axis if basis == BINOMIAL else _monomial_axis
-    spans = [(a, N[0] if b is None else b)] + [(0, Nd) for Nd in N[1:]]
-    out = tensor_field([axis(lo, hi, md) if md else np.ones(1) for (lo, hi), md in zip(spans, m)])
+    out = tensor_field([axis(lo, hi, md) for (lo, hi, _), md in zip(_spans(m, N, a, b), m)])
     out.setflags(write=False)
     return out
 
@@ -165,18 +172,6 @@ def binomial_field(m: Sequence[int], N: Sequence[int]) -> np.ndarray:
     """C(n, m) over the window [N] in float64; a read-only broadcast of shape N."""
     m, N = as_index(m), as_index(N)
     return np.broadcast_to(_float_rows(m, N), N)
-
-
-def integer_field(m: Sequence[int], N: Sequence[int], basis: str) -> tuple[np.ndarray, int]:
-    """The basis function at m over the window [N] as an integer field over
-    a divisor: C(n, m) over 1 for BINOMIAL, n^m over m! = prod m_d! for
-    MONOMIAL.  The field is taken modulo 2^64, as int64 (a read-only
-    broadcast of shape N), which is all that exact turns of an integer
-    multiple of it need."""
-    m, N = as_index(m), as_index(N)
-    axis = _pascal_axis if basis == BINOMIAL else _power_axis
-    field = np.broadcast_to(tensor_field([axis(Nd if md else 1, md) for Nd, md in zip(N, m)]), N)
-    return field, 1 if basis == BINOMIAL else math.prod(math.factorial(md) for md in m)
 
 
 def _fold(turns: np.ndarray) -> np.ndarray:
@@ -201,18 +196,18 @@ def _split(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """
     x = _fold((acc - np.rint(acc)) / _TURN)
     k = x.astype(np.int64)
-    r = (x - k) * _TURN
-    return k, (r if r.any() else None)
+    r = x - k
+    return k, (r * _TURN if r.any() else None)
 
 
 def _turns(
     split: tuple[np.ndarray, np.ndarray | None], exact: np.ndarray, approx: np.ndarray | None
 ) -> np.ndarray:
     """The phase ``acc * F`` in cycles as int64 turns, broadcast, from the
-    :func:`_split` of ``acc``, for an integer factor F: every phase the
-    library builds, ``acc`` per signal, F a lag's tau^m or the integer field
-    of a basis function.  ``exact`` is F modulo 2^64 as int64; ``approx`` is
-    F in float64, needed only when the split has a remainder.
+    :func:`_split` of ``acc``, for an integer factor F: a lag's tau^m, or
+    the integer field of a term (:func:`term_turns`).  ``exact`` is F
+    modulo 2^64 as int64; ``approx`` is F in float64, needed only when the
+    split has a remainder.
 
     k * F wraps, exactly modulo 2^64, so the turns are exact unless the
     remainder r is nonzero; then the turns of r * F, rounded in float64 to
@@ -227,23 +222,37 @@ def _turns(
     return out
 
 
+def term_turns(
+    c: np.ndarray, m: MultiIndex, N: MultiIndex, basis: str, a: int = 0, b: int | None = None
+) -> np.ndarray:
+    """The term ``c * F`` of the basis function F at m, for coefficients
+    ``c`` (B,), in int64 turns over the :func:`_spans` of the rows [a, b):
+    shape (B, *spans).  F is C(n, m), or n^m over m! for MONOMIAL: its
+    integer part is sliced from the cached axes modulo 2^64, all that the
+    whole turns of ``c`` over the divisor need (:func:`_split`,
+    :func:`_turns`), and its float form is built only for a remainder."""
+    divisor = 1 if basis == BINOMIAL else math.prod(map(math.factorial, m))
+    axis = _pascal_axis if basis == BINOMIAL else _power_axis
+    exact = tensor_field([axis(n, md)[lo:hi] for (lo, hi, n), md in zip(_spans(m, N, a, b), m)])
+    split = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
+    approx = None if split[1] is None else divisor * _float_rows(m, N, basis, a, b)
+    return _turns(split, exact, approx)
+
+
 def phase_turns(
     values: np.ndarray, degree_set: DegreeSet, N: Sequence[int], basis: str = BINOMIAL
 ) -> np.ndarray:
     """Phase polynomials of coefficient rows ``values`` (B, |M|) in int64
-    turns, shape (B, *N), each term formed as the estimator cancels it
-    (:func:`_split`, :func:`_turns`), so exact however large C(n, m) grows;
-    a non-finite coefficient raises ``ValueError``."""
+    turns, shape (B, *N): the sum of each degree's :func:`term_turns` over
+    the whole window, as the estimator cancels it, so exact however large
+    C(n, m) grows; a non-finite coefficient raises ``ValueError``."""
     N = as_index(N)
     out = np.zeros((len(values),) + N, np.int64)
     for c, m in zip(np.asarray(values, dtype=float).T, degree_set):
         if not np.isfinite(c).all():
             raise ValueError(f"coefficient of degree {m} is not finite: {c[~np.isfinite(c)][0]}")
         if c.any():
-            exact, divisor = integer_field(m, N, basis)
-            split = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
-            approx = None if split[1] is None else divisor * _float_rows(m, N, basis)
-            out += _turns(split, exact, approx)
+            out += term_turns(c, m, N, basis)
     return out
 
 

@@ -12,17 +12,16 @@ minimum-variance weights one axis at a time.  The lag passes of a degree
 cancel the increments of the earlier lags by subtracting one scalar per
 signal, since the m-th difference at lag tau of C(n, m) is the constant
 tau^m.  Each degree then subtracts its summed term over the full window
-once, before the next degree, and only over the axes the degree touches.
-Both cancellations take their turns from :func:`~ppsg.basis._turns`, the
-arithmetic that also synthesizes and scores every phase: a term is exact
-however large C(n, m) grows, but for a float64 remainder below one turn
-from a coefficient fraction below 2^-12 cycle.  Past the
-entry the only trig is the CIRCULAR anchor's float32 ``cos`` and ``sin`` of
-at most ``_ANCHOR_SAMPLES`` (4096) gathered samples per field and stage,
-taken relative to the first, so the anchor rotates with its field exactly.
-The turns are the one window-sized array the kernel holds, but for the int64
-field of a degree touching every axis of a multi-axis window
-(:func:`_sequential`).  Every pass over them runs in blocks of at most
+once, before the next degree, and only over the axes the degree touches,
+as one :func:`~ppsg.basis.term_turns` per block, the function that also
+synthesizes and scores every phase.  Both cancellations take exact turns
+from :func:`~ppsg.basis._turns`, however large C(n, m) grows, but for a
+float64 remainder below one turn from a coefficient fraction below 2^-12
+cycle.  Past the entry the only trig is the CIRCULAR anchor's float32
+``cos`` and ``sin`` of at most ``_ANCHOR_SAMPLES`` (4096) gathered samples
+per field and stage, taken relative to the first, so the anchor rotates
+with its field exactly.  The turns are the one window-sized array the
+kernel holds.  Every pass over them runs in blocks of at most
 ``_BLOCK_SAMPLES`` (2^15) samples per signal cut along the first window axis,
 so its temporaries stay in cache, and a stage differences each block once.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import fisher_matrix
-from .basis import _TURN, _float_rows, _fold, _int64, _split, _turns, integer_field
+from .basis import _TURN, _fold, _int64, _split, _turns, term_turns
 from .basis import BINOMIAL, MONOMIAL, CoefficientVector, binomial_to_monomial_matrix, wrap_to_cell
 from .basis import binomial_field  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .degrees import (
@@ -383,24 +382,23 @@ def _sequential(
     lags are cancelled from the differenced field by one scalar per signal,
     the turns of ``acc * tau^m``; the first lag has none to cancel.  After
     the last lag the degree subtracts the turns of its term in ``basis``
-    once, over the axes where m_d > 0, since the field is constant along the
-    others; the last degree skips it, since nothing reads the turns after
-    it.  Both cancellations take exact turns from an integer factor modulo
-    2^64 (:func:`_turns`) and subtract integers.  The term's factor is the
-    :func:`~ppsg.basis.integer_field` of m, with coefficient ``acc`` over
-    its divisor: C(n, m) over 1 for the binomial basis, exact but for a
-    remainder below 2^-64 cycle, and n^m over m! for the monomial basis,
-    whose coefficient ``acc / m!`` is rounded in float64.
+    once, one :func:`~ppsg.basis.term_turns` per block, each of length 1
+    along the axes where m_d = 0, since the field is constant along them;
+    the last degree skips it, since nothing reads the turns after it.  Both
+    cancellations take exact turns from an integer factor modulo 2^64
+    (:func:`_turns`) and subtract integers.  The term's factor is C(n, m)
+    with coefficient ``acc`` for the binomial basis, exact but for a
+    remainder below 2^-64 cycle, and n^m with coefficient ``acc / m!`` for
+    the monomial basis, rounded in float64.
 
-    The turns are the one window-sized array, but for the int64 field of a
-    degree that touches every axis of a window of two or more: 2 MiB for
-    (1, 1) at 512x512, where a total-degree-2 estimate traces 4.9 MiB.  A
-    sub-turn remainder takes its float factor over each block's rows.  The
-    entry, which rejects a non-finite sample, each stage (:func:`_mean_phase`,
-    whose CIRCULAR anchor takes the only trig past the entry) and each
-    cancellation run over the turns in blocks of :func:`_block_rows`, and
-    every sum is the one the whole window gives.  Nothing is kept between
-    calls, and the window rule is checked once, up front.
+    The turns are the one window-sized array: a total-degree-2 estimate at
+    512x512 under lags 1/2/4 traces 2.9 MiB, its 2 MiB of turns and a few
+    blocks.  The entry, which rejects a non-finite sample, each stage
+    (:func:`_mean_phase`, whose CIRCULAR anchor takes the only trig past the
+    entry) and each cancellation run over the turns in blocks of
+    :func:`_block_rows`, and every sum is the one the whole window gives.
+    Nothing is kept between calls, and the window rule is checked once, up
+    front.
 
     The weights are built first, so a cold build's temporaries never share
     memory with the batch.  Returns the coefficients, shape (B, |M|), and
@@ -415,7 +413,6 @@ def _sequential(
     turns = _entry_turns(data, rows)
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
-    lead = (-1,) + (1,) * len(N)
     for i, m in enumerate(reversed(M.degrees)):
         acc = np.zeros(len(data))
         for j, tau in enumerate(cfg.lags):
@@ -426,13 +423,8 @@ def _sequential(
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1:
-            touched = tuple(slice(None if md else 1) for md in m)
-            exact, divisor = integer_field(m, N, basis)
-            exact = exact[touched]
-            split = _split((acc / divisor).reshape(lead))
             for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
-                approx = None if split[1] is None else divisor * _float_rows(m, N, basis, a, b)
-                turns[:, a:b] -= _turns(split, exact[a:b], approx)
+                turns[:, a:b] -= term_turns(acc, m, N, basis, a, b)
     return values, diagnostics
 
 

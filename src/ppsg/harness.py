@@ -28,7 +28,7 @@ from .analysis import reconstruction_bound
 from .basis import _TURN, BINOMIAL, CoefficientVector, phase_turns
 from .degrees import DegreeSet, as_index, as_int, diff_window
 from .estimator import Estimate, EstimatorConfig, _phase_turns, estimate_batch
-from .signal import _difference, _form_noise
+from .signal import _difference, _form_noise, _is_snr
 
 # Not called: benchmarks/spans.py rebinds these names to time the layers of
 # the former per-trial path, and records a missing name as an absent hook.
@@ -50,7 +50,7 @@ def snr_db_to_linear(snr_db: float) -> float:
         snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         snr = math.inf
-    if not (0.0 < snr < math.inf and 1.0 / snr < math.inf):  # NaN fails too
+    if not _is_snr(snr):
         raise ValueError(f"{snr_db} dB is not a finite, positive SNR")
     return snr
 

@@ -78,11 +78,17 @@ def complex_noise(
     return _form_noise(rng.standard_normal((1, 2, *window)), snr)[0]
 
 
+def _is_snr(snr: float) -> bool:
+    """Whether a linear SNR and its inverse are finite and positive, the one
+    rule every SNR the library takes must meet; NaN fails."""
+    return 0.0 < snr < math.inf and 1.0 / snr < math.inf
+
+
 def _form_noise(gauss: np.ndarray, snr: float) -> np.ndarray:
     """Complex noise of variance 1/snr (linear), shape (B, *N), from a
     (B, 2, *N) buffer of standard normals, the real parts first."""
-    if not snr > 0:  # NaN fails too
-        raise ValueError(f"snr must be positive, got {snr}")
+    if not _is_snr(snr):
+        raise ValueError(f"snr must be positive, finite and have a finite inverse, got {snr}")
     noise = 1j * gauss[:, 1]
     noise += gauss[:, 0]
     noise *= np.sqrt(0.5 / snr)

@@ -327,6 +327,28 @@ def integer_gram(M: DegreeSet, N: Sequence[int]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(f, g)) for g in fields] for f in fields]
 
 
+def exact_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """The inverse of a nonsingular integer matrix, from its adjugate:
+    fraction-free (Bareiss) Gauss-Jordan elimination leaves det * I on the
+    left and the adjugate on the right, dividing exactly at every step.
+    ``matrix @ adjugate == det * I`` is checked before returning."""
+    size = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(matrix)]
+    det = 1
+    for k in range(size):
+        pivot = rows[k][k]
+        for i in range(size):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // det for x, y in zip(rows[i], rows[k])]
+        det = pivot
+    adjugate = [row[size:] for row in rows]
+    for i, row in enumerate(matrix):
+        for j in range(size):
+            assert sum(x * adj[j] for x, adj in zip(row, adjugate)) == det * (i == j)
+    return [[Fraction(v, det) for v in row] for row in adjugate]
+
+
 def decomposition(M: DegreeSet, N: Sequence[int]) -> DecompositionPair:
     """Build S and Q for the Fisher decomposition over a downward-closed set."""
     N = as_index(N)
@@ -487,9 +509,12 @@ def comb_axis_mod(n_count: int, m: int) -> np.ndarray:
     return np.array([math.comb(n, m) % 2**64 for n in range(n_count)], dtype=np.uint64)
 
 
-def exact_term_turns(coeff: float, m: Sequence[int], N: Sequence[int]) -> np.ndarray:
-    """The turns of ``coeff * C(n, m)`` over the window [N], as int64, from
-    exact integer arithmetic.
+def exact_term_turns(
+    coeff: float, m: Sequence[int], N: Sequence[int], a: int = 0, b: int | None = None
+) -> np.ndarray:
+    """The turns of ``coeff * C(n, m)`` over the rows [a, b) of the first
+    axis of the window [N] (all by default) and the whole of the others, as
+    int64, from exact integer arithmetic.
 
     The fraction c = coeff - round(coeff) (+1/2 read as -1/2) is k turns,
     k = trunc(c * 2^64), plus a remainder r below one turn.  The turns are
@@ -502,12 +527,16 @@ def exact_term_turns(coeff: float, m: Sequence[int], N: Sequence[int]) -> np.nda
         c = -c
     k = int(c * 2**64)
     r = c * 2**64 - k
-    field = tensor_field([comb_axis_mod(Nd, md) for Nd, md in zip(N, m)])
-    out = np.broadcast_to(np.uint64(k % 2**64) * field, tuple(N)).copy()
+    N = tuple(N)
+    b = N[0] if b is None else b
+    axes = [comb_axis_mod(Nd, md) for Nd, md in zip(N, m)]
+    field = tensor_field([axes[0][a:b]] + axes[1:])
+    out = np.broadcast_to(np.uint64(k % 2**64) * field, (b - a,) + N[1:]).copy()
     if r:
         p, q = r.numerator, r.denominator  # q is a power of two
-        for n in np.ndindex(*N):
-            t = p * math.prod(math.comb(nd, md) for nd, md in zip(n, m)) % (2**64 * q)
+        for n in np.ndindex(*out.shape):
+            F = math.prod(math.comb(nd, md) for nd, md in zip((n[0] + a,) + n[1:], m))
+            t = p * F % (2**64 * q)
             t = t - 2**64 * q if t >= 2**63 * q else t
             out[n] = (int(out[n]) + abs(t) // q * (1 if t >= 0 else -1)) % 2**64
     return out.view(np.int64)

@@ -1,10 +1,12 @@
 import itertools
+import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from ppsg.analysis import crb, fisher_matrix, outlier_predicate, reconstruction_bound
+from ppsg.analysis import _gram_axis, crb, fisher_matrix, outlier_predicate, reconstruction_bound
 from ppsg.basis import binomial_field
 from ppsg.degrees import as_index, build_total_order, downward_closure
 from ppsg.estimator import EstimatorConfig, estimate
@@ -15,6 +17,7 @@ from oracles import (
     _ortho_axis_int,
     binom,
     decomposition,
+    exact_inverse,
     finite_difference,
     integer_gram,
     naive_penalty,
@@ -84,7 +87,7 @@ def test_crb_holds_no_window_sized_array():
     # The Fisher matrix is summed axis by axis, so no field is built: the
     # design matrix of degrees 0-3 took 128 MiB at 2^22 samples.
     M = build_total_order([(0,), (1,), (2,), (3,)])
-    crb(M, (64,), 1.0)  # imports scipy.linalg
+    crb(M, (64,), 1.0)  # any first-call set-up
     assert traced_peak(crb, M, (2**22,), 1.0) < 2**20
 
 
@@ -116,9 +119,38 @@ def test_fisher_matrix_past_float64_is_a_validation_error(call):
         call()
 
 
+def test_crb_past_float64_is_a_validation_error():
+    # At an SNR of 1e-307 the CRB of degrees 0-8 on 9 samples exceeds
+    # float64: a float solve wrote NaN and inf entries, and rounding the
+    # exact inverse raised OverflowError.
+    M = build_total_order([(d,) for d in range(9)])
+    with pytest.raises(ValueError, match=r"on window \(9,\) overflow the CRB"):
+        crb(M, (9,), 1e-307)
+
+
 def test_crb_scalar():
     out = crb(M0, (16,), 2.0)
     assert out[0, 0] == pytest.approx(1.0 / (8 * np.pi**2 * 2.0 * 16))
+
+
+@pytest.mark.parametrize(
+    "degrees, N",
+    [
+        ([(0,), (1,), (2,), (3,)], (2**20,)),
+        ([(i, j) for i in range(5) for j in range(5) if i + j <= 4], (64, 48)),
+    ],
+    ids=["1-D 2^20", "2-D total degree 4"],
+)
+def test_crb_is_the_correctly_rounded_exact_inverse(degrees, N):
+    # The Fisher matrix at 2^20 samples with degrees 0-3 has condition
+    # number 1.2e32; a float Cholesky solve put the CRB diagonal 6e-15 to
+    # 5e-14 relative off the exact inverse of the integer Gram.
+    M = build_total_order(degrees)
+    snr = 10.0
+    gram = [[math.prod(map(_gram_axis, N, m, k)) for k in M.degrees] for m in M.degrees]
+    scale = Fraction(8 * np.pi**2 * snr)  # the float64 factor fisher_matrix forms
+    want = [[float(v / scale) for v in row] for row in exact_inverse(gram)]
+    assert crb(M, N, snr).tolist() == want
 
 
 def test_crb_inverse_contract():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ppsg.basis import (
+    _TURN,
     BINOMIAL,
     MONOMIAL,
     ChangeOfBasis,
@@ -16,9 +17,9 @@ from ppsg.basis import (
     binomial_to_monomial_matrix,
     compute_lattice_point,
     compute_new_coordinate,
-    integer_field,
     phase_field,
     phase_turns,
+    term_turns,
     wrap_to_cell,
 )
 from ppsg.degrees import as_index, build_total_order
@@ -267,22 +268,26 @@ def test_coefficient_vector_json_roundtrip():
 
 @pytest.mark.parametrize("N", [(3000,), (2**20,), (700, 9), (40, 5, 33)], ids=str)
 def test_integer_field_is_exact_modulo_2_64(N):
-    # C(n, m) and n^m modulo 2^64, against math.comb and Python powers, for
-    # every degree of total order <= 4; C(2^20, 4) is about 2^75, so the
-    # wrapping sums and products are checked where they wrap.
+    # One turn of a term is its integer field: C(n, m) and n^m modulo 2^64
+    # (n^m / m! with a coefficient of m! turns), against math.comb and
+    # Python powers, for every degree of total order <= 4; C(2^20, 4) is
+    # about 2^75, so the wrapping sums and products are checked where they
+    # wrap.
     rng = np.random.default_rng(len(N))
     points = [tuple(int(rng.integers(Nd)) for Nd in N) for _ in range(1500)]
     points += [(0,) * len(N), tuple(Nd - 1 for Nd in N)]
     if N == (3000,):
         points = [(n,) for n in range(3000)]
+    one = np.array([_TURN])
     for m in itertools.product(range(5), repeat=len(N)):
         if sum(m) > 4:
             continue
-        pascal, one = integer_field(m, N, BINOMIAL)
-        power, divisor = integer_field(m, N, MONOMIAL)
-        assert one == 1 and divisor == math.prod(map(math.factorial, m))
+        pascal = term_turns(one, m, N, BINOMIAL)
+        power = term_turns(math.prod(map(math.factorial, m)) * one, m, N, MONOMIAL)
         for field in (pascal, power):
-            assert field.dtype == np.int64 and field.shape == N and not field.flags.writeable
+            assert field.dtype == np.int64
+            assert field.shape == (1,) + tuple(Nd if md else 1 for Nd, md in zip(N, m))
+        pascal, power = (np.broadcast_to(field[0], N) for field in (pascal, power))
         for n in points:
             want = math.prod(math.comb(nd, md) for nd, md in zip(n, m))
             assert int(pascal[n]) % 2**64 == want % 2**64, (m, n)

@@ -315,6 +315,12 @@ _SIM_CONFIG = {
             None,
             "--degrees: degrees up to (400,) on window (1000,) overflow the Fisher matrix",
         ),
+        (
+            _CRB + ["--degrees", json.dumps([[d] for d in range(9)]), "--window", "[9]",
+                    "--snr-db-range=-3070:-3070:1"],
+            None,
+            "--degrees: degrees up to (8,) on window (9,) overflow the CRB",
+        ),
     ],
     ids=[
         "scalar-lags",
@@ -367,6 +373,7 @@ _SIM_CONFIG = {
         "retired-averaging-lw",
         "retired-averaging-in-config",
         "crb-fisher-past-float64",
+        "crb-past-float64",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):

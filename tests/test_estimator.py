@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import itertools
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ppsg.basis as basis_module
 import ppsg.estimator as estimator_module
 from ppsg.analysis import crb, reconstruction_bound
 from ppsg.basis import (
@@ -37,6 +39,7 @@ from ppsg.weights import WeightField, weight_axes, weight_multi
 
 from oracles import (
     exact_signal,
+    exact_term_turns,
     parameter_invariance_witness,
     principal_arg,
     reference_sequential,
@@ -557,22 +560,18 @@ def test_cancellation_turns_match_a_fraction_oracle():
     tiny = [1e-5, -3e-10, 2.0**-70, -(2.0**-64) * 1.5, 1e-300, 2.0**-12, -(2.0**-13)]
     accs = np.concatenate([rng.uniform(-3, 3, 40), tiny, [0.5, -0.5, 2.5, 0.0, -0.0]])
     N = (2**20,)
-    points = np.concatenate([rng.integers(0, N[0], 200), [0, 1, 2, N[0] - 1]])
+    spans = [(0, 3), (N[0] - 1, N[0])] + [(n, n + 20) for n in rng.integers(0, N[0] - 20, 10)]
     for m in ((1,), (2,), (3,), (4,)):
-        exact, divisor = estimator_module.integer_field(m, N, BINOMIAL)
-        assert divisor == 1
-        split = estimator_module._split(accs[:, None])
-        got = estimator_module._turns(split, exact[points], binomial_field(m, N)[points])
-        for acc, row in zip(accs, got):
-            for n, turns in zip(points, row):
-                F = math.comb(int(n), m[0])
-                phase = Fraction(float(acc)) * F
-                want = (phase - math.floor(phase + Fraction(1, 2))) * 2**64
-                gap = _turn_gap(int(turns), math.trunc(want))
+        for a, b in spans:
+            got = estimator_module.term_turns(accs, m, N, BINOMIAL, a, b)
+            F = binomial_field(m, N)[a:b]
+            for acc, row in zip(accs, got):
+                gap = row.view(np.uint64) - exact_term_turns(acc, m, N, a, b).view(np.uint64)
+                gap = np.minimum(gap, -gap).astype(float)  # the distance modulo 2^64
                 if abs(acc - np.rint(acc)) >= 2.0**-12:
-                    assert gap == 0, (acc, m, n)
+                    assert not gap.any(), (acc, m, a)
                 else:
-                    assert gap <= 1 + F * 2.0**-51, (acc, m, n)
+                    assert np.all(gap <= 1 + F * 2.0**-51), (acc, m, a)
     for tau_pow in (16**3, 256**3, 256**8, 3**41, 2**63 + 5):
         exact = estimator_module._int64(tau_pow)
         got = estimator_module._turns(estimator_module._split(accs), exact, float(tau_pow))
@@ -785,23 +784,24 @@ def test_estimate_batch_rows_equal_single_estimates(kind):
 )
 def test_kernel_skips_last_cancellation(monkeypatch, estimator, lags):
     # Every stage of a noisy input has a nonzero increment.  Lag passes
-    # rotate by a scalar, so each degree but the last cancels its integer
-    # field once, whatever the lag schedule: |M| degrees make |M| - 1 calls.
+    # rotate by a scalar, so each degree but the last cancels its term once,
+    # whatever the lag schedule, one term_turns per block: the window is one
+    # block, so |M| degrees make |M| - 1 calls, one per degree.
     calls = []
-    original = estimator_module.integer_field
+    original = estimator_module.term_turns
 
-    def counting(m, N, basis):
+    def counting(c, m, N, basis, a, b):
         calls.append(m)
-        return original(m, N, basis)
+        return original(c, m, N, basis, a, b)
 
-    monkeypatch.setattr(estimator_module, "integer_field", counting)
+    monkeypatch.setattr(estimator_module, "term_turns", counting)
     y, _ = _noisy(_cv([0.1, -0.2, 0.3, 0.05], M2D), (12, 10), 5.0, 45)
     cfg = EstimatorConfig(M2D, lags=lags)
     est = estimator(y, cfg)
     stages = len(M2D) * len(cfg.lags)
     assert len(est.diagnostics) == stages
     assert all(delta != 0.0 for delta in est.diagnostics.values())
-    assert len(calls) == len(M2D) - 1
+    assert sorted(calls) == sorted(M2D.degrees)[1:]
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
@@ -1030,18 +1030,42 @@ def test_estimate_holds_one_window_sized_array(kind):
     assert traced_peak(estimate, y, cfg) <= 1.5 * 8 * N[0]
 
 
+@pytest.mark.parametrize(
+    "M, N, lags",
+    [
+        pytest.param(M2D_TOTAL2, (512, 512), ((1, 1), (2, 2), (4, 4)), id="512x512-lags"),
+        pytest.param(M2D, (1024, 1024), (), id="1024x1024"),
+        pytest.param(build_total_order(list(itertools.product((0, 1), repeat=3))), (64,) * 3, (),
+                     id="64^3"),
+    ],
+)
+@pytest.mark.parametrize("kind", list(AveragingKind))
+def test_multi_axis_estimate_holds_one_window_sized_array(kind, M, N, lags):
+    # A degree that touches every axis cancels its term block by block, so a
+    # multi-axis estimate holds its turns and cache-sized blocks alone, as a
+    # 1-D one does; forming its whole int64 field first traced 2.06 to 2.44
+    # times the turns.  Windows whose trailing axes exceed _BLOCK_SAMPLES,
+    # such as (4, 100000) at 1.75 times, are left out: a block holds at least
+    # one slice of the first axis, so there a block is a quarter of the
+    # window, and its temporaries are not small beside the turns.
+    y, _ = _noisy(_cv(np.linspace(-0.4, 0.4, len(M)), M), N, 1000.0, 15)
+    cfg = EstimatorConfig(M, kind, lags=lags)
+    estimate(y, cfg)  # builds the cached weights and basis axes
+    assert traced_peak(estimate, y, cfg) <= 1.5 * 8 * math.prod(N)
+
+
 def test_remainder_path_holds_one_window_sized_array(monkeypatch):
     # A degree-1 coefficient of 1e-9 comes back within 2^-12 of an integer
     # and is not a whole number of turns, so its cancellation has a sub-turn
-    # remainder.  Its float factor is built over each block's rows, so the
-    # estimate still holds its turns alone; the whole float field took it
-    # to 24.1 MiB.
+    # remainder.  term_turns builds its float factor over each block's rows,
+    # so the estimate still holds its turns alone; the whole float field
+    # took it to 24.1 MiB.
     N = (2**20,)
     y = synthesize(_cv([0.25, 1e-9, 0.125], M012), N)
     cfg = EstimatorConfig(M012)
     blocks = []
     monkeypatch.setattr(
-        estimator_module, "_float_rows", lambda *args: blocks.append(args) or _float_rows(*args)
+        basis_module, "_float_rows", lambda *args: blocks.append(args) or _float_rows(*args)
     )
     estimate(y, cfg)  # warm, and on the remainder path
     assert blocks

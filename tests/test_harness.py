@@ -111,6 +111,22 @@ def test_nan_snr_is_rejected():
         run_trial(_config(), math.nan, 0)
 
 
+@pytest.mark.parametrize("snr", [math.inf, 1e-320, 5e-324, math.nan, 0.0, -1.0])
+def test_every_linear_snr_meets_one_rule(snr):
+    # An SNR and its inverse must be finite and positive wherever the
+    # library takes one: reconstruction_bound returned 0.0 at inf and inf at
+    # 1e-320, and complex_noise drew +-inf samples at 1e-320.
+    with pytest.raises(ValueError, match="snr must be positive"):
+        reconstruction_bound(M01, snr)
+    with pytest.raises(ValueError, match="snr must be positive"):
+        complex_noise((4,), snr, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="is not a finite, positive SNR"):
+        fisher_matrix(M01, (8,), snr)
+    if not snr <= 0.0:  # 0 and -1 have no dB value
+        with pytest.raises(ValueError, match="dB is not a finite, positive SNR"):
+            snr_db_to_linear(10.0 * math.log10(snr))
+
+
 def test_config_rejects_what_the_first_trial_would():
     M012 = build_total_order([(0,), (1,), (2,)])
     with pytest.raises(ValueError, match="window"):
