@@ -46,36 +46,66 @@ def _gram_axis(n_count: int, a: int, b: int) -> int:
     return sum(math.comb(j, a) * math.comb(a, j - b) * math.comb(n_count, j + 1) for j in js)
 
 
-def _gram(M: DegreeSet, N: Sequence[int], snr: float) -> list[list[int]]:
-    """sum_n C(n, m) C(n, m') over the window [N] for every pair of degrees
-    of M, each a product of :func:`_gram_axis` sums, exactly, for a linear
-    SNR that is, with its inverse, finite and positive; ``ValueError`` if
-    the Fisher matrix, 8 pi^2 snr times it, overflows float64."""
-    N = as_index(N)
+def _check(M: DegreeSet, N: tuple[int, ...], snr: float) -> None:
+    """``ValueError`` unless M fits the window [N], the linear SNR is, with
+    its inverse, finite and positive, and the Fisher matrix, 8 pi^2 snr
+    times the :func:`_gram`, stays within float64."""
     diff_window(N, M.max_degree)
     if not _is_snr(snr):
         raise ValueError(f"snr {snr} is not a finite, positive SNR with a finite inverse")
     largest = max(math.prod(map(_gram_axis, N, m, m)) for m in M.degrees)  # bounds every entry
     if largest > sys.float_info.max or 8 * np.pi**2 * snr * float(largest) == math.inf:
         raise ValueError(f"degrees up to {M.max_degree} on window {N} overflow the Fisher matrix")
+
+
+def _gram(M: DegreeSet, N: tuple[int, ...]) -> list[list[int]]:
+    """sum_n C(n, m) C(n, m') over the window [N] for every pair of degrees
+    of M, each a product of :func:`_gram_axis` sums, exactly."""
     return [[math.prod(map(_gram_axis, N, m, k)) for k in M.degrees] for m in M.degrees]
 
 
 def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> FisherMatrix:
     """Entries 8 pi^2 snr sum_n C(n, m) C(n, m'), each :func:`_gram` sum
-    rounded to float once."""
-    gram = [[float(g) for g in row] for row in _gram(M, N, snr)]
+    rounded to float once, after the :func:`_check`."""
+    N = as_index(N)
+    _check(M, N, snr)
+    gram = [[float(g) for g in row] for row in _gram(M, N)]
     return FisherMatrix(8 * np.pi**2 * snr * np.array(gram), M, float(snr))
 
 
 def crb(M: DegreeSet, N: Sequence[int], snr: float) -> np.ndarray:
     """The inverse Fisher matrix, each entry correctly rounded: the
-    :func:`_gram` is inverted by Gauss-Jordan elimination in ``Fraction``
-    arithmetic (it is positive definite, so no pivot is zero), and divided
+    :func:`_gram` is inverted exactly (:func:`_exact_inverse`) and divided
     by 8 pi^2 snr as :func:`fisher_matrix` forms that factor in float64;
-    ``ValueError`` if an entry overflows float64."""
+    ``ValueError`` if the :func:`_check` fails or an entry overflows
+    float64."""
+    return crb_grid(M, N, [snr])[0]
+
+
+def crb_grid(M: DegreeSet, N: Sequence[int], snrs: Sequence[float]) -> list[np.ndarray]:
+    """:func:`crb` at each SNR of ``snrs``, bit for bit, from one exact
+    inversion: the inverse does not depend on the SNR.  Each point is
+    checked and scaled in turn, so the first point that fails raises."""
     N = as_index(N)
-    gram = _gram(M, N, snr)
+    inverse = None
+    out = []
+    for snr in snrs:
+        _check(M, N, snr)
+        if inverse is None:
+            inverse = _exact_inverse(_gram(M, N))
+        scale = Fraction(8 * np.pi**2 * snr)
+        try:
+            out.append(np.array([[float(v / scale) for v in row] for row in inverse]))
+        except OverflowError:
+            raise ValueError(
+                f"degrees up to {M.max_degree} on window {N} overflow the CRB"
+            ) from None
+    return out
+
+
+def _exact_inverse(gram: list[list[int]]) -> list[list[Fraction]]:
+    """The inverse of a positive definite integer matrix, by Gauss-Jordan
+    elimination in ``Fraction`` arithmetic; no pivot is zero."""
     size = len(gram)
     rows = [[Fraction(g) for g in row] + [Fraction(int(i == j)) for j in range(size)]
             for i, row in enumerate(gram)]
@@ -84,11 +114,7 @@ def crb(M: DegreeSet, N: Sequence[int], snr: float) -> np.ndarray:
         for i, row in enumerate(rows):
             if i != k and row[k]:
                 rows[i] = [v - row[k] * p for v, p in zip(row, pivot)]
-    scale = Fraction(8 * np.pi**2 * snr)
-    try:
-        return np.array([[float(v / scale) for v in row[size:]] for row in rows])
-    except OverflowError:
-        raise ValueError(f"degrees up to {M.max_degree} on window {N} overflow the CRB") from None
+    return [row[size:] for row in rows]
 
 
 def reconstruction_bound(M: DegreeSet, snr: float) -> float:

@@ -85,10 +85,28 @@ class ChangeOfBasis:
 #
 # Fields are combined from per-dimension axes by broadcasting.  Every phase
 # the library synthesizes, scores or cancels is a sum of exact term turns
-# (:func:`term_turns`); float fields serve :func:`phase_field`, tests and a
+# (:func:`apply_term`); float fields serve :func:`phase_field`, tests and a
 # sub-turn remainder.  A turn is 2^-64 cycle: an int64 phase read as signed
 # lies in [-pi, pi).
 _TURN = 2.0**-64
+# Every pass over a window of turns works on blocks of at most this many
+# samples per signal, cut along the first window axis; a block holds at
+# least one slice of that axis, however long.
+_BLOCK_SAMPLES = 1 << 15
+
+
+def _block_rows(N: tuple[int, ...], piece: int) -> int:
+    """Slices of the first axis of window N per block.  In 1-D it is a
+    multiple of ``piece``, so the estimator's blocks cut a weighted sum only
+    where :func:`~ppsg.estimator._piece_sums` cuts it."""
+    if len(N) == 1:
+        return max(1, _BLOCK_SAMPLES // piece) * piece
+    return max(1, _BLOCK_SAMPLES // math.prod(N[1:]))
+
+
+def _blocks(count: int, rows: int) -> list[tuple[int, int]]:
+    """The spans [a, b) of at most ``rows`` that tile range(count), in order."""
+    return [(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
 def _binomial_axis(start: int, stop: int, m: int) -> np.ndarray:
@@ -105,6 +123,8 @@ def _monomial_axis(start: int, stop: int, m: int) -> np.ndarray:
     return np.arange(start, stop, dtype=float) ** m / math.factorial(m)
 
 
+# The integer axes are cached at the length of a block's rows, or of a
+# whole axis after the first: :func:`_block_axis` shifts them to any rows.
 @lru_cache(maxsize=64)
 def _pascal_axis(n_count: int, m: int) -> np.ndarray:
     """C(n, m) mod 2^64 for n in [n_count], as int64, read-only.
@@ -129,6 +149,23 @@ def _power_axis(n_count: int, m: int) -> np.ndarray:
     out = np.arange(n_count, dtype=np.uint64) ** np.uint64(m)
     out = out.view(np.int64)
     out.setflags(write=False)
+    return out
+
+
+def _block_axis(a: int, b: int, n_count: int, m: int, basis: str) -> np.ndarray:
+    """C(n, m), or n^m for MONOMIAL, modulo 2^64 for n in [a, b), as int64,
+    from the cached axes of ``n_count`` >= b - a samples:
+    C(a + j, m) = sum_i C(a, m - i) C(j, i) (Vandermonde's identity) and
+    (a + j)^m = sum_i C(m, i) a^(m - i) j^i.  Each scalar is reduced by
+    :func:`_int64` and the sums wrap, exactly modulo 2^64; the i = m term
+    has scalar 1, and the i = 0 axis is all ones.  At a = 0 the result is
+    a cached axis, so treat it as read-only."""
+    axis = _pascal_axis if basis == BINOMIAL else _power_axis
+    out = axis(n_count, m)[: b - a]
+    for i in range(m):
+        scalar = math.comb(a, m - i) if basis == BINOMIAL else math.comb(m, i) * a ** (m - i)
+        if scalar % 2**64:
+            out = out + (_int64(scalar) * axis(n_count, i)[: b - a] if i else _int64(scalar))
     return out
 
 
@@ -205,7 +242,7 @@ def _turns(
 ) -> np.ndarray:
     """The phase ``acc * F`` in cycles as int64 turns, broadcast, from the
     :func:`_split` of ``acc``, for an integer factor F: a lag's tau^m, or
-    the integer field of a term (:func:`term_turns`).  ``exact`` is F
+    the integer field of a term over a block (:func:`apply_term`).  ``exact`` is F
     modulo 2^64 as int64; ``approx`` is F in float64, needed only when the
     split has a remainder.
 
@@ -222,37 +259,49 @@ def _turns(
     return out
 
 
-def term_turns(
-    c: np.ndarray, m: MultiIndex, N: MultiIndex, basis: str, a: int = 0, b: int | None = None
-) -> np.ndarray:
-    """The term ``c * F`` of the basis function F at m, for coefficients
-    ``c`` (B,), in int64 turns over the :func:`_spans` of the rows [a, b):
-    shape (B, *spans).  F is C(n, m), or n^m over m! for MONOMIAL: its
-    integer part is sliced from the cached axes modulo 2^64, all that the
-    whole turns of ``c`` over the divisor need (:func:`_split`,
-    :func:`_turns`), and its float form is built only for a remainder."""
+def apply_term(
+    out: np.ndarray, c: np.ndarray, m: MultiIndex, basis: str, step: np.ufunc
+) -> None:
+    """``step(out, t, out=out)`` in place for the turns t of the term
+    ``c * F`` of the basis function F at m, coefficients ``c`` (B,), over a
+    batch of int64 turns ``out`` (B, *N): ``np.add`` synthesizes, and
+    ``np.subtract`` cancels.  F is C(n, m), or n^m over m! for MONOMIAL.
+
+    ``c`` over the divisor is :func:`_split` once; the blocks of
+    :func:`_block_rows` then take F's integer part modulo 2^64, all that its
+    whole turns need (:func:`_turns`), from block-length axes shifted to
+    their rows (:func:`_block_axis`), and its float form only for a
+    remainder.  Along an axis where m_d = 0, F is constant: it has length 1
+    there, and the whole window is one block when m_0 = 0.
+    """
+    N = out.shape[1:]
     divisor = 1 if basis == BINOMIAL else math.prod(map(math.factorial, m))
     axis = _pascal_axis if basis == BINOMIAL else _power_axis
-    exact = tensor_field([axis(n, md)[lo:hi] for (lo, hi, n), md in zip(_spans(m, N, a, b), m)])
     split = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
-    approx = None if split[1] is None else divisor * _float_rows(m, N, basis, a, b)
-    return _turns(split, exact, approx)
+    rows = _block_rows(N, np.getbufsize())
+    rest = [axis(Nd, md) if md else axis(1, 0) for Nd, md in zip(N[1:], m[1:])]
+    for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
+        first = _block_axis(a, b, min(rows, N[0]), m[0], basis) if m[0] else axis(1, 0)
+        exact = tensor_field([first] + rest)
+        approx = None if split[1] is None else divisor * _float_rows(m, N, basis, a, b)
+        block = out[:, a:b]
+        step(block, _turns(split, exact, approx), out=block)
 
 
 def phase_turns(
     values: np.ndarray, degree_set: DegreeSet, N: Sequence[int], basis: str = BINOMIAL
 ) -> np.ndarray:
     """Phase polynomials of coefficient rows ``values`` (B, |M|) in int64
-    turns, shape (B, *N): the sum of each degree's :func:`term_turns` over
-    the whole window, as the estimator cancels it, so exact however large
-    C(n, m) grows; a non-finite coefficient raises ``ValueError``."""
+    turns, shape (B, *N): each degree's term added by :func:`apply_term`,
+    as the estimator cancels it, so exact however large C(n, m) grows; a
+    non-finite coefficient raises ``ValueError``."""
     N = as_index(N)
     out = np.zeros((len(values),) + N, np.int64)
     for c, m in zip(np.asarray(values, dtype=float).T, degree_set):
         if not np.isfinite(c).all():
             raise ValueError(f"coefficient of degree {m} is not finite: {c[~np.isfinite(c)][0]}")
         if c.any():
-            out += term_turns(c, m, N, basis)
+            apply_term(out, c, m, basis, np.add)
     return out
 
 

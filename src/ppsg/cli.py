@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import crb as crb_matrix
+from .analysis import crb_grid
 from .analysis import reconstruction_bound
 from .basis import binomial_to_monomial_matrix, compute_new_coordinate
 from .degrees import DegreeSet, as_index, as_int, diff_window
@@ -262,7 +262,7 @@ def _cmd_crb(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliValidationError(f"flag --window: {exc}") from exc
     try:
-        diags = [np.diag(crb_matrix(degree_set, window, snr)) for snr in snrs]
+        diags = [np.diag(crb) for crb in crb_grid(degree_set, window, snrs)]
     except ValueError as exc:
         raise CliValidationError(f"flag --degrees: {exc}") from exc
     labels = ["crb_" + "_".join(str(v) for v in m) for m in degree_set.degrees]

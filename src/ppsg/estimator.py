@@ -13,8 +13,9 @@ cancel the increments of the earlier lags by subtracting one scalar per
 signal, since the m-th difference at lag tau of C(n, m) is the constant
 tau^m.  Each degree then subtracts its summed term over the full window
 once, before the next degree, and only over the axes the degree touches,
-as one :func:`~ppsg.basis.term_turns` per block, the function that also
-synthesizes and scores every phase.  Both cancellations take exact turns
+by :func:`~ppsg.basis.apply_term`, which splits the increment once and
+subtracts block by block, the routine that also synthesizes and scores
+every phase.  Both cancellations take exact turns
 from :func:`~ppsg.basis._turns`, however large C(n, m) grows, but for a
 float64 remainder below one turn from a coefficient fraction below 2^-12
 cycle.  Past the entry the only trig is the CIRCULAR anchor's float32
@@ -22,8 +23,9 @@ cycle.  Past the entry the only trig is the CIRCULAR anchor's float32
 per field and stage, taken relative to the first, so the anchor rotates
 with its field exactly.  The turns are the one window-sized array the
 kernel holds.  Every pass over them runs in blocks of at most
-``_BLOCK_SAMPLES`` (2^15) samples per signal cut along the first window axis,
-so its temporaries stay in cache, and a stage differences each block once.
+``basis._BLOCK_SAMPLES`` (2^15) samples per signal cut along the first window
+axis, so its temporaries stay in cache, and a stage differences each block
+once.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
 to the binomial basis.  The degree set picks the route: a set that is not
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import fisher_matrix
-from .basis import _TURN, _fold, _int64, _split, _turns, term_turns
+from .basis import _TURN, _block_rows, _blocks, _fold, _int64, _split, _turns, apply_term
 from .basis import BINOMIAL, MONOMIAL, CoefficientVector, binomial_to_monomial_matrix, wrap_to_cell
 from .basis import binomial_field  # noqa: F401  not called; benchmarks/spans.py rebinds it
 from .degrees import (
@@ -108,24 +110,6 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
 
 # The CIRCULAR anchor reads at most this many samples of a field.
 _ANCHOR_SAMPLES = 4096
-# Every pass of the kernel works on blocks of at most this many samples per
-# signal, cut along the first window axis; a block holds at least one slice
-# of that axis, however long.
-_BLOCK_SAMPLES = 1 << 15
-
-
-def _block_rows(N: tuple[int, ...], piece: int) -> int:
-    """Slices of the first axis of window N per block.  In 1-D it is a
-    multiple of ``piece``, so the blocks cut the weighted sum only where
-    :func:`_piece_sums` cuts it."""
-    if len(N) == 1:
-        return max(1, _BLOCK_SAMPLES // piece) * piece
-    return max(1, _BLOCK_SAMPLES // math.prod(N[1:]))
-
-
-def _blocks(count: int, rows: int) -> list[tuple[int, int]]:
-    """The spans [a, b) of at most ``rows`` that tile range(count), in order."""
-    return [(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
 def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -382,7 +366,7 @@ def _sequential(
     lags are cancelled from the differenced field by one scalar per signal,
     the turns of ``acc * tau^m``; the first lag has none to cancel.  After
     the last lag the degree subtracts the turns of its term in ``basis``
-    once, one :func:`~ppsg.basis.term_turns` per block, each of length 1
+    once, by :func:`~ppsg.basis.apply_term`, block by block and of length 1
     along the axes where m_d = 0, since the field is constant along them;
     the last degree skips it, since nothing reads the turns after it.  Both
     cancellations take exact turns from an integer factor modulo 2^64
@@ -423,8 +407,7 @@ def _sequential(
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1:
-            for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
-                turns[:, a:b] -= term_turns(acc, m, N, basis, a, b)
+            apply_term(turns, acc, m, basis, np.subtract)
     return values, diagnostics
 
 

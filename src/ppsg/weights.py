@@ -69,8 +69,10 @@ def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
 
 def weight_axes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:
     """The cached read-only :func:`_weight_axis` of each dimension, unchecked:
-    weights proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k)."""
-    return [_weight_axis(kd, td, Nd) for kd, td, Nd in zip(k, tau, N)]
+    weights proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k).
+    Where k_d = 0 they are 1/N_d whatever the lag, so every lag shares the
+    unit lag's axis."""
+    return [_weight_axis(kd, td if kd else 1, Nd) for kd, td, Nd in zip(k, tau, N)]
 
 
 def weight_multi(

@@ -6,7 +6,15 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from ppsg.analysis import _gram_axis, crb, fisher_matrix, outlier_predicate, reconstruction_bound
+import ppsg.analysis as analysis_module
+from ppsg.analysis import (
+    _gram_axis,
+    crb,
+    crb_grid,
+    fisher_matrix,
+    outlier_predicate,
+    reconstruction_bound,
+)
 from ppsg.basis import binomial_field
 from ppsg.degrees import as_index, build_total_order, downward_closure
 from ppsg.estimator import EstimatorConfig, estimate
@@ -126,6 +134,33 @@ def test_crb_past_float64_is_a_validation_error():
     M = build_total_order([(d,) for d in range(9)])
     with pytest.raises(ValueError, match=r"on window \(9,\) overflow the CRB"):
         crb(M, (9,), 1e-307)
+
+
+def test_crb_grid_inverts_once_and_matches_each_point(monkeypatch):
+    # The exact inverse does not depend on the SNR, so a grid inverts the
+    # Gram once and scales it per point: bit for bit the CRB of each point
+    # alone.  31 points of 2-D total degree 4 at 64x64 inverted 31 times.
+    M = build_total_order([(i, j) for i in range(5) for j in range(5) if i + j <= 4])
+    N = (64, 64)
+    snrs = [10 ** (db / 10) for db in range(-10, 21)]
+    want = [crb(M, N, snr) for snr in snrs]
+    calls = []
+    original = analysis_module._exact_inverse
+    monkeypatch.setattr(analysis_module, "_exact_inverse", lambda g: calls.append(g) or original(g))
+    got = crb_grid(M, N, snrs)
+    assert len(calls) == 1
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_crb_grid_raises_at_its_first_failing_point():
+    # Each point is checked and scaled in turn, as point-by-point calls
+    # would: 1e-307 overflows the CRB of degrees 0-8 on 9 samples, and 1e306
+    # their Fisher matrix.
+    M = build_total_order([(d,) for d in range(9)])
+    with pytest.raises(ValueError, match=r"on window \(9,\) overflow the CRB"):
+        crb_grid(M, (9,), [1.0, 1e-307, 1e306])
+    with pytest.raises(ValueError, match=r"on window \(9,\) overflow the Fisher matrix"):
+        crb_grid(M, (9,), [1.0, 1e306, 1e-307])
 
 
 def test_crb_scalar():

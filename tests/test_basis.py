@@ -4,6 +4,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsg.basis import (
     _TURN,
@@ -11,15 +13,16 @@ from ppsg.basis import (
     MONOMIAL,
     ChangeOfBasis,
     CoefficientVector,
+    _block_axis,
     _float_rows,
     _pascal_axis,
+    apply_term,
     binomial_field,
     binomial_to_monomial_matrix,
     compute_lattice_point,
     compute_new_coordinate,
     phase_field,
     phase_turns,
-    term_turns,
     wrap_to_cell,
 )
 from ppsg.degrees import as_index, build_total_order
@@ -266,13 +269,16 @@ def test_coefficient_vector_json_roundtrip():
     assert back.degree_set == M01
 
 
-@pytest.mark.parametrize("N", [(3000,), (2**20,), (700, 9), (40, 5, 33)], ids=str)
+@pytest.mark.parametrize(
+    "N", [(3000,), (2**20,), (700, 9), (40, 5, 33), (3 * 2**15 + 5,), (100, 1000)], ids=str
+)
 def test_integer_field_is_exact_modulo_2_64(N):
     # One turn of a term is its integer field: C(n, m) and n^m modulo 2^64
     # (n^m / m! with a coefficient of m! turns), against math.comb and
     # Python powers, for every degree of total order <= 4; C(2^20, 4) is
     # about 2^75, so the wrapping sums and products are checked where they
-    # wrap.
+    # wrap.  The last two windows are cut into blocks, of 2^15 and 32 rows,
+    # that do not divide the first axis.
     rng = np.random.default_rng(len(N))
     points = [tuple(int(rng.integers(Nd)) for Nd in N) for _ in range(1500)]
     points += [(0,) * len(N), tuple(Nd - 1 for Nd in N)]
@@ -282,17 +288,33 @@ def test_integer_field_is_exact_modulo_2_64(N):
     for m in itertools.product(range(5), repeat=len(N)):
         if sum(m) > 4:
             continue
-        pascal = term_turns(one, m, N, BINOMIAL)
-        power = term_turns(math.prod(map(math.factorial, m)) * one, m, N, MONOMIAL)
-        for field in (pascal, power):
-            assert field.dtype == np.int64
-            assert field.shape == (1,) + tuple(Nd if md else 1 for Nd, md in zip(N, m))
-        pascal, power = (np.broadcast_to(field[0], N) for field in (pascal, power))
+        pascal, power = np.zeros((2, 1) + N, np.int64)
+        apply_term(pascal, one, m, BINOMIAL, np.add)
+        apply_term(power, math.prod(map(math.factorial, m)) * one, m, MONOMIAL, np.add)
         for n in points:
             want = math.prod(math.comb(nd, md) for nd, md in zip(n, m))
-            assert int(pascal[n]) % 2**64 == want % 2**64, (m, n)
+            assert int(pascal[0][n]) % 2**64 == want % 2**64, (m, n)
             want = math.prod(nd**md for nd, md in zip(n, m))
-            assert int(power[n]) % 2**64 == want % 2**64, (m, n)
+            assert int(power[0][n]) % 2**64 == want % 2**64, (m, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from([BINOMIAL, MONOMIAL]),
+    st.integers(0, 5),
+    st.integers(0, 2**23),
+    st.integers(1, 300),
+    st.integers(0, 40),
+)
+def test_block_axis_is_exact_modulo_2_64(basis, m, a, count, spare):
+    # A block's rows [a, a + count) of C(n, m) or n^m, shifted from cached
+    # axes of count + spare samples, against Python integers: from a = 0
+    # past 2^22, where C(n, 5) and n^5 pass 2^64, so the scalars and the
+    # wrapping products and sums are checked where they wrap.
+    got = _block_axis(a, a + count, count + spare, m, basis)
+    exact = math.comb if basis == BINOMIAL else lambda n, m: n**m
+    assert got.dtype == np.int64 and got.shape == (count,)
+    assert got.view(np.uint64).tolist() == [exact(n, m) % 2**64 for n in range(a, a + count)]
 
 
 @pytest.mark.parametrize("m", range(4))

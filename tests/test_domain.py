@@ -77,6 +77,29 @@ def test_exact_input_is_recovered_over_the_domain(case):
     assert error <= (2.0**-50 if exact else _linear_limit(M, N)), (error, M.degrees, N, lags)
 
 
+_HALF_CYCLE_CASE = ([(0,), (2,)], (8,), [0.0, 0.5 - 2**-54])
+
+
+def _half_cycle_error(kind) -> float:
+    degrees, N, values = _HALF_CYCLE_CASE
+    M = build_total_order(degrees)
+    got, _ = estimate_batch(exact_signal(values, M, N)[None], EstimatorConfig(M, kind))
+    return np.abs(wrap_to_cell(got[0] - np.array(values))).max()
+
+
+@pytest.mark.xfail(strict=True, reason="LINEAR's branch cut at +-1/2 cycle; estimates 0.058, 0.49")
+def test_linear_loses_a_coefficient_within_rounding_of_half_a_cycle():
+    # The first stage of degree 2 differences to a constant on LINEAR's
+    # branch cut, and the arctan2 rounding at entry puts some samples at
+    # +1/2 cycle and some at -1/2: a wrap, not a rounding error.  Hence
+    # _cases draws LINEAR's coefficients 2^-8 inside the cell.
+    assert _half_cycle_error(AveragingKind.LINEAR) <= 2.0**-50
+
+
+def test_circular_keeps_a_coefficient_within_rounding_of_half_a_cycle():
+    assert _half_cycle_error(AveragingKind.CIRCULAR) <= 2.0**-50
+
+
 @pytest.mark.parametrize(
     "degrees, N, lags",
     [

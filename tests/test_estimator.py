@@ -16,6 +16,7 @@ import ppsg.estimator as estimator_module
 from ppsg.analysis import crb, reconstruction_bound
 from ppsg.basis import (
     BINOMIAL,
+    MONOMIAL,
     CoefficientVector,
     _float_rows,
     binomial_field,
@@ -555,23 +556,27 @@ def _turn_gap(a: int, b: int) -> int:
 def test_cancellation_turns_match_a_fraction_oracle():
     # acc * F modulo one cycle, in turns: exact for |acc - rint(acc)| >=
     # 2^-12, and within the float64 rounding of the remainder below one
-    # turn, about F * 2^-52 turns, for smaller fractions.
+    # turn, about F * 2^-52 turns, for smaller fractions.  apply_term adds
+    # the turns over the whole 2^20 window, in 32 blocks, a few signals at
+    # a time; 12 row spans are checked.
     rng = np.random.default_rng(77)
     tiny = [1e-5, -3e-10, 2.0**-70, -(2.0**-64) * 1.5, 1e-300, 2.0**-12, -(2.0**-13)]
     accs = np.concatenate([rng.uniform(-3, 3, 40), tiny, [0.5, -0.5, 2.5, 0.0, -0.0]])
     N = (2**20,)
     spans = [(0, 3), (N[0] - 1, N[0])] + [(n, n + 20) for n in rng.integers(0, N[0] - 20, 10)]
     for m in ((1,), (2,), (3,), (4,)):
-        for a, b in spans:
-            got = estimator_module.term_turns(accs, m, N, BINOMIAL, a, b)
-            F = binomial_field(m, N)[a:b]
-            for acc, row in zip(accs, got):
-                gap = row.view(np.uint64) - exact_term_turns(acc, m, N, a, b).view(np.uint64)
-                gap = np.minimum(gap, -gap).astype(float)  # the distance modulo 2^64
-                if abs(acc - np.rint(acc)) >= 2.0**-12:
-                    assert not gap.any(), (acc, m, a)
-                else:
-                    assert np.all(gap <= 1 + F * 2.0**-51), (acc, m, a)
+        for chunk in np.array_split(accs, 13):
+            got = np.zeros((len(chunk),) + N, np.int64)
+            estimator_module.apply_term(got, chunk, m, BINOMIAL, np.add)
+            for a, b in spans:
+                F = binomial_field(m, N)[a:b]
+                for acc, row in zip(chunk, got[:, a:b]):
+                    gap = row.view(np.uint64) - exact_term_turns(acc, m, N, a, b).view(np.uint64)
+                    gap = np.minimum(gap, -gap).astype(float)  # the distance modulo 2^64
+                    if abs(acc - np.rint(acc)) >= 2.0**-12:
+                        assert not gap.any(), (acc, m, a)
+                    else:
+                        assert np.all(gap <= 1 + F * 2.0**-51), (acc, m, a)
     for tau_pow in (16**3, 256**3, 256**8, 3**41, 2**63 + 5):
         exact = estimator_module._int64(tau_pow)
         got = estimator_module._turns(estimator_module._split(accs), exact, float(tau_pow))
@@ -785,16 +790,16 @@ def test_estimate_batch_rows_equal_single_estimates(kind):
 def test_kernel_skips_last_cancellation(monkeypatch, estimator, lags):
     # Every stage of a noisy input has a nonzero increment.  Lag passes
     # rotate by a scalar, so each degree but the last cancels its term once,
-    # whatever the lag schedule, one term_turns per block: the window is one
-    # block, so |M| degrees make |M| - 1 calls, one per degree.
+    # whatever the lag schedule, in one apply_term call: |M| degrees make
+    # |M| - 1 calls, one per degree.
     calls = []
-    original = estimator_module.term_turns
+    original = estimator_module.apply_term
 
-    def counting(c, m, N, basis, a, b):
+    def counting(turns, c, m, basis, step):
         calls.append(m)
-        return original(c, m, N, basis, a, b)
+        return original(turns, c, m, basis, step)
 
-    monkeypatch.setattr(estimator_module, "term_turns", counting)
+    monkeypatch.setattr(estimator_module, "apply_term", counting)
     y, _ = _noisy(_cv([0.1, -0.2, 0.3, 0.05], M2D), (12, 10), 5.0, 45)
     cfg = EstimatorConfig(M2D, lags=lags)
     est = estimator(y, cfg)
@@ -869,7 +874,7 @@ def test_batch_above_256_kib_rows_equal_single_estimates(kind, M, N, lags):
 
 # -- Blocks --------------------------------------------------------------------
 
-_BLOCK = estimator_module._BLOCK_SAMPLES
+_BLOCK = basis_module._BLOCK_SAMPLES
 M3D = build_total_order([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0)])
 _BLOCK_EDGE_WINDOWS = [
     (_BLOCK - 1,),
@@ -1082,6 +1087,42 @@ def test_estimate_on_a_fresh_window_retains_no_field():
     estimate(synthesize(b, (20, 20)), cfg)  # any first-call set-up
     y = synthesize(b, (300, 300))
     assert traced_retained(estimate, y, cfg) <= 64 * 1024
+
+
+@pytest.mark.parametrize("estimator", [estimate, estimate_coefficients_direct])
+def test_cancellation_splits_each_term_once(monkeypatch, estimator):
+    # A degree's cancellation splits its increment into whole turns and a
+    # remainder once, then walks the blocks: at 2^20 a cancelled degree
+    # spans 32 blocks, and splitting in each made 32 calls of about 8 us.
+    N = (2**20,)
+    assert len(basis_module._blocks(N[0], basis_module._block_rows(N, np.getbufsize()))) == 32
+    y, _ = _noisy(_cv([0.25, -0.375, 0.125], M012), N, 1000.0, 14)
+    calls = []
+    original = basis_module._split
+    monkeypatch.setattr(basis_module, "_split", lambda acc: calls.append(acc) or original(acc))
+    estimator(y, EstimatorConfig(M012))
+    assert len(calls) == len(M012) - 1  # degrees 2 and 1; degree 0 is last
+
+
+def test_fresh_large_window_retains_no_window_sized_integer_axis():
+    # The integer axes are cached at the length of a block's rows, 2^15 in
+    # 1-D, and shifted to each block, so synthesizing and estimating on a
+    # 2^20 window leave at most four 256 KiB axes cached, C(n, m) and n^m
+    # for m = 1, 2; the window-length axes left 16 MiB per basis.  The
+    # weights, cached at the window's length, are built first.
+    N = (2**20,)
+    limit = 4 * 8 * 2**15
+    cfg = EstimatorConfig(M012)
+    for estimator in (estimate, estimate_coefficients_direct):
+        estimator(synthesize(_cv([0.25, -0.375, 0.125], M012), (64,)), cfg)  # first-call set-up
+    for m in M012.degrees:
+        weight_axes(m, (1,), N)
+    basis_module._pascal_axis.cache_clear()
+    basis_module._power_axis.cache_clear()
+    for basis, estimator in ((BINOMIAL, estimate), (MONOMIAL, estimate_coefficients_direct)):
+        b = CoefficientVector(np.array([0.25, -0.375, 0.125]), basis, M012)
+        assert traced_retained(synthesize, b, N) <= limit, basis
+        assert traced_retained(estimator, synthesize(b, N), cfg) <= limit, basis
 
 
 def test_non_finite_sample_in_a_later_block_is_rejected():

@@ -4,7 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppsg.weights import _weight_axis, weight_multi
+import ppsg.estimator as estimator_module
+from ppsg.basis import BINOMIAL, CoefficientVector
+from ppsg.degrees import build_total_order
+from ppsg.estimator import AveragingKind, EstimatorConfig, estimate_batch
+from ppsg.signal import add_noise, synthesize
+from ppsg.weights import _weight_axis, weight_axes, weight_multi
 
 from oracles import (
     covariance_axis,
@@ -185,6 +190,41 @@ def test_weight_axis_cache_is_bounded():
     for N in range(1000, 1065):
         _weight_axis(1, 1, N)
     assert _weight_axis.cache_info().currsize <= 64
+
+
+@pytest.mark.parametrize(
+    "degrees, N, lags",
+    [
+        ([(0,), (1,), (2,)], (5000,), ((1,), (16,), (256,))),
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], (64, 48), ((1, 1), (2, 3), (4, 9))),
+    ],
+    ids=["1-D", "2-D"],
+)
+def test_degree_zero_axis_is_shared_by_every_lag(monkeypatch, degrees, N, lags):
+    # Where k_d = 0 the weights are 1/N_d whatever the lag, bit for bit, so
+    # a lag schedule caches one degree-0 axis per window length, not one per
+    # lag, and estimates equal those read with each lag's own axes.
+    for Nd in N:
+        unit = _weight_axis(0, 1, Nd).tobytes()
+        for tau in (2, 3, 16, 256):
+            assert _weight_axis.__wrapped__(0, tau, Nd).tobytes() == unit
+    _weight_axis.cache_clear()
+    for tau in lags:
+        weight_axes((0,) * len(N), tau, N)
+    assert _weight_axis.cache_info().currsize == len(set(N))
+    M = build_total_order(degrees)
+    rng = np.random.default_rng(len(N))
+    b = CoefficientVector(rng.uniform(-0.4, 0.4, len(M)), BINOMIAL, M)
+    data = np.stack([add_noise(synthesize(b, N), 10.0, rng).data for _ in range(2)])
+    for kind in AveragingKind:
+        cfg = EstimatorConfig(M, kind, lags=lags)
+        shared = estimate_batch(data, cfg)
+        with monkeypatch.context() as patch:
+            own = lambda k, tau, N: [_weight_axis.__wrapped__(*args) for args in zip(k, tau, N)]
+            patch.setattr(estimator_module, "weight_axes", own)
+            lagged = estimate_batch(data, cfg)
+        assert shared[0].tobytes() == lagged[0].tobytes()
+        assert all(d.tobytes() == lagged[1][key].tobytes() for key, d in shared[1].items())
 
 
 def test_estimate_imports_no_scipy():
