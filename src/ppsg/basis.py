@@ -124,7 +124,7 @@ def _monomial_axis(start: int, stop: int, m: int) -> np.ndarray:
 
 
 # The integer axes are cached at the length of a block's rows, or of a
-# whole axis after the first: :func:`_block_axis` shifts them to any rows.
+# whole axis after the first: :func:`_shift_scalars` shifts them to any rows.
 @lru_cache(maxsize=64)
 def _pascal_axis(n_count: int, m: int) -> np.ndarray:
     """C(n, m) mod 2^64 for n in [n_count], as int64, read-only.
@@ -152,21 +152,15 @@ def _power_axis(n_count: int, m: int) -> np.ndarray:
     return out
 
 
-def _block_axis(a: int, b: int, n_count: int, m: int, basis: str) -> np.ndarray:
-    """C(n, m), or n^m for MONOMIAL, modulo 2^64 for n in [a, b), as int64,
-    from the cached axes of ``n_count`` >= b - a samples:
-    C(a + j, m) = sum_i C(a, m - i) C(j, i) (Vandermonde's identity) and
-    (a + j)^m = sum_i C(m, i) a^(m - i) j^i.  Each scalar is reduced by
-    :func:`_int64` and the sums wrap, exactly modulo 2^64; the i = m term
-    has scalar 1, and the i = 0 axis is all ones.  At a = 0 the result is
-    a cached axis, so treat it as read-only."""
-    axis = _pascal_axis if basis == BINOMIAL else _power_axis
-    out = axis(n_count, m)[: b - a]
-    for i in range(m):
-        scalar = math.comb(a, m - i) if basis == BINOMIAL else math.comb(m, i) * a ** (m - i)
-        if scalar % 2**64:
-            out = out + (_int64(scalar) * axis(n_count, i)[: b - a] if i else _int64(scalar))
-    return out
+def _shift_scalars(a: int, m: int, basis: str) -> list[int]:
+    """The scalars s_i, i = 0..m, that shift the cached axes F_i(j) of a
+    block's length to the rows from a: F(a + j) = sum_i s_i F_i(j).  For
+    BINOMIAL, F_i(j) = C(j, i) and s_i = C(a, m - i) (Vandermonde's
+    identity); for MONOMIAL, F_i(j) = j^i and s_i = C(m, i) a^(m - i)
+    (the binomial theorem).  s_m is 1, and F_0 is all ones."""
+    if basis == BINOMIAL:
+        return [math.comb(a, m - i) for i in range(m + 1)]
+    return [math.comb(m, i) * a ** (m - i) for i in range(m + 1)]
 
 
 def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -241,10 +235,10 @@ def _turns(
     split: tuple[np.ndarray, np.ndarray | None], exact: np.ndarray, approx: np.ndarray | None
 ) -> np.ndarray:
     """The phase ``acc * F`` in cycles as int64 turns, broadcast, from the
-    :func:`_split` of ``acc``, for an integer factor F: a lag's tau^m, or
-    the integer field of a term over a block (:func:`apply_term`).  ``exact`` is F
-    modulo 2^64 as int64; ``approx`` is F in float64, needed only when the
-    split has a remainder.
+    :func:`_split` of ``acc``, for an integer factor F such as a lag's
+    tau^m; :func:`apply_term` forms a term's turns the same way, piece by
+    piece.  ``exact`` is F modulo 2^64 as int64; ``approx`` is F in
+    float64, needed only when the split has a remainder.
 
     k * F wraps, exactly modulo 2^64, so the turns are exact unless the
     remainder r is nonzero; then the turns of r * F, rounded in float64 to
@@ -253,10 +247,16 @@ def _turns(
     k, r = split
     out = k * exact
     if r is not None:
-        t = r * approx
-        t -= np.rint(t)
-        out += _fold(t / _TURN).astype(np.int64)
+        out += _remainder_turns(r, approx)
     return out
+
+
+def _remainder_turns(r: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    """The turns of ``r * approx`` for a :func:`_split` remainder ``r``,
+    rounded in float64."""
+    t = r * approx
+    t -= np.rint(t)
+    return _fold(t / _TURN).astype(np.int64)
 
 
 def apply_term(
@@ -267,25 +267,36 @@ def apply_term(
     batch of int64 turns ``out`` (B, *N): ``np.add`` synthesizes, and
     ``np.subtract`` cancels.  F is C(n, m), or n^m over m! for MONOMIAL.
 
-    ``c`` over the divisor is :func:`_split` once; the blocks of
-    :func:`_block_rows` then take F's integer part modulo 2^64, all that its
-    whole turns need (:func:`_turns`), from block-length axes shifted to
-    their rows (:func:`_block_axis`), and its float form only for a
-    remainder.  Along an axis where m_d = 0, F is constant: it has length 1
-    there, and the whole window is one block when m_0 = 0.
+    ``c`` over the divisor is :func:`_split` once into whole turns k and a
+    remainder.  Over the rows [a, b) of a block of :func:`_block_rows`, F's
+    integer part modulo 2^64 is sum_i s_i F_i, from block-length axes
+    (:func:`_shift_scalars`), so the block takes one step per nonzero
+    scalar: the turns k * s_i times F_i, formed in one scratch buffer
+    reused across blocks.  Each is exact modulo 2^64, as their sum is
+    (:func:`_turns`); a remainder takes one more step, from F's float form.
+    Along an axis where m_d = 0, F is constant: it has length 1 there, as
+    F_0 has along the first axis, and the whole window is one block when
+    m_0 = 0.
     """
     N = out.shape[1:]
     divisor = 1 if basis == BINOMIAL else math.prod(map(math.factorial, m))
     axis = _pascal_axis if basis == BINOMIAL else _power_axis
-    split = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
+    k, r = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
     rows = _block_rows(N, np.getbufsize())
     rest = [axis(Nd, md) if md else axis(1, 0) for Nd, md in zip(N[1:], m[1:])]
+    count = min(rows, N[0])
+    factors = [tensor_field([axis(count if i else 1, i)] + rest) for i in range(m[0] + 1)]
+    scratch = np.empty((len(out),) + factors[-1].shape, np.int64)
     for a, b in _blocks(N[0], rows) if m[0] else [(0, N[0])]:
-        first = _block_axis(a, b, min(rows, N[0]), m[0], basis) if m[0] else axis(1, 0)
-        exact = tensor_field([first] + rest)
-        approx = None if split[1] is None else divisor * _float_rows(m, N, basis, a, b)
         block = out[:, a:b]
-        step(block, _turns(split, exact, approx), out=block)
+        for scalar, factor in zip(_shift_scalars(a, m[0], basis), factors):
+            if scalar % 2**64:
+                factor = factor[: b - a]
+                t = np.multiply(k * _int64(scalar), factor, out=scratch[:, : len(factor)])
+                step(block, t, out=block)
+        if r is not None:
+            approx = divisor * _float_rows(m, N, basis, a, b)
+            step(block, _remainder_turns(r, approx), out=block)
 
 
 def phase_turns(

@@ -8,7 +8,8 @@ into int64 phases in units of 2^-64 cycle, whose wrapping arithmetic is
 arithmetic modulo one cycle.  Each stage collapses the phases the degree
 started with to near-constant fields by composed lagged differences, plain
 integer subtractions, and averages them with the closed-form
-minimum-variance weights one axis at a time.  The lag passes of a degree
+minimum-variance weights one axis at a time, each expanded from the short
+prefix that :mod:`~ppsg.weights` caches.  The lag passes of a degree
 cancel the increments of the earlier lags by subtracting one scalar per
 signal, since the m-th difference at lag tau of C(n, m) is the constant
 tau^m.  Each degree then subtracts its summed term over the full window
@@ -70,7 +71,7 @@ from .degrees import (
 )
 from .signal import Signal, _difference
 from .signal import phase_diff_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
-from .weights import WeightField, weight_axes
+from .weights import WeightField, weight_prefixes, weight_rows
 from .weights import weight_multi  # noqa: F401  not called; benchmarks/spans.py rebinds it
 
 TWO_PI = 2.0 * np.pi
@@ -122,7 +123,12 @@ def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     One division scales radians to turns: 2*pi*2^-64 is a power of two
     times 2*pi, so it rounds as a division by 2*pi and a scaling would.
     """
-    x = re + 0.0
+    return _arg_turns(im, re + 0.0)
+
+
+def _arg_turns(im: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_phase_turns` from ``im`` and ``x``, the real part plus +0.0,
+    which it overwrites."""
     np.arctan2(im, x, out=x)
     x /= TWO_PI * _TURN
     return _fold(x)
@@ -130,14 +136,23 @@ def _phase_turns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
     """The batch as int64 turns, written block by block into one array; a
-    non-finite sample raises before its block is converted.  A contiguous
-    copy of the imaginary part lets ``arctan2`` take its contiguous loop."""
+    non-finite sample raises before its block is converted.
+
+    Each block's parts are copied into two contiguous buffers reused across
+    blocks, the real part plus +0.0, so the finiteness check and
+    ``arctan2`` read contiguous arrays."""
     turns = np.empty(data.shape, np.int64)
+    size = len(data) * min(rows, data.shape[1]) * math.prod(data.shape[2:])
+    dtype = np.result_type(data.real.dtype, 0.0)  # that of re + 0.0
+    re_buf, im_buf = np.empty(size, dtype), np.empty(size, dtype)
     for a, b in _blocks(data.shape[1], rows):
-        re, im = data[:, a:b].real, data[:, a:b].imag.copy()
+        block = data[:, a:b]
+        re = np.add(block.real, 0.0, out=re_buf[: block.size].reshape(block.shape))
+        im = im_buf[: block.size].reshape(block.shape)
+        np.copyto(im, block.imag)
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("signal has non-finite samples")
-        turns[:, a:b] = _phase_turns(re, im)
+        turns[:, a:b] = _arg_turns(im, re)
     return turns
 
 
@@ -232,6 +247,8 @@ def _mean_phase(
     """Weighted mean phase of the (m, tau) differences of each field of a
     batch of int64 turns, less ``shift`` (int64 per field, or None), shape
     (B, *N) -> (B,), in cycles in [-1/2, 1/2).  ``turns`` is never written.
+    ``w`` holds each axis's weights as a :func:`~ppsg.weights.weight_rows`
+    prefix; a whole axis is its own prefix.
 
     LINEAR reads the turns as they are, so its branch cut sits at -pi.
     CIRCULAR adds to the shift, as an integer, a per-field :func:`_anchor`,
@@ -241,7 +258,11 @@ def _mean_phase(
 
     Each block of :func:`_block_rows` slices of the first axis is
     differenced once, from its slices plus the ``m[0] * tau[0]`` after them
-    (the halo), then shifted, converted and contracted while in cache.
+    (the halo), then shifted and converted in one pass into a float buffer
+    reused across blocks, and contracted while in cache.  The weights of
+    the axes after the first are expanded once per call; those of the
+    first are expanded block by block in 1-D, into one reused buffer, and
+    whole otherwise.
 
     ``einsum``, not BLAS, whose threads reorder sums, contracts ``w`` one
     axis at a time, the last first.  Every sum is formed as ``einsum`` forms
@@ -262,15 +283,24 @@ def _mean_phase(
         shift = anchor if shift is None else shift + anchor
     lead = (-1,) + (1,) * len(N)
     pieces = len(N) == 1 and len(spans) > 1  # 1-D blocks sum their own pieces
+    rest = [weight_rows(wd, Ld) for wd, Ld in zip(w[1:], L[1:])]
+    first = np.empty(spans[0][1]) if pieces else weight_rows(w[0], L[0])
+    # A part aliases the buffer only when it is the one 1-D block.
+    buf = np.empty(B * spans[0][1] * math.prod(L[1:]))
     parts = []
     for a, b in spans:
         d = _difference(turns[:, a : b + m[0] * tau[0]], m, tau, np.subtract)  # with the halo
-        f = (d if shift is None else d - shift.reshape(lead)).astype(float)
+        f = buf[: d.size].reshape(d.shape)
+        if shift is None:
+            np.copyto(f, d, casting="unsafe")
+        else:  # a wrapping int64 subtraction, then the conversion
+            np.subtract(d, shift.reshape(lead), out=f, dtype=np.int64, casting="unsafe")
+        del d  # so the next block's differences do not meet it
         for k in range(len(N) - 1, 0, -1):
-            f = _sum_rows(f, w[k], math.prod(L[:k]) > 1, piece)
-        parts.append(_piece_sums(f, w[0][a:b], piece) if pieces else f)
+            f = _sum_rows(f, rest[k - 1], math.prod(L[:k]) > 1, piece)
+        parts.append(_piece_sums(f, weight_rows(w[0], L[0], a, b, first), piece) if pieces else f)
     partials = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    total = _in_order(partials) if pieces else _sum_rows(partials, w[0], False, piece)
+    total = _in_order(partials) if pieces else _sum_rows(partials, first, False, piece)
     return wrap_to_cell((anchor + total) * _TURN)
 
 
@@ -384,15 +414,15 @@ def _sequential(
     Nothing is kept between calls, and the window rule is checked once, up
     front.
 
-    The weights are built first, so a cold build's temporaries never share
-    memory with the batch.  Returns the coefficients, shape (B, |M|), and
-    each stage's increments.
+    The weight prefixes are resolved first, so a cold build's temporaries
+    never share memory with the batch.  Returns the coefficients, shape
+    (B, |M|), and each stage's increments.
     """
     M = cfg.degree_set
     N = data.shape[1:]
     # The last lag is the largest in every dimension, so it bounds the window.
     diff_window(N, M.max_degree, cfg.lags[-1])
-    weights = {(m, tau): weight_axes(m, tau, N) for m in M.degrees for tau in cfg.lags}
+    weights = {(m, tau): weight_prefixes(m, tau, N) for m in M.degrees for tau in cfg.lags}
     rows = _block_rows(N, np.getbufsize())
     turns = _entry_turns(data, rows)
     values = np.zeros((len(data), len(M)))

@@ -4,7 +4,12 @@ The colored noise left by composing lagged differences has a banded integer
 covariance kernel; the minimum-variance weights C^{-1}1 / (1^T C^{-1} 1)
 admit a closed form as a product of two binomial coefficients per sample.
 `tests/oracles.py` checks it against a dense covariance build and solve.
-The estimator reads :func:`weight_axes`; :func:`weight_multi` serves the CLI.
+
+Each axis is cached as the shortest prefix that fixes it, one sample at
+degree 0 and the mirror half otherwise, and :func:`weight_rows` expands any
+rows of it, so no window-length weight axis is kept between calls.  The
+estimator reads :func:`weight_prefixes`; :func:`weight_axes` and
+:func:`weight_multi`, which serves the CLI, give whole axes.
 """
 
 from __future__ import annotations
@@ -32,10 +37,9 @@ class WeightField(RealField):
             raise ValueError(f"weights sum to {self.data.sum()}, expected 1")
 
 
-@lru_cache(maxsize=64)
-def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
-    """Closed-form weights over [N - tau*k], normalized to sum 1, cached and
-    read-only; callers check the window first.
+def _build_axis(k: int, tau: int, N: int) -> np.ndarray:
+    """Closed-form weights over [N - tau*k], normalized to sum 1; callers
+    check the window first.
 
     u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
     with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.  Step i
@@ -63,16 +67,63 @@ def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
         lo -= 1
         hi -= 1
     w /= w.sum()
-    w.setflags(write=False)
     return w
 
 
-def weight_axes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:
-    """The cached read-only :func:`_weight_axis` of each dimension, unchecked:
-    weights proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k).
-    Where k_d = 0 they are 1/N_d whatever the lag, so every lag shares the
-    unit lag's axis."""
+@lru_cache(maxsize=64)
+def _weight_axis(k: int, tau: int, N: int) -> np.ndarray:
+    """The shortest prefix that fixes :func:`_build_axis`, cached and
+    read-only; :func:`weight_rows` expands it.
+
+    At k = 0 every weight is 1/L, so the prefix is one sample.  Otherwise
+    it is the first ceil(L/2) samples: the mirror sample L-1-n has ``lo``
+    and ``hi`` swapped, and every step is elementwise in ``lo * hi``, so
+    the axis is symmetric bit for bit, w[n] == w[L-1-n].
+    """
+    size = N - tau * k
+    # Allocated before the build, so that the build's temporaries, freed,
+    # leave no hole in the heap below the cached prefix.
+    prefix = np.empty(1 if k == 0 else (size + 1) // 2)
+    prefix[:] = _build_axis(k, tau, N)[: len(prefix)]
+    prefix.setflags(write=False)
+    return prefix
+
+
+def weight_rows(
+    w: np.ndarray, L: int, a: int = 0, b: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows [a, b) (all by default) of the weight axis of length L whose
+    :func:`_weight_axis` prefix is ``w``, as a contiguous array: ``out[:b-a]``
+    if given, else a new one.  A one-sample prefix is constant; past a
+    longer one, sample n is w[L-1-n].  A whole axis is its own prefix.
+
+    The rows are copied, never a reversed view or a broadcast: ``einsum``
+    would sum either in another order than the axis it stands for.
+    """
+    b = L if b is None else b
+    out = np.empty(b - a) if out is None else out[: b - a]
+    if len(w) == 1:
+        out.fill(w[0])
+        return out
+    mid = min(max(a, len(w)), b)  # rows [a, mid) lie in the prefix, [mid, b) mirror it
+    out[: mid - a] = w[a:mid]
+    out[mid - a :] = w[L - b : L - mid][::-1]
+    return out
+
+
+def weight_prefixes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:
+    """The cached read-only :func:`_weight_axis` prefix of each dimension,
+    unchecked.  Where k_d = 0 the weights are 1/N_d whatever the lag, so
+    every lag shares the unit lag's axis."""
     return [_weight_axis(kd, td if kd else 1, Nd) for kd, td, Nd in zip(k, tau, N)]
+
+
+def weight_axes(k: Sequence[int], tau: Sequence[int], N: Sequence[int]) -> list[np.ndarray]:
+    """The whole weight axis of each dimension, unchecked: weights
+    proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k),
+    expanded from :func:`weight_prefixes`."""
+    prefixes = weight_prefixes(k, tau, N)
+    return [weight_rows(w, Nd - td * kd) for w, kd, td, Nd in zip(prefixes, k, tau, N)]
 
 
 def weight_multi(

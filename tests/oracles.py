@@ -51,7 +51,7 @@ from ppsg.signal import (
     phase_diff_multi,
     synthesize,
 )
-from ppsg.weights import WeightField, _weight_axis, weight_axes
+from ppsg.weights import WeightField, _build_axis, weight_axes
 
 
 def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
@@ -202,7 +202,7 @@ def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
     """
     k, tau, N = as_index((k, tau, N))
     diff_window((N,), (k,), tau)
-    return np.array(_weight_axis(k, tau, N))
+    return _build_axis(k, tau, N)
 
 
 def weight_fraction(k: int, tau: int, N: int, points: Sequence[int]) -> list[Fraction]:

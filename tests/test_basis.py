@@ -13,9 +13,11 @@ from ppsg.basis import (
     MONOMIAL,
     ChangeOfBasis,
     CoefficientVector,
-    _block_axis,
     _float_rows,
+    _int64,
     _pascal_axis,
+    _power_axis,
+    _shift_scalars,
     apply_term,
     binomial_field,
     binomial_to_monomial_matrix,
@@ -306,12 +308,16 @@ def test_integer_field_is_exact_modulo_2_64(N):
     st.integers(1, 300),
     st.integers(0, 40),
 )
-def test_block_axis_is_exact_modulo_2_64(basis, m, a, count, spare):
-    # A block's rows [a, a + count) of C(n, m) or n^m, shifted from cached
-    # axes of count + spare samples, against Python integers: from a = 0
-    # past 2^22, where C(n, 5) and n^5 pass 2^64, so the scalars and the
-    # wrapping products and sums are checked where they wrap.
-    got = _block_axis(a, a + count, count + spare, m, basis)
+def test_shifted_axes_are_exact_modulo_2_64(basis, m, a, count, spare):
+    # A block's rows [a, a + count) of C(n, m) or n^m, summed from the
+    # shift scalars times cached axes of count + spare samples, against
+    # Python integers: from a = 0 past 2^22, where C(n, 5) and n^5 pass
+    # 2^64, so the scalars and the wrapping products and sums are checked
+    # where they wrap.
+    axis = _pascal_axis if basis == BINOMIAL else _power_axis
+    scalars = _shift_scalars(a, m, basis)
+    assert scalars[m] == 1
+    got = sum(_int64(s) * axis(count + spare, i)[:count] for i, s in enumerate(scalars))
     exact = math.comb if basis == BINOMIAL else lambda n, m: n**m
     assert got.dtype == np.int64 and got.shape == (count,)
     assert got.view(np.uint64).tolist() == [exact(n, m) % 2**64 for n in range(a, a + count)]

@@ -13,6 +13,7 @@ import pytest
 
 import ppsg.basis as basis_module
 import ppsg.estimator as estimator_module
+import ppsg.weights as weights_module
 from ppsg.analysis import crb, reconstruction_bound
 from ppsg.basis import (
     BINOMIAL,
@@ -36,7 +37,7 @@ from ppsg.estimator import (
     estimate_coefficients_direct,
 )
 from ppsg.signal import RealField, Signal, _difference, add_noise, synthesize
-from ppsg.weights import WeightField, weight_axes, weight_multi
+from ppsg.weights import WeightField, weight_axes, weight_multi, weight_prefixes
 
 from oracles import (
     exact_signal,
@@ -900,6 +901,7 @@ def test_blocked_stage_is_whole_field_stage(kind, N):
     # and every sum is formed as the whole field forms it: bit for bit, with
     # and without a lag shift, for a batch and for each of its rows alone.
     # Rows of (3, 40000) exceed a block, and degree (2, 0) leaves one row.
+    # The stage reads the cached weight prefixes, the oracle whole axes.
     rng = np.random.default_rng(sum(N))
     turns = rng.integers(-(2**63), 2**63, size=(2,) + N, dtype=np.int64)
     lag_shift = rng.integers(-(2**63), 2**63, size=2, dtype=np.int64)
@@ -908,10 +910,10 @@ def test_blocked_stage_is_whole_field_stage(kind, N):
             tau = (t,) * len(N)
             if any(Nd - t * md < 1 for Nd, md in zip(N, m)):
                 continue
-            w = weight_axes(m, tau, N)
+            w = weight_prefixes(m, tau, N)
             for shift in (None, lag_shift):
                 got = estimator_module._mean_phase(kind, turns, m, tau, shift, w)
-                want = whole_field_stage(kind, turns, m, tau, shift, w)
+                want = whole_field_stage(kind, turns, m, tau, shift, weight_axes(m, tau, N))
                 assert got.tobytes() == want.tobytes(), (m, tau)
                 for r in range(len(turns)):
                     one = None if shift is None else shift[r : r + 1]
@@ -1109,20 +1111,36 @@ def test_fresh_large_window_retains_no_window_sized_integer_axis():
     # 1-D, and shifted to each block, so synthesizing and estimating on a
     # 2^20 window leave at most four 256 KiB axes cached, C(n, m) and n^m
     # for m = 1, 2; the window-length axes left 16 MiB per basis.  The
-    # weights, cached at the window's length, are built first.
+    # weights, cached at half the window's length, are built first.
     N = (2**20,)
     limit = 4 * 8 * 2**15
     cfg = EstimatorConfig(M012)
     for estimator in (estimate, estimate_coefficients_direct):
         estimator(synthesize(_cv([0.25, -0.375, 0.125], M012), (64,)), cfg)  # first-call set-up
     for m in M012.degrees:
-        weight_axes(m, (1,), N)
+        weight_prefixes(m, (1,), N)
     basis_module._pascal_axis.cache_clear()
     basis_module._power_axis.cache_clear()
     for basis, estimator in ((BINOMIAL, estimate), (MONOMIAL, estimate_coefficients_direct)):
         b = CoefficientVector(np.array([0.25, -0.375, 0.125]), basis, M012)
         assert traced_retained(synthesize, b, N) <= limit, basis
         assert traced_retained(estimator, synthesize(b, N), cfg) <= limit, basis
+
+
+@pytest.mark.parametrize("lags, limit_mib", [((), 8.6), (((1,), (16,), (256,)), 24.6)])
+def test_fresh_large_window_retains_half_weight_axes(lags, limit_mib):
+    # Each weight axis is cached as the prefix that fixes it: one sample at
+    # degree 0 and the mirror half, 4 MiB, at degrees 1 and 2 at 2^20, per
+    # lag.  The whole axes left 24.5 MiB, and 56.5 MiB under lags 1/16/256.
+    N = (2**20,)
+    b = _cv([0.25, -0.375, 0.125], M012)
+    cfg = EstimatorConfig(M012, lags=lags)
+    estimate(synthesize(b, (1024,)), cfg)  # first-call set-up
+    y = synthesize(b, N)
+    weights_module._weight_axis.cache_clear()
+    basis_module._pascal_axis.cache_clear()
+    basis_module._power_axis.cache_clear()
+    assert traced_retained(estimate, y, cfg) <= limit_mib * 2**20
 
 
 def test_non_finite_sample_in_a_later_block_is_rejected():

@@ -9,7 +9,7 @@ from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.degrees import build_total_order
 from ppsg.estimator import AveragingKind, EstimatorConfig, estimate_batch
 from ppsg.signal import add_noise, synthesize
-from ppsg.weights import _weight_axis, weight_axes, weight_multi
+from ppsg.weights import _build_axis, _weight_axis, weight_axes, weight_multi, weight_rows
 
 from oracles import (
     covariance_axis,
@@ -147,7 +147,7 @@ def test_weight_matches_float_floor_build_bitwise(k):
         for N in windows:
             if N > tau * k:
                 want = weight_axis_float_floor(k, tau, N).tobytes()
-                assert _weight_axis.__wrapped__(k, tau, N).tobytes() == want, (tau, N)
+                assert _build_axis(k, tau, N).tobytes() == want, (tau, N)
 
 
 @pytest.mark.parametrize("k", range(3))
@@ -155,7 +155,7 @@ def test_weight_axis_holds_at_most_four_window_sized_arrays(k):
     # One array, the weights, at k = 0; the weights, lo, hi and the step
     # buffer otherwise.
     N = 2**20
-    peak = traced_peak(_weight_axis.__wrapped__, k, 1, N)
+    peak = traced_peak(_build_axis, k, 1, N)
     assert peak <= (1 if k == 0 else 4) * 8 * N + 2**16, peak
 
 
@@ -186,6 +186,29 @@ def test_weight_large_window_does_not_overflow():
     assert abs(Fraction(float(w[mid])) / weight_fraction(40, 1, 2**20, [mid])[0] - 1) < 1e-13
 
 
+@pytest.mark.parametrize("tau", [1, 2, 3, 16])
+@pytest.mark.parametrize("k", [*range(8), 40])
+def test_weight_rows_expand_the_cached_prefix_bitwise(k, tau):
+    # The cache keeps one sample at k = 0 and the first ceil(L/2) otherwise;
+    # any rows expanded from it, into a new array or a reused buffer, are
+    # the full build's rows bit for bit, on both sides of the middle and
+    # across it, for odd and even L.
+    windows = [2**20 + tau % 2] if k == 40 else [tau * k + 9, tau * k + 10, 2**20 + k % 2]
+    for N in windows:
+        full, prefix = _build_axis(k, tau, N), _weight_axis(k, tau, N)
+        L, h = len(full), (len(full) + 1) // 2
+        assert len(prefix) == (1 if k == 0 else h) and not prefix.flags.writeable
+        spans = [(0, L), (0, 1), (L - 1, L), (h - 1, h), (h - 1, h + 1), (h - 2, L - 1), (1, h)]
+        spans += [(h, L), (h + 1, h + 3), (L // 3, 2 * L // 3), (2, 2)]
+        out = np.full(L, np.nan)
+        for a, b in spans:
+            want = full[a:b].tobytes()
+            assert weight_rows(prefix, L, a, b).tobytes() == want, (N, a, b)
+            got = weight_rows(prefix, L, a, b, out)
+            assert got.flags.c_contiguous and got.tobytes() == want, (N, a, b)
+        assert weight_rows(prefix, L).tobytes() == full.tobytes()
+
+
 def test_weight_axis_cache_is_bounded():
     for N in range(1000, 1065):
         _weight_axis(1, 1, N)
@@ -205,9 +228,9 @@ def test_degree_zero_axis_is_shared_by_every_lag(monkeypatch, degrees, N, lags):
     # a lag schedule caches one degree-0 axis per window length, not one per
     # lag, and estimates equal those read with each lag's own axes.
     for Nd in N:
-        unit = _weight_axis(0, 1, Nd).tobytes()
+        unit = _build_axis(0, 1, Nd).tobytes()
         for tau in (2, 3, 16, 256):
-            assert _weight_axis.__wrapped__(0, tau, Nd).tobytes() == unit
+            assert _build_axis(0, tau, Nd).tobytes() == unit
     _weight_axis.cache_clear()
     for tau in lags:
         weight_axes((0,) * len(N), tau, N)
@@ -220,8 +243,8 @@ def test_degree_zero_axis_is_shared_by_every_lag(monkeypatch, degrees, N, lags):
         cfg = EstimatorConfig(M, kind, lags=lags)
         shared = estimate_batch(data, cfg)
         with monkeypatch.context() as patch:
-            own = lambda k, tau, N: [_weight_axis.__wrapped__(*args) for args in zip(k, tau, N)]
-            patch.setattr(estimator_module, "weight_axes", own)
+            own = lambda k, tau, N: [_build_axis(*args) for args in zip(k, tau, N)]
+            patch.setattr(estimator_module, "weight_prefixes", own)
             lagged = estimate_batch(data, cfg)
         assert shared[0].tobytes() == lagged[0].tobytes()
         assert all(d.tobytes() == lagged[1][key].tobytes() for key, d in shared[1].items())
