@@ -2,10 +2,10 @@
 phase-polynomial estimation.
 
 The Fisher matrix for binomial-basis coefficients is a scaled Gram matrix of
-the binomial fields over the window, summed exactly axis by axis, and the
-CRB is its inverse, taken exactly and rounded once.  Its
-orthogonal-polynomial decomposition and the ``tr(KJ)`` efficiency measure
-are test oracles in ``tests/oracles.py``.
+the binomial fields over the window, summed exactly axis by axis.  The CRB
+and the projection of a set not downward closed are solved from it exactly
+and rounded once.  Its orthogonal-polynomial decomposition and the
+``tr(KJ)`` efficiency measure are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -103,12 +104,27 @@ def crb_grid(M: DegreeSet, N: Sequence[int], snrs: Sequence[float]) -> list[np.n
     return out
 
 
-def _exact_inverse(gram: list[list[int]]) -> list[list[Fraction]]:
-    """The inverse of a positive definite integer matrix, by Gauss-Jordan
-    elimination in ``Fraction`` arithmetic; no pivot is zero."""
+@lru_cache(maxsize=64)
+def _projection(M: DegreeSet, closure: DegreeSet, N: tuple[int, ...]) -> tuple:
+    """The rows of M in its closure, the rest R, and P = G_MM^-1 G_MR of the
+    closure's :func:`_gram`, solved exactly after the :func:`_check` and
+    rounded once, read-only; the Fisher matrix's SNR scale cancels."""
+    _check(closure, N, 1.0)
+    gram = _gram(closure, N)
+    rows = tuple(closure.position(m) for m in M.degrees)
+    rest = tuple(i for i, m in enumerate(closure.degrees) if m not in M)
+    P = np.array(_exact_inverse([[gram[i][j] for j in rows] for i in rows],
+                                [[gram[i][j] for j in rest] for i in rows]), float)
+    P.setflags(write=False)
+    return rows, rest, P
+
+
+def _exact_inverse(gram: list[list[int]], right: list | None = None) -> list[list[Fraction]]:
+    """gram^-1 right (the inverse by default) for a positive definite integer
+    matrix, by Gauss-Jordan elimination in ``Fraction``s; no pivot is zero."""
     size = len(gram)
-    rows = [[Fraction(g) for g in row] + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(gram)]
+    right = right or [[int(i == j) for j in range(size)] for i in range(size)]
+    rows = [[Fraction(g) for g in row + extra] for row, extra in zip(gram, right)]
     for k, pivot in enumerate(rows):
         pivot[:] = [v / pivot[k] for v in pivot]
         for i, row in enumerate(rows):

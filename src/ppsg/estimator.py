@@ -29,9 +29,9 @@ axis, so its temporaries stay in cache, and a stage differences each block
 once.
 :func:`estimate` cancels binomial fields C(n, m), under any lag schedule;
 :func:`estimate_coefficients_direct` cancels monomials n^m / m! and maps back
-to the binomial basis.  The degree set picks the route: a set that is not
-downward closed is estimated over its closure, then projected with Fisher
-weights.
+to the binomial basis by back substitution.  The degree set picks the
+route: a set that is not downward closed is estimated over its closure,
+then projected with Fisher weights, solved exactly once per window.
 
 A noise-free phase given exactly, as :func:`~ppsg.signal.synthesize` gives
 it, is recovered exactly with CIRCULAR averaging, whose anchor reads a
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import fisher_matrix
+from .analysis import _projection
 from .basis import _TURN, _block_rows, _blocks, _fold, _int64, _split, _turns, apply_term
 from .basis import BINOMIAL, MONOMIAL, CoefficientVector, binomial_to_monomial_matrix, wrap_to_cell
 from .basis import binomial_field  # noqa: F401  not called; benchmarks/spans.py rebinds it
@@ -448,20 +448,15 @@ def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagn
 
 
 def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
-    """Closure estimate, then a Fisher-weighted projection of each row r,
-    r_M + J_MM^-1 J_MR r_R over the rows M of the set and R of the rest, so
-    only the nuisance part meets the ill-conditioned solve.  It restores the
-    constrained CRB (zeroing would not); the result is wrapped to the cell."""
-    from scipy.linalg import cho_factor, cho_solve
-
+    """Closure estimate, then the Fisher-weighted projection r_M + P r_R of
+    each row r over the rows M of the set and R of the rest, P = J_MM^-1 J_MR
+    from :func:`~ppsg.analysis._projection`; it restores the constrained CRB
+    (zeroing would not).  ``einsum`` sums each row alike, where BLAS ``@``
+    need not; the result is wrapped to the cell."""
     closure = downward_closure(cfg.degree_set)
-    J = fisher_matrix(closure, data.shape[1:], 1.0).matrix  # SNR scale cancels
-    closure_values, diagnostics = _binomial(data, replace(cfg, degree_set=closure))
-    rows = [closure.position(m) for m in cfg.degree_set.degrees]
-    rest = [i for i in range(len(closure)) if i not in rows]
-    factor = cho_factor(J[rows][:, rows])
-    nuisance = J[rows][:, rest]
-    projected = np.array([v[rows] + cho_solve(factor, nuisance @ v[rest]) for v in closure_values])
+    rows, rest, P = _projection(cfg.degree_set, closure, data.shape[1:])
+    values, diagnostics = _binomial(data, replace(cfg, degree_set=closure))
+    projected = values[:, rows] + np.einsum("br,mr->bm", values[:, rest], P)
     return wrap_to_cell(projected), diagnostics
 
 
@@ -473,18 +468,17 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
     returned binomial vector is the monomial output mapped back through the
     change of basis and wrapped to the cell.
     """
-    from scipy.linalg import solve_triangular
-
     if not cfg.single_unit_lag:
         raise ValueError("direct estimation supports only the unit lag")
     if not cfg.degree_set.is_downward_closed():
         raise ValueError("direct estimation needs a downward-closed degree set")
     values, diagnostics = _sequential(y.data[None], cfg, MONOMIAL)
     M = cfg.degree_set
-    T = binomial_to_monomial_matrix(M)
-    binomial = CoefficientVector(
-        wrap_to_cell(solve_triangular(T.matrix, values[0])), BINOMIAL, M
-    )
+    T = binomial_to_monomial_matrix(M).matrix
+    b = values[0].copy()
+    for i in reversed(range(len(M))):  # back substitution; T is unit upper triangular
+        b[i] -= T[i, i + 1 :] @ b[i + 1 :]
+    binomial = CoefficientVector(wrap_to_cell(b), BINOMIAL, M)
     return Estimate(binomial, CoefficientVector(values[0], MONOMIAL, M), _first(diagnostics))
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import ppsg.analysis as analysis_module
+import ppsg.estimator as estimator_module
 from ppsg.analysis import (
     _gram_axis,
+    _projection,
     crb,
     crb_grid,
     fisher_matrix,
@@ -122,7 +124,8 @@ def test_fisher_matrix_rejects_a_bad_snr(snr):
 )
 def test_fisher_matrix_past_float64_is_a_validation_error(call):
     # The Gram entry of C(n, 400) at N = 1000 exceeds 1e308: its conversion
-    # raised OverflowError, and an infinite scaled matrix failed in scipy.
+    # raised OverflowError, and an infinite scaled matrix failed the float
+    # Cholesky factorization that once solved the non-closed projection.
     with pytest.raises(ValueError, match=r"on window \(\d+,\) overflow the Fisher matrix"):
         call()
 
@@ -186,6 +189,51 @@ def test_crb_is_the_correctly_rounded_exact_inverse(degrees, N):
     scale = Fraction(8 * np.pi**2 * snr)  # the float64 factor fisher_matrix forms
     want = [[float(v / scale) for v in row] for row in exact_inverse(gram)]
     assert crb(M, N, snr).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "degrees, N",
+    [
+        ([(0,), (1,), (3,)], (2**20,)),
+        ([(0,), (5,), (9,)], (4096,)),
+        ([(0, 0), (1, 0), (0, 1), (2, 1)], (40, 33)),
+    ],
+    ids=["{0,1,3} at 2^20", "{0,5,9} at 4096", "2-D {0,(1,0),(0,1),(2,1)}"],
+)
+def test_projection_is_the_correctly_rounded_exact_solve(degrees, N):
+    # P = J_MM^-1 J_MR, whose SNR scale cancels, from the closure's integer
+    # Gram inverted exactly (the adjugate oracle), each entry rounded once.
+    M = build_total_order(degrees)
+    closure = downward_closure(M)
+    C = closure.degrees
+    gram = [[math.prod(map(_gram_axis, N, m, k)) for k in C] for m in C]
+    rows = [closure.position(m) for m in M.degrees]
+    rest = [i for i in range(len(closure)) if i not in rows]
+    inverse = exact_inverse([[gram[i][j] for j in rows] for i in rows])
+    want = [[float(sum(v * gram[i][r] for v, i in zip(row, rows))) for r in rest]
+            for row in inverse]
+    got_rows, got_rest, P = _projection(M, closure, N)
+    assert (list(got_rows), list(got_rest)) == (rows, rest)
+    assert P.tolist() == want
+    assert not P.flags.writeable
+
+
+def test_non_closed_sweep_builds_the_projection_once(monkeypatch):
+    # P depends on the set and the window alone, so a sweep of 2 SNR points
+    # in chunks of 8 trials solves the Gram once, for all 6 chunks.
+    M = build_total_order([(0,), (2,)])
+    cfg = ExperimentConfig(
+        degree_set=M, window=(1024,), snr_db_grid=(0.0, 10.0), trials=20,
+        parameter_mode="zero", estimator_config=EstimatorConfig(M), master_seed=3,
+    )
+    _projection.cache_clear()
+    chunks, solves = [], []
+    solve = analysis_module._exact_inverse
+    monkeypatch.setattr(analysis_module, "_exact_inverse", lambda *a: solves.append(a) or solve(*a))
+    project = lambda *a: chunks.append(a) or _projection(*a)
+    monkeypatch.setattr(estimator_module, "_projection", project)
+    run_sweep(cfg)
+    assert (len(chunks), len(solves)) == (6, 1)
 
 
 def test_crb_inverse_contract():

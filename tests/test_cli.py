@@ -15,6 +15,7 @@ from ppsg.harness import ExperimentConfig, run_sweep
 from ppsg.signal import Signal, synthesize, write_signal
 
 import cli_digest
+from oracles import run_python
 
 M01 = build_total_order([(0,), (1,)])
 
@@ -574,3 +575,38 @@ def test_cli_digest_compare_reads_number_differences(tmp_path):
         "y.json": "text differs",
         "z.json": f"missing from {b}",
     }
+
+
+def test_no_route_loads_scipy(tmp_path):
+    # The package needs numpy alone: a cold scipy.linalg import took 100
+    # times longer than the first non-closed estimate in a fresh process.
+    code = f"""
+import sys
+import numpy as np
+import ppsg
+from ppsg.cli import main
+
+M, M02 = ppsg.build_total_order([(0,), (1,), (2,)]), ppsg.build_total_order([(0,), (2,)])
+b = ppsg.CoefficientVector(np.array([0.1, -0.2, 0.3]), ppsg.BINOMIAL, M)
+y = ppsg.synthesize(b, (1000,))
+assert np.allclose(ppsg.estimate(y, ppsg.EstimatorConfig(M)).binomial.values, b.values)
+ppsg.estimate(y, ppsg.EstimatorConfig(M, lags=((1,), (2,), (4,))))
+ppsg.estimate(y, ppsg.EstimatorConfig(M02))
+ppsg.estimate_coefficients_direct(y, ppsg.EstimatorConfig(M))
+ppsg.crb(M, (1000,), 10.0)
+ppsg.weight_multi((2,), (1,), (64,))
+ppsg.run_sweep(ppsg.ExperimentConfig(
+    degree_set=M02, window=(64,), snr_db_grid=(0.0, 10.0), trials=20, parameter_mode="zero",
+    estimator_config=ppsg.EstimatorConfig(M02), master_seed=1,
+), workers=1)
+with open({str(tmp_path / "y.ppsg")!r}, "wb") as fh:
+    ppsg.write_signal(y, fh)
+out = {str(tmp_path / "out")!r}
+assert main(["estimate", "--input", fh.name, "--degrees", "[[0],[2]]", "--out", out]) == 0
+assert main(["crb", "--degrees", "[[0],[1]]", "--window", "[64]", "--snr-db-range", "0:10:5",
+             "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
