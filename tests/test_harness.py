@@ -22,7 +22,7 @@ from ppsg.harness import (
 )
 from ppsg.signal import Signal, add_noise, complex_noise
 
-from oracles import principal_arg, reference_sweep, reference_trial, tr_kj
+from oracles import principal_arg, reference_sweep, reference_trial, run_python, tr_kj
 
 
 def empirical_covariance(
@@ -412,3 +412,30 @@ def test_run_trial_matches_reference_at_word_boundaries(trial_index):
     assert one.estimate.binomial.values.tobytes() == ref.estimate.binomial.values.tobytes()
     assert one.estimate.diagnostics == ref.estimate.diagnostics
     assert one.coefficients.values.tobytes() == ref.coefficients.values.tobytes()
+
+
+def test_import_and_plain_sweep_load_no_scipy():
+    # The package imports no scipy anywhere; neither the import nor a plain
+    # sweep may load it.
+    code = """
+import sys
+import ppsg
+
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(loaded())
+M = ppsg.build_total_order([(0,), (1,)])
+cfg = ppsg.ExperimentConfig(
+    degree_set=M,
+    window=(64,),
+    snr_db_grid=(0.0, 5.0, 10.0),
+    trials=100,
+    parameter_mode="zero",
+    estimator_config=ppsg.EstimatorConfig(M),
+    master_seed=1,
+)
+ppsg.run_sweep(cfg, workers=1)
+print(loaded())
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -14,6 +14,7 @@ from ppsg.weights import _build_axis, _weight_axis, weight_axes, weight_multi, w
 from oracles import (
     covariance_axis,
     covariance_matrix,
+    run_python,
     traced_peak,
     weight_1d,
     weight_axis_float_floor,
@@ -247,3 +248,17 @@ def test_degree_zero_axis_is_shared_by_every_lag(monkeypatch, degrees, N, lags):
             lagged = estimate_batch(data, cfg)
         assert shared[0].tobytes() == lagged[0].tobytes()
         assert all(d.tobytes() == lagged[1][key].tobytes() for key, d in shared[1].items())
+
+
+def test_estimate_imports_no_scipy():
+    result = run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import ppsg\n"
+        "M = ppsg.build_total_order([(0,), (1,), (2,)])\n"
+        "b = ppsg.CoefficientVector(np.array([0.1, -0.2, 0.3]), ppsg.BINOMIAL, M)\n"
+        "est = ppsg.estimate(ppsg.synthesize(b, (1000,)), ppsg.EstimatorConfig(M))\n"
+        "assert np.allclose(est.binomial.values, b.values)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    assert result.returncode == 0, result.stderr
