@@ -45,7 +45,6 @@ from .estimator import (
     estimate_coefficients_direct,
 )
 from .analysis import (
-    FisherMatrix,
     crb,
     fisher_matrix,
     outlier_predicate,

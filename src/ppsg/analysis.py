@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -21,22 +20,6 @@ import numpy as np
 
 from .degrees import DegreeSet, as_index, diff_window
 from .signal import RealField, _is_snr
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    """Fisher information for binomial-basis coefficients at a linear SNR."""
-
-    matrix: np.ndarray
-    degree_set: DegreeSet
-    snr: float
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        n = len(self.degree_set)
-        if matrix.shape != (n, n):
-            raise ValueError(f"expected {n}x{n} matrix, got {matrix.shape}")
-        object.__setattr__(self, "matrix", matrix)
 
 
 def _gram_axis(n_count: int, a: int, b: int) -> int:
@@ -65,13 +48,13 @@ def _gram(M: DegreeSet, N: tuple[int, ...]) -> list[list[int]]:
     return [[math.prod(map(_gram_axis, N, m, k)) for k in M.degrees] for m in M.degrees]
 
 
-def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> FisherMatrix:
-    """Entries 8 pi^2 snr sum_n C(n, m) C(n, m'), each :func:`_gram` sum
-    rounded to float once, after the :func:`_check`."""
+def fisher_matrix(M: DegreeSet, N: Sequence[int], snr: float) -> np.ndarray:
+    """The Fisher information, an (|M|, |M|) array of 8 pi^2 snr sum_n
+    C(n, m) C(n, m'), each :func:`_gram` sum rounded once, after the :func:`_check`."""
     N = as_index(N)
     _check(M, N, snr)
     gram = [[float(g) for g in row] for row in _gram(M, N)]
-    return FisherMatrix(8 * np.pi**2 * snr * np.array(gram), M, float(snr))
+    return 8 * np.pi**2 * snr * np.array(gram)
 
 
 def crb(M: DegreeSet, N: Sequence[int], snr: float) -> np.ndarray:

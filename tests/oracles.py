@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ppsg.analysis import FisherMatrix, fisher_matrix, outlier_predicate
+from ppsg.analysis import fisher_matrix, outlier_predicate
 from ppsg.basis import (
     _TURN,
     BINOMIAL,
@@ -370,23 +370,23 @@ def decomposition(M: DegreeSet, N: Sequence[int]) -> DecompositionPair:
             S[i, j] = float(entry)
     Q = np.vstack([orthogonal_poly_field(k, N).ravel() for k in M.degrees])
     pair = DecompositionPair(S, Q, M)
-    J = fisher_matrix(M, N, 1.0).matrix
+    J = fisher_matrix(M, N, 1.0)
     recon = 8 * np.pi**2 * (S.T @ np.linalg.solve(Q @ Q.T, S))
     if not np.linalg.norm(recon - J) <= 1e-8 * np.linalg.norm(J):
         raise RuntimeError("Fisher decomposition identity violated")
     return pair
 
 
-def tr_kj(K: np.ndarray, J: FisherMatrix) -> float:
+def tr_kj(K: np.ndarray, J: np.ndarray) -> float:
     """Trace of K J: the scalar efficiency measure.
 
     Equals |M| exactly when K attains the CRB; equals 2 SNR times the
     high-SNR reconstruction MSE for an unbiased estimator with covariance K.
     """
     K = np.asarray(K, dtype=float)
-    if K.shape != J.matrix.shape:
-        raise ValueError(f"shape mismatch: {K.shape} vs {J.matrix.shape}")
-    return float(np.trace(K @ J.matrix))
+    if K.shape != J.shape:
+        raise ValueError(f"shape mismatch: {K.shape} vs {J.shape}")
+    return float(np.trace(K @ J))
 
 
 def naive_penalty(M_degree: int) -> float:

@@ -253,7 +253,7 @@ def test_criterion_4_naive_penalty():
         assert abs(errs_proposed.mean() - bound) <= 0.25 * bound
 
         # analytic check, no Monte Carlo: the asymptotic penalty factor
-        J = fisher_matrix(downward_closure(M3), (1024,), 1.0).matrix
+        J = fisher_matrix(downward_closure(M3), (1024,), 1.0)
         Jinv = np.linalg.inv(J)
         pos = downward_closure(M3).position((3,))
         analytic = Jinv[pos, pos] * J[pos, pos]

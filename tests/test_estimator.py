@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -612,8 +613,8 @@ def test_cancellation_turns_match_a_fraction_oracle():
 
 @pytest.mark.parametrize("N", [(64,), (2**14,), (40, 36)], ids=str)
 def test_circular_anchor_rotates_exactly_with_the_field(N):
-    # Rotating a field by c turns moves its anchor by exactly c, with and
-    # without a lag shift, so the contraction about the anchor is unchanged
+    # Rotating a field by c turns moves its anchor by exactly c, under a zero
+    # and a drawn lag shift, so the contraction about the anchor is unchanged
     # bit for bit.  The fields spread over 0.45 cycle, so float32 trig of
     # their absolute phases would move some anchors by c plus rounding.
     rng = np.random.default_rng(sum(N) + 5)
@@ -626,12 +627,12 @@ def test_circular_anchor_rotates_exactly_with_the_field(N):
         turns = centre + spread.astype(np.int64)
         c = rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)
         rotated = turns + c.reshape(lead)
-        for shift in (None, rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)):
+        lag_shift = rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)
+        for shift in (np.zeros(B, np.int64), lag_shift):
             anchor = estimator_module._anchor(turns, m, tau, shift)
             moved = estimator_module._anchor(rotated, m, tau, shift)
             assert np.array_equal(moved - anchor, c)
-            base = anchor if shift is None else shift + anchor
-            kept = moved if shift is None else shift + moved
+            base, kept = shift + anchor, shift + moved
             linear = AveragingKind.LINEAR
             before = estimator_module._mean_phase(linear, turns, m, tau, base, w)
             after = estimator_module._mean_phase(linear, rotated, m, tau, kept, w)
@@ -920,8 +921,8 @@ def _stage_degrees(dim):
 def test_blocked_stage_is_whole_field_stage(kind, N):
     # A stage gathers the anchor's samples from the turns, then differences
     # each block once with the m[0] * tau[0] rows after it and contracts it,
-    # and every sum is formed as the whole field forms it: bit for bit, with
-    # and without a lag shift, for a batch and for each of its rows alone.
+    # and every sum is formed as the whole field forms it: bit for bit, under
+    # a zero and a drawn lag shift, for a batch and for each of its rows alone.
     # Rows of (3, 40000) exceed a block, and degree (2, 0) leaves one row.
     # The stage reads the cached weight prefixes, the oracle whole axes.
     rng = np.random.default_rng(sum(N))
@@ -933,12 +934,12 @@ def test_blocked_stage_is_whole_field_stage(kind, N):
             if any(Nd - t * md < 1 for Nd, md in zip(N, m)):
                 continue
             w = weight_prefixes(m, tau, N)
-            for shift in (None, lag_shift):
+            for shift in (np.zeros(2, np.int64), lag_shift):
                 got = estimator_module._mean_phase(kind, turns, m, tau, shift, w)
                 want = whole_field_stage(kind, turns, m, tau, shift, weight_axes(m, tau, N))
                 assert got.tobytes() == want.tobytes(), (m, tau)
                 for r in range(len(turns)):
-                    one = None if shift is None else shift[r : r + 1]
+                    one = shift[r : r + 1]
                     lone = estimator_module._mean_phase(kind, turns[r : r + 1], m, tau, one, w)
                     assert lone.tobytes() == got[r : r + 1].tobytes(), (m, tau, r)
 
@@ -1224,16 +1225,42 @@ def test_estimate_bytes_do_not_depend_on_cpu_affinity():
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_benchmark_hooks_exist():
-    # The benchmark tracer rebinds these module attributes and only records a
-    # missing one, so a renamed attribute would silently zero its metric.
+def _benchmark_hooks():
+    """The (module, attribute, span) triples that ``benchmarks/spans.py``
+    rebinds, read from that file."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
     spec = importlib.util.spec_from_file_location("ppsg_bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    assert spans.HOOKS
-    for module, attr, _ in spans.HOOKS:
+    return spans.HOOKS
+
+
+def test_benchmark_hooks_exist():
+    # The benchmark tracer rebinds these module attributes and only records a
+    # missing one, so a renamed attribute would silently zero its metric.
+    hooks = _benchmark_hooks()
+    assert hooks
+    for module, attr, _ in hooks:
         assert hasattr(importlib.import_module(f"ppsg.{module}"), attr), (module, attr)
+
+
+def test_every_unused_import_is_a_benchmark_hook():
+    # The reverse check: an import the package keeps under ``# noqa: F401``
+    # must be one the tracer rebinds in that module, so dropping a hook names
+    # exactly the imports to delete with it.
+    hooks = {(module, attr) for module, attr, _ in _benchmark_hooks()}
+    marked, kept = 0, set()
+    for path in Path(estimator_module.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        lines = source.splitlines()
+        marked += sum("# noqa: F401" in line for line in lines)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if "# noqa: F401" in lines[alias.lineno - 1]:
+                        kept.add((path.stem, alias.asname or alias.name))
+    assert len(kept) == marked  # every marked line is one imported name
+    assert kept - hooks == set()
 
 
 def test_benchmark_selftest():
