@@ -259,7 +259,8 @@ def _mean_phase(
     (the halo), then shifted by a wrapping int64 subtraction that converts
     into a float buffer reused across blocks, and contracted while in
     cache.  The weights of the axes after the first are expanded once per
-    call; those of the first are expanded block by block in 1-D, into one
+    call; those of the first are read block by block in 1-D, as a slice of
+    the prefix where the block lies in it and else expanded into one
     reused buffer, and whole otherwise.
 
     ``einsum``, not BLAS, whose threads reorder sums, contracts ``w`` one

@@ -51,7 +51,7 @@ from ppsg.signal import (
     phase_diff_multi,
     synthesize,
 )
-from ppsg.weights import WeightField, _build_axis, weight_axes
+from ppsg.weights import WeightField, _weight_axis, weight_axes, weight_rows
 
 
 def principal_arg(z: np.ndarray | complex) -> np.ndarray | float:
@@ -195,14 +195,39 @@ def finite_difference(x: RealField, k: Sequence[int]) -> RealField:
 
 
 def weight_1d(k: int, tau: int, N: int) -> np.ndarray:
-    """Closed-form weights over [N - tau*k], normalized to sum 1.
+    """Closed-form weights over [N - tau*k], normalized to sum 1: the
+    cached prefix, checked and expanded to the whole axis.
 
     u(n) is proportional to C(floor(n/tau) + k, k) * C(ceil((N-n)/tau) - 1, k);
     with tau = 1 this is the classic C(n+k, k) C(N-n-1, k) profile.
     """
     k, tau, N = as_index((k, tau, N))
     diff_window((N,), (k,), tau)
-    return _build_axis(k, tau, N)
+    return weight_rows(_weight_axis(k, tau, N), N - tau * k)
+
+
+def build_axis(k: int, tau: int, N: int) -> np.ndarray:
+    """The whole-axis build of the closed-form weights, kept as the bitwise
+    reference for the cached prefix: every step runs over the whole window.
+
+    ``lo`` and ``hi`` are floored in int64, exactly for any window, and
+    converted to float once; each step forms ``lo * hi`` in one reused
+    buffer before it multiplies the product, then counts both down by one.
+    """
+    size = N - tau * k
+    w = np.ones(size)
+    if k:
+        lo = (np.arange(size) // tau + k).astype(float)  # floor(n/tau) + k
+        hi = (np.arange(N - 1, N - 1 - size, -1) // tau).astype(float)  # ceil((N-n)/tau) - 1
+        step = np.empty(size)
+    for i in range(k):
+        w *= np.multiply(lo, hi, out=step)
+        w /= (i + 1) ** 2
+        np.ldexp(w, -np.frexp(w.max())[1], out=w)
+        lo -= 1
+        hi -= 1
+    w /= w.sum()
+    return w
 
 
 def weight_fraction(k: int, tau: int, N: int, points: Sequence[int]) -> list[Fraction]:

@@ -27,7 +27,7 @@ from ppsg.basis import (
     phase_field,
     wrap_to_cell,
 )
-from ppsg.degrees import DegreeSet, build_total_order
+from ppsg.degrees import DegreeSet, build_total_order, downward_closure
 from ppsg.estimator import (
     AveragingKind,
     Estimate,
@@ -41,8 +41,10 @@ from ppsg.signal import RealField, Signal, _difference, add_noise, synthesize
 from ppsg.weights import WeightField, weight_axes, weight_multi, weight_prefixes
 
 from oracles import (
+    exact_inverse,
     exact_signal,
     exact_term_turns,
+    integer_gram,
     parameter_invariance_witness,
     principal_arg,
     reference_sequential,
@@ -432,6 +434,34 @@ def test_non_closed_mse_stays_at_the_constrained_crb():
     values, _ = estimate_batch(noisy, EstimatorConfig(M013))
     mse = np.mean(wrap_to_cell(values - truth) ** 2, axis=0)
     assert np.all(mse / np.diag(crb(M013, N, snr)) <= 3.0)
+
+
+@pytest.mark.xfail(strict=True, reason="r_M + P r_R in float64 keeps no fraction of a cycle")
+def test_non_closed_projection_keeps_the_fraction_of_a_cycle():
+    # For {0, 5, 9} at 4096 samples P = J_MM^-1 J_MR reaches 3.4e21, so the
+    # float64 projection of the closure's estimates is an integer number of
+    # cycles plus rounding, where the exact P applied to the same estimates,
+    # in Fractions and wrapped to the cell, keeps their fractional turns.
+    # Over these draws degree 0 reads up to 0.26 cycle off, degree 5 3e-9.
+    M = build_total_order([(0,), (5,), (9,)])
+    N, closure = (4096,), downward_closure(M)
+    gram = integer_gram(closure, N)
+    rows = [closure.position(m) for m in M.degrees]
+    rest = [i for i in range(len(closure)) if i not in rows]
+    inverse = exact_inverse([[gram[i][j] for j in rows] for i in rows])
+    P = [[sum(v * gram[i][r] for v, i in zip(row, rows)) for r in rest] for row in inverse]
+    rng = np.random.default_rng(34)
+    truth = rng.uniform(-0.5, 0.5, (8, len(M)))
+    clean = np.stack([exact_signal(b, M, N) for b in truth])
+    noise = rng.standard_normal((2,) + clean.shape)
+    noisy = clean + np.sqrt(0.5 / 1000.0) * (noise[0] + 1j * noise[1])
+    r, _ = estimator_module._sequential(noisy, EstimatorConfig(closure))
+    got, _ = estimate_batch(noisy, EstimatorConfig(M))
+    for rt, gt in zip(r, got):
+        x = [Fraction(rt[i]) + sum(p * Fraction(rt[j]) for p, j in zip(row, rest))
+             for i, row in zip(rows, P)]
+        want = [float(v - math.floor(v + Fraction(1, 2))) for v in x]
+        assert np.abs(wrap_to_cell(gt - np.array(want))).max() <= 1e-6
 
 
 # -- Multi-lag estimator ---------------------------------------------------------

@@ -9,9 +9,10 @@ from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.degrees import build_total_order
 from ppsg.estimator import AveragingKind, EstimatorConfig, estimate_batch
 from ppsg.signal import add_noise, synthesize
-from ppsg.weights import _build_axis, _weight_axis, weight_axes, weight_multi, weight_rows
+from ppsg.weights import _weight_axis, weight_axes, weight_multi, weight_rows
 
 from oracles import (
+    build_axis,
     covariance_axis,
     covariance_matrix,
     run_python,
@@ -139,24 +140,30 @@ def test_weight_matches_exact_integer_products_bitwise():
 
 @pytest.mark.parametrize("k", range(6))
 def test_weight_matches_float_floor_build_bitwise(k):
-    # The int64 floors and the reused step buffer give the bytes of the
-    # earlier build, which floored float64 arrays, up to 2^20 samples.
+    # The cached prefix, built over the half it keeps and expanded, and the
+    # whole-axis build with int64 floors give the bytes of the earlier
+    # build, which floored float64 arrays, up to 2^20 samples.
     windows = [1, 2, 3, 4, 5, 7, 8, 31, 64, 100, 511, 512, 513, 1000, 4096]
     windows += [2**16 - 1, 2**16, 2**16 + 1, 2**20 - 3, 2**20]
     for tau in [1, 2, 3, 4, 5, 16, 256]:
         for N in windows:
             if N > tau * k:
                 want = weight_axis_float_floor(k, tau, N).tobytes()
-                assert _build_axis(k, tau, N).tobytes() == want, (tau, N)
+                assert build_axis(k, tau, N).tobytes() == want, (tau, N)
+                assert weight_1d(k, tau, N).tobytes() == want, (tau, N)
 
 
+@pytest.mark.parametrize("tau", [1, 16])
 @pytest.mark.parametrize("k", range(3))
-def test_weight_axis_holds_at_most_four_window_sized_arrays(k):
-    # One array, the weights, at k = 0; the weights, lo, hi and the step
-    # buffer otherwise.
+def test_cold_weight_axis_holds_at_most_two_and_a_half_window_sized_arrays(k, tau):
+    # A cold prefix holds the prefix, lo, hi and the step, half an axis
+    # each, then the prefix and the mirrored axis that normalizes it: two
+    # window-sized arrays, and 2.5 leave room for a temporary of half an
+    # axis.  At k = 0 it is one sample and no pass.
     N = 2**20
-    peak = traced_peak(_build_axis, k, 1, N)
-    assert peak <= (1 if k == 0 else 4) * 8 * N + 2**16, peak
+    _weight_axis.cache_clear()
+    peak = traced_peak(_weight_axis, k, tau, N)
+    assert peak <= (0 if k == 0 else 2.5 * 8 * N) + 2**16, peak
 
 
 @pytest.mark.parametrize("N", [65, 512, 2**12, 2**16, 2**20])
@@ -192,10 +199,11 @@ def test_weight_rows_expand_the_cached_prefix_bitwise(k, tau):
     # The cache keeps one sample at k = 0 and the first ceil(L/2) otherwise;
     # any rows expanded from it, into a new array or a reused buffer, are
     # the full build's rows bit for bit, on both sides of the middle and
-    # across it, for odd and even L.
+    # across it, for odd and even L.  Rows inside the prefix are a slice of
+    # it, not a copy.
     windows = [2**20 + tau % 2] if k == 40 else [tau * k + 9, tau * k + 10, 2**20 + k % 2]
     for N in windows:
-        full, prefix = _build_axis(k, tau, N), _weight_axis(k, tau, N)
+        full, prefix = build_axis(k, tau, N), _weight_axis(k, tau, N)
         L, h = len(full), (len(full) + 1) // 2
         assert len(prefix) == (1 if k == 0 else h) and not prefix.flags.writeable
         spans = [(0, L), (0, 1), (L - 1, L), (h - 1, h), (h - 1, h + 1), (h - 2, L - 1), (1, h)]
@@ -206,6 +214,7 @@ def test_weight_rows_expand_the_cached_prefix_bitwise(k, tau):
             assert weight_rows(prefix, L, a, b).tobytes() == want, (N, a, b)
             got = weight_rows(prefix, L, a, b, out)
             assert got.flags.c_contiguous and got.tobytes() == want, (N, a, b)
+            assert np.shares_memory(got, prefix) == (a < b <= len(prefix)), (N, a, b)
         assert weight_rows(prefix, L).tobytes() == full.tobytes()
 
 
@@ -228,9 +237,10 @@ def test_degree_zero_axis_is_shared_by_every_lag(monkeypatch, degrees, N, lags):
     # a lag schedule caches one degree-0 axis per window length, not one per
     # lag, and estimates equal those read with each lag's own axes.
     for Nd in N:
-        unit = _build_axis(0, 1, Nd).tobytes()
-        for tau in (2, 3, 16, 256):
-            assert _build_axis(0, tau, Nd).tobytes() == unit
+        unit = build_axis(0, 1, Nd).tobytes()
+        for tau in (1, 2, 3, 16, 256):
+            assert build_axis(0, tau, Nd).tobytes() == unit
+            assert weight_rows(_weight_axis(0, tau, Nd), Nd).tobytes() == unit
     _weight_axis.cache_clear()
     for tau in lags:
         weight_axes((0,) * len(N), tau, N)
@@ -243,7 +253,7 @@ def test_degree_zero_axis_is_shared_by_every_lag(monkeypatch, degrees, N, lags):
         cfg = EstimatorConfig(M, kind, lags=lags)
         shared = estimate_batch(data, cfg)
         with monkeypatch.context() as patch:
-            own = lambda k, tau, N: [_build_axis(*args) for args in zip(k, tau, N)]
+            own = lambda k, tau, N: [build_axis(*args) for args in zip(k, tau, N)]
             patch.setattr(estimator_module, "weight_prefixes", own)
             lagged = estimate_batch(data, cfg)
         assert shared[0].tobytes() == lagged[0].tobytes()
