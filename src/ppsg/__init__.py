@@ -19,7 +19,6 @@ from .degrees import (
 from .basis import (
     BINOMIAL,
     MONOMIAL,
-    ChangeOfBasis,
     CoefficientVector,
     binomial_to_monomial_matrix,
     compute_lattice_point,

@@ -62,25 +62,6 @@ class CoefficientVector:
         return cls(np.asarray(data["values"], dtype=float), data["basis"], degree_set)
 
 
-@dataclass(frozen=True)
-class ChangeOfBasis:
-    """Upper-unitriangular matrix mapping binomial to monomial coordinates."""
-
-    matrix: np.ndarray
-    degree_set: DegreeSet
-
-    def __post_init__(self) -> None:
-        n = len(self.degree_set)
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (n, n):
-            raise ValueError(f"expected {n}x{n} matrix, got {matrix.shape}")
-        object.__setattr__(self, "matrix", matrix)
-        if not np.allclose(np.diag(matrix), 1.0):
-            raise ValueError("matrix is not unitriangular (diagonal != 1)")
-        if np.any(np.tril(matrix, k=-1) != 0.0):
-            raise ValueError("matrix has nonzeros below the diagonal")
-
-
 # -- Gridded evaluation -------------------------------------------------------
 #
 # Fields are combined from per-dimension axes by broadcasting.  Every phase
@@ -95,12 +76,8 @@ _TURN = 2.0**-64
 _BLOCK_SAMPLES = 1 << 15
 
 
-def _block_rows(N: tuple[int, ...], piece: int) -> int:
-    """Slices of the first axis of window N per block.  In 1-D it is a
-    multiple of ``piece``, so the estimator's blocks cut a weighted sum only
-    where :func:`~ppsg.estimator._piece_sums` cuts it."""
-    if len(N) == 1:
-        return max(1, _BLOCK_SAMPLES // piece) * piece
+def _block_rows(N: tuple[int, ...]) -> int:
+    """Slices of the first axis of window N per block."""
     return max(1, _BLOCK_SAMPLES // math.prod(N[1:]))
 
 
@@ -175,22 +152,16 @@ def tensor_field(axes: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _spans(m: MultiIndex, N: MultiIndex, a: int, b: int | None) -> list[tuple[int, int]]:
-    """Per axis, the samples [lo, hi) that a term takes: the rows [a, b) of
-    the first (all by default), all of the others, and [0, 1) where m_d = 0,
-    along which the basis function at m is constant."""
-    rows = [(a, N[0] if b is None else b)] + [(0, Nd) for Nd in N[1:]]
-    return [span if md else (0, 1) for span, md in zip(rows, m)]
-
-
 def _float_rows(
     m: MultiIndex, N: MultiIndex, basis: str = BINOMIAL, a: int = 0, b: int | None = None
 ) -> np.ndarray:
-    """The basis function at m in float64 over the :func:`_spans` of the
-    rows [a, b); each value is formed from its own index alone, so these are
-    the whole field's rows."""
+    """The basis function at m in float64 over the rows [a, b) of the first
+    axis (all by default) and all of the others, of length 1 along each axis
+    where m_d = 0, since it is constant there; each value is formed from its
+    own index alone, so these are the whole field's rows."""
     axis = _binomial_axis if basis == BINOMIAL else _monomial_axis
-    out = tensor_field([axis(lo, hi, md) for (lo, hi), md in zip(_spans(m, N, a, b), m)])
+    spans = [(a, N[0] if b is None else b)] + [(0, Nd) for Nd in N[1:]]
+    out = tensor_field([axis(*span, md) if md else axis(0, 1, 0) for span, md in zip(spans, m)])
     out.setflags(write=False)
     return out
 
@@ -282,7 +253,7 @@ def apply_term(
     divisor = 1 if basis == BINOMIAL else math.prod(map(math.factorial, m))
     axis = _pascal_axis if basis == BINOMIAL else _power_axis
     k, r = _split((c / divisor).reshape((-1,) + (1,) * len(N)))
-    rows = _block_rows(N, np.getbufsize())
+    rows = _block_rows(N)
     rest = [axis(Nd, md) if md else axis(1, 0) for Nd, md in zip(N[1:], m[1:])]
     count = min(rows, N[0])
     factors = [tensor_field([axis(count if i else 1, i)] + rest) for i in range(m[0] + 1)]
@@ -349,8 +320,9 @@ def _falling_factorial_coords(m: int) -> tuple[Fraction, ...]:
     )
 
 
-def binomial_to_monomial_matrix(M: DegreeSet) -> ChangeOfBasis:
-    """Matrix T with a = T b mapping binomial to monomial coordinates.
+def binomial_to_monomial_matrix(M: DegreeSet) -> np.ndarray:
+    """Matrix T with a = T b mapping binomial to monomial coordinates, a
+    read-only float64 (|M|, |M|) array, upper unitriangular.
 
     Entry (l, m) is the coordinate of C(n, m) on n^l / l!, a product of
     per-dimension falling-factorial expansions.  Exact rational arithmetic
@@ -369,7 +341,8 @@ def binomial_to_monomial_matrix(M: DegreeSet) -> ChangeOfBasis:
                 for d, (ld, md) in enumerate(zip(ell, m)):
                     entry *= coords[d][ld]
                 matrix[i, j] = float(entry)
-    return ChangeOfBasis(matrix, M)
+    matrix.setflags(write=False)
+    return matrix
 
 
 # -- Lattice disambiguation -----------------------------------------------------
@@ -392,25 +365,28 @@ def wrap_to_cell(v: np.ndarray | float) -> np.ndarray:
     return np.where(out < -0.5, out + 1.0, out)
 
 
-def compute_lattice_point(a: np.ndarray, T: ChangeOfBasis) -> np.ndarray:
-    """Integer z with a - T z in the cell [-1/2, 1/2)^|M|.
+def compute_lattice_point(a: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Integer z with a - T z in the cell [-1/2, 1/2)^|M|, for T square,
+    upper unitriangular and of a's size; any other T raises ``ValueError``.
 
     Back-substitution in descending total order: because T is upper
     unitriangular, each entry is fixed by rounding once all later entries
     are known.
     """
-    a = np.asarray(a, dtype=float)
-    mat = T.matrix
-    size = len(a)
-    if mat.shape != (size, size):
-        raise ValueError("coordinate/matrix size mismatch")
-    z = np.zeros(size)
-    for i in range(size - 1, -1, -1):
-        z[i] = round_half_up(a[i] - mat[i, i + 1 :] @ z[i + 1 :])
+    a, T = np.asarray(a, dtype=float), np.asarray(T, dtype=float)
+    if T.shape != (len(a), len(a)):
+        raise ValueError(f"expected a {len(a)}x{len(a)} matrix, got shape {T.shape}")
+    if not np.allclose(np.diag(T), 1.0):
+        raise ValueError("matrix is not unitriangular (diagonal != 1)")
+    if np.any(np.tril(T, k=-1) != 0.0):
+        raise ValueError("matrix has nonzeros below the diagonal")
+    z = np.zeros(len(a))
+    for i in reversed(range(len(a))):
+        z[i] = round_half_up(a[i] - T[i, i + 1 :] @ z[i + 1 :])
     return z
 
 
-def compute_new_coordinate(b: CoefficientVector, T: ChangeOfBasis) -> CoefficientVector:
+def compute_new_coordinate(b: CoefficientVector, T: np.ndarray) -> CoefficientVector:
     """Monomial coordinates in the cell, reconstruction-equivalent to b.
 
     Computes a = T(b - z) with z the lattice point of T b, so that
@@ -418,6 +394,6 @@ def compute_new_coordinate(b: CoefficientVector, T: ChangeOfBasis) -> Coefficien
     """
     if b.basis != BINOMIAL:
         raise ValueError(f"expected binomial basis, got {b.basis!r}")
-    z = compute_lattice_point(T.matrix @ b.values, T)
-    a = T.matrix @ (b.values - z)
+    z = compute_lattice_point(T @ b.values, T)
+    a = T @ (b.values - z)
     return CoefficientVector(a, MONOMIAL, b.degree_set)

@@ -96,15 +96,14 @@ def average(kind: AveragingKind, s: Signal, u: WeightField) -> complex:
     """Weighted average of a near-constant field, projected to the unit circle.
 
     LINEAR averages the arguments against the branch cut at -pi; CIRCULAR
-    recenters them around the circular mean before averaging, which moves
-    the branch cut away from the data.
+    recenters them around the circular mean first, moving the branch cut
+    away from the data.  A non-finite sample raises ``ValueError``.
     """
     if not isinstance(kind, AveragingKind):
         raise ValueError(f"kind must be an AveragingKind, got {kind!r}")
     if s.window != u.window:
         raise ValueError(f"window mismatch: {s.window} vs {u.window}")
-    flat = s.data.reshape(1, -1)
-    turns = _phase_turns(flat.real, flat.imag).astype(np.int64)
+    turns = _entry_turns(s.data.reshape(1, -1))
     mean = _mean_phase(kind, turns, (0,), (1,), np.zeros(1, np.int64), [u.data.ravel()])
     return complex(np.exp(1j * TWO_PI * mean[0]))
 
@@ -134,14 +133,15 @@ def _arg_turns(im: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _fold(x)
 
 
-def _entry_turns(data: np.ndarray, rows: int) -> np.ndarray:
+def _entry_turns(data: np.ndarray) -> np.ndarray:
     """The batch as int64 turns, written block by block into one array; a
-    non-finite sample raises before its block is converted.
+    non-finite sample raises ``ValueError`` before its block is converted.
 
     Each block's parts are copied into two contiguous buffers reused across
     blocks, the real part plus +0.0, so the finiteness check and
     ``arctan2`` read contiguous arrays."""
     turns = np.empty(data.shape, np.int64)
+    rows = _block_rows(data.shape[1:])
     size = len(data) * min(rows, data.shape[1]) * math.prod(data.shape[2:])
     dtype = np.result_type(data.real.dtype, 0.0)  # that of re + 0.0
     re_buf, im_buf = np.empty(size, dtype), np.empty(size, dtype)
@@ -214,10 +214,9 @@ def _anchor_samples(turns: np.ndarray, m: MultiIndex, tau: MultiIndex) -> np.nda
     return _difference(gathered, m, (1,) * D, np.subtract).reshape(len(turns), -1)
 
 
-def _anchor(turns: np.ndarray, m: MultiIndex, tau: MultiIndex, shift: np.ndarray) -> np.ndarray:
+def _anchor(turns: np.ndarray, m: MultiIndex, tau: MultiIndex) -> np.ndarray:
     """The CIRCULAR anchor of the (m, tau) differences of each field of a
-    batch of int64 turns, less ``shift`` (int64 per field), shape
-    (B, *N) -> (B,), in int64 turns.
+    batch of int64 turns, shape (B, *N) -> (B,), in int64 turns.
 
     It is the argument of the resultant of the :func:`_anchor_samples`,
     summed in float64 from float32 ``cos`` and ``sin``, taken relative to
@@ -226,7 +225,7 @@ def _anchor(turns: np.ndarray, m: MultiIndex, tau: MultiIndex, shift: np.ndarray
     wrapping integer differences, unchanged bit for bit when a field is
     rotated, so the anchor rotates with the field exactly.
     """
-    sub = _anchor_samples(turns, m, tau) - shift[:, None]
+    sub = _anchor_samples(turns, m, tau)
     first = sub[:, 0].copy()
     sub -= first[:, None]
     x = (sub * (TWO_PI * _TURN)).astype(np.float32)
@@ -248,15 +247,15 @@ def _mean_phase(
     ``w`` holds each axis's weights as a :func:`~ppsg.weights.weight_rows`
     prefix; a whole axis is its own prefix.
 
-    LINEAR reads the turns as they are, so its branch cut sits at -pi.
-    CIRCULAR adds to the shift, as an integer, a per-field :func:`_anchor`,
-    which rotates with the field exactly; the contraction is then unchanged
-    bit for bit by a rotation, and the mean moves with it up to the final
-    float64 rounding.
+    Each field is read less one int64 ``offset``: ``shift`` for LINEAR, so
+    its branch cut sits at -pi, and for CIRCULAR the field's :func:`_anchor`,
+    which rotates with the field exactly, so the shifted field's anchor is
+    ``offset - shift`` and the contraction is unchanged bit for bit by a
+    rotation; the mean moves with it up to the final float64 rounding.
 
     Each block of :func:`_block_rows` slices of the first axis is
     differenced once, from its slices plus the ``m[0] * tau[0]`` after them
-    (the halo), then shifted by a wrapping int64 subtraction that converts
+    (the halo), then offset by a wrapping int64 subtraction that converts
     into a float buffer reused across blocks, and contracted while in
     cache.  The weights of the axes after the first are expanded once per
     call; those of the first are read block by block in 1-D, as a slice of
@@ -270,16 +269,16 @@ def _mean_phase(
     axis after the first row by row, each row in one pass unless the axes
     before it hold one sample (:func:`_sum_rows`), and the first axis is
     summed in ``np.getbufsize()`` pieces added in order, which the 1-D
-    blocks never split.
+    blocks, rounded down to whole pieces, never split.
     """
     B, N = len(turns), turns.shape[1:]
     L = [Nd - td * md for Nd, td, md in zip(N, tau, m)]
     piece = np.getbufsize()  # einsum's buffer, which sets how it splits a sum
-    spans = _blocks(L[0], _block_rows(N, piece))
-    circular = kind is AveragingKind.CIRCULAR
-    anchor = _anchor(turns, m, tau, shift) if circular else np.zeros(B, np.int64)
-    shift = (shift + anchor).reshape((-1,) + (1,) * len(N))
     pieces = len(N) == 1  # a 1-D stage sums its own pieces
+    rows = max(1, _block_rows(N) // piece) * piece if pieces else _block_rows(N)
+    spans = _blocks(L[0], rows)
+    offset = _anchor(turns, m, tau) if kind is AveragingKind.CIRCULAR else shift
+    by_field = offset.reshape((B,) + (1,) * len(N))
     rest = [weight_rows(wd, Ld) for wd, Ld in zip(w[1:], L[1:])]
     first = np.empty(spans[0][1]) if pieces else weight_rows(w[0], L[0])
     buf = np.empty(B * spans[0][1] * math.prod(L[1:]))
@@ -287,14 +286,14 @@ def _mean_phase(
     for a, b in spans:
         d = _difference(turns[:, a : b + m[0] * tau[0]], m, tau, np.subtract)  # with the halo
         f = buf[: d.size].reshape(d.shape)
-        np.subtract(d, shift, out=f, dtype=np.int64, casting="unsafe")
+        np.subtract(d, by_field, out=f, dtype=np.int64, casting="unsafe")
         del d  # so the next block's differences do not meet it
         for k in range(len(N) - 1, 0, -1):
             f = _sum_rows(f, rest[k - 1], math.prod(L[:k]) > 1, piece)
         parts.append(_piece_sums(f, weight_rows(w[0], L[0], a, b, first), piece) if pieces else f)
     partials = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     total = _in_order(partials) if pieces else _sum_rows(partials, first, False, piece)
-    return wrap_to_cell((anchor + total) * _TURN)
+    return wrap_to_cell((offset - shift + total) * _TURN)
 
 
 @dataclass(frozen=True)
@@ -417,7 +416,7 @@ def _sequential(
     # The last lag is the largest in every dimension, so it bounds the window.
     diff_window(N, M.max_degree, cfg.lags[-1])
     weights = {(m, tau): weight_prefixes(m, tau, N) for m in M.degrees for tau in cfg.lags}
-    turns = _entry_turns(data, _block_rows(N, np.getbufsize()))
+    turns = _entry_turns(data)
     values = np.zeros((len(data), len(M)))
     diagnostics: Diagnostics = {}
     for i, m in enumerate(reversed(M.degrees)):
@@ -461,7 +460,7 @@ def estimate_coefficients_direct(y: Signal, cfg: EstimatorConfig) -> Estimate:
         raise ValueError("direct estimation needs a downward-closed degree set")
     values, diagnostics = _sequential(y.data[None], cfg, MONOMIAL)
     M = cfg.degree_set
-    T = binomial_to_monomial_matrix(M).matrix
+    T = binomial_to_monomial_matrix(M)
     b = values[0].copy()
     for i in reversed(range(len(M))):  # back substitution; T is unit upper triangular
         b[i] -= T[i, i + 1 :] @ b[i + 1 :]

@@ -11,7 +11,6 @@ from ppsg.basis import (
     _TURN,
     BINOMIAL,
     MONOMIAL,
-    ChangeOfBasis,
     CoefficientVector,
     _float_rows,
     _int64,
@@ -99,20 +98,20 @@ def test_eval_monomial_examples():
 
 def test_change_of_basis_identity_for_degree_one():
     T = binomial_to_monomial_matrix(M01)
-    assert np.array_equal(T.matrix, np.eye(2))
+    assert np.array_equal(T, np.eye(2))
 
 
 def test_change_of_basis_quadratic_column():
     T = binomial_to_monomial_matrix(M012)
-    assert T.matrix[1, 2] == pytest.approx(-0.5)
-    assert T.matrix[2, 2] == 1.0
-    assert T.matrix[0, 2] == 0.0
+    assert T[1, 2] == pytest.approx(-0.5)
+    assert T[2, 2] == 1.0
+    assert T[0, 2] == 0.0
 
 
 def test_change_of_basis_unit_diagonal_2d():
     T = binomial_to_monomial_matrix(M2D)
-    assert np.allclose(np.diag(T.matrix), 1.0)
-    assert np.allclose(np.tril(T.matrix, -1), 0.0)
+    assert np.allclose(np.diag(T), 1.0)
+    assert np.allclose(np.tril(T, -1), 0.0)
 
 
 def test_change_of_basis_requires_closure():
@@ -128,18 +127,16 @@ def test_change_of_basis_matches_evaluation():
             lhs = binomial_field(m, N)
             rhs = np.zeros(N)
             for i, ell in enumerate(M.degrees):
-                rhs += T.matrix[i, j] * monomial_field(ell, N)
+                rhs += T[i, j] * monomial_field(ell, N)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_lattice_point_scalar_rounding():
-    T = ChangeOfBasis(np.eye(1), build_total_order([(0,)]))
-    assert compute_lattice_point(np.array([0.7]), T) == pytest.approx([1.0])
+    assert compute_lattice_point(np.array([0.7]), np.eye(1)) == pytest.approx([1.0])
 
 
 def test_lattice_point_fig3_matrix():
-    T = ChangeOfBasis(FIG3_T, M01)
-    z = compute_lattice_point(np.array([1.0, 0.6]), T)
+    z = compute_lattice_point(np.array([1.0, 0.6]), FIG3_T)
     assert np.array_equal(z, [0.0, 1.0])
     residual = np.array([1.0, 0.6]) - FIG3_T @ z
     assert residual == pytest.approx([0.3, -0.4])
@@ -147,9 +144,8 @@ def test_lattice_point_fig3_matrix():
 
 
 def test_lattice_point_identity_inside_cell():
-    T = ChangeOfBasis(FIG3_T, M01)
     a = np.array([0.2, -0.31])
-    assert np.array_equal(compute_lattice_point(a, T), [0.0, 0.0])
+    assert np.array_equal(compute_lattice_point(a, FIG3_T), [0.0, 0.0])
 
 
 def test_lattice_point_residual_always_in_cell():
@@ -158,11 +154,50 @@ def test_lattice_point_residual_always_in_cell():
         size = rng.integers(1, 6)
         T = np.triu(rng.normal(scale=2.0, size=(size, size)), k=1) + np.eye(size)
         a = rng.normal(scale=5.0, size=size)
-        M = build_total_order([(i,) for i in range(size)])
-        z = compute_lattice_point(a, ChangeOfBasis(T, M))
+        z = compute_lattice_point(a, T)
         residual = a - T @ z
         assert np.all((residual >= -0.5) & (residual < 0.5))
         assert np.array_equal(z, np.round(z))
+
+
+@pytest.mark.parametrize(
+    "T,message",
+    [
+        (np.ones((2, 3)), r"expected a 2x2 matrix, got shape \(2, 3\)"),
+        (np.ones(2), r"expected a 2x2 matrix, got shape \(2,\)"),
+        (np.array([[1.0, 0.7], [0.0, 1.5]]), "diagonal != 1"),
+        (np.array([[1.0, 0.7], [0.2, 1.0]]), "nonzeros below the diagonal"),
+        (np.eye(3), r"expected a 2x2 matrix, got shape \(3, 3\)"),
+    ],
+    ids=["non-square", "one-axis", "diagonal", "below-diagonal", "size-mismatch"],
+)
+def test_lattice_point_rejects_a_matrix_that_is_not_unitriangular(T, message):
+    with pytest.raises(ValueError, match=message):
+        compute_lattice_point(np.array([0.3, 0.6]), T)
+
+
+def test_binomial_to_monomial_matrix_is_read_only():
+    T = binomial_to_monomial_matrix(M012)
+    assert T.dtype == np.float64 and not T.flags.writeable
+
+
+def test_compute_new_coordinate_rejects_monomial_coordinates():
+    with pytest.raises(ValueError, match="expected binomial basis, got 'monomial'"):
+        compute_new_coordinate(_cv([0.3, 0.6], MONOMIAL, M01), FIG3_T)
+
+
+@pytest.mark.parametrize(
+    "values,basis,message",
+    [
+        ([0.1, 0.2], "fourier", "unknown basis 'fourier'"),
+        ([0.1, 0.2, 0.3], BINOMIAL, r"expected 2 values, got shape \(3,\)"),
+        ([[0.1, 0.2]], MONOMIAL, r"expected 2 values, got shape \(1, 2\)"),
+    ],
+    ids=["unknown-basis", "too-long", "two-axes"],
+)
+def test_coefficient_vector_rejects_a_bad_basis_or_length(values, basis, message):
+    with pytest.raises(ValueError, match=message):
+        CoefficientVector(np.asarray(values), basis, M01)
 
 
 def test_compute_new_coordinate_zero_and_identity():
@@ -177,8 +212,7 @@ def test_compute_new_coordinate_zero_and_identity():
 
 
 def test_compute_new_coordinate_fig3():
-    T = ChangeOfBasis(FIG3_T, M01)
-    a = compute_new_coordinate(_cv([0.3, 0.6], BINOMIAL, M01), T)
+    a = compute_new_coordinate(_cv([0.3, 0.6], BINOMIAL, M01), FIG3_T)
     assert a.values == pytest.approx([0.02, -0.4])
     # a - T b must be a lattice vector of T Z^2
     shift = np.linalg.solve(FIG3_T, a.values - FIG3_T @ np.array([0.3, 0.6]))

@@ -322,6 +322,20 @@ _SIM_CONFIG = {
             None,
             "--degrees: degrees up to (8,) on window (9,) overflow the CRB",
         ),
+        (
+            ["weights", "--degree", "[1]", "--window", "[0]"],
+            None,
+            "--window: window entries must be positive, got (0,)",
+        ),
+        (_CRB_RANGE + ["0:10"], None, "--snr-db-range: expected start:stop:step"),
+        (_CRB_RANGE + ["0:ten:5"], None, "--snr-db-range: non-numeric bound"),
+        (_CRB_RANGE + ["0:10:0"], None, "--snr-db-range: step must be positive"),
+        (_CRB_RANGE + ["10:0:1"], None, "--snr-db-range: empty range"),
+        (
+            ["weights", "--degree", "[3]", "--window", "[3]"],
+            None,
+            "window (3,) too small for order (3,)",
+        ),
     ],
     ids=[
         "scalar-lags",
@@ -375,6 +389,12 @@ _SIM_CONFIG = {
         "retired-averaging-in-config",
         "crb-fisher-past-float64",
         "crb-past-float64",
+        "zero-window-entry",
+        "crb-two-field-range",
+        "crb-non-numeric-range",
+        "crb-zero-step",
+        "crb-empty-range",
+        "weights-window-below-degree",
     ],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, args, config, field):
@@ -518,23 +538,73 @@ def test_removed_surface_is_rejected(capsys, args):
         "naive_penalty",
         "parameter_invariance_witness",
         "empirical_covariance",
+        "FisherMatrix",
+        "ChangeOfBasis",
     }
     assert removed.isdisjoint(ppsg.__all__)
 
 
-@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
-def test_simulate_unreadable_config_exits_1(tmp_path, capsys, kind):
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("directory", "--config"),
+        ("non-utf8", "--config"),
+        ("invalid-json", "--config: invalid JSON"),
+    ],
+    ids=["directory", "non-utf8", "invalid-json"],
+)
+def test_simulate_unreadable_config_exits_1(tmp_path, capsys, kind, message):
     path = tmp_path / "cfg.json"
     if kind == "directory":
         path.mkdir()
     else:
-        path.write_bytes(b"\xff\xfe{")
+        path.write_bytes(b"\xff\xfe{" if kind == "non-utf8" else b'{"degrees": [[0]],')
     out = tmp_path / "r.csv"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert "--config" in captured.err
+    assert message in captured.err
     assert "internal error" not in captured.err
     assert not out.exists()
+
+
+def test_monomial_output_needs_a_closed_set(tmp_path, capsys):
+    path = tmp_path / "s.ppsg"
+    _write_test_signal(path)
+    args = ["estimate", "--input", str(path), "--basis", "monomial", "--degrees"]
+    assert main(args + ["[[0],[1]]"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["binomial"] is None and payload["monomial"]["basis"] == "monomial"
+    assert main(args + ["[[0],[2]]"]) == 1
+    captured = capsys.readouterr()
+    assert "flag --basis: monomial output needs a downward-closed degree set" in captured.err
+    assert captured.out == ""
+
+
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "weight_multi", fail)
+    assert main(["weights", "--degree", "[1]", "--window", "[8]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ppsg: internal error: boom\n"
+    assert captured.out == ""
+
+
+def test_version_without_git_is_the_package_version(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise OSError("no git")
+
+    monkeypatch.setattr(cli.subprocess, "run", no_git)
+    assert cli._version_string() == f"ppsg {ppsg.__version__}"
+
+
+def test_run_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(cli.sys, "argv", ["ppsg", "weights", "--degree", "[3]", "--window", "[3]"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == 1
+    assert "too small" in capsys.readouterr().err
 
 
 def test_window_limit_admits_its_bound():

@@ -110,6 +110,13 @@ def test_degree_set_rejects_duplicates_and_negatives():
         DegreeSet(())
 
 
+def test_degree_set_rejects_mixed_lengths_and_zero_dimensions():
+    with pytest.raises(ValueError, match=r"degree \(0, 1\) has length 2, expected 1"):
+        DegreeSet(((0,), (0, 1)))
+    with pytest.raises(ValueError, match="dimensionality must be >= 1"):
+        DegreeSet(((),))
+
+
 def test_degree_set_rejects_incompatible_order():
     with pytest.raises(ValueError):
         DegreeSet(((1,), (0,)))
@@ -130,6 +137,14 @@ def test_validate_degree_set_boundary_window():
     M = build_total_order([(0,), (1,), (2,)])
     report = validate_degree_set(M, (3,))
     assert report.window_ok and report.downward_closed
+
+
+def test_validate_degree_set_small_or_mismatched_window():
+    M = build_total_order([(0,), (1,), (2,)])
+    report = validate_degree_set(M, (2,))
+    assert not report.window_ok and report.downward_closed
+    with pytest.raises(ValueError, match="window length 2 does not match dim 1"):
+        validate_degree_set(M, (3, 3))
 
 
 def test_validate_degree_set_monomial_not_closed():

@@ -138,6 +138,18 @@ def test_average_rejects_what_is_not_a_kind(bad):
         average(bad, s, _uniform_weights(4))
 
 
+@pytest.mark.parametrize("kind", list(AveragingKind))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_average_rejects_a_non_finite_sample(kind, bad, part):
+    # The samples enter as the estimator's do, so a non-finite one raises
+    # rather than reading as -1/2 cycle and averaging to a unit complex.
+    data = np.exp(2j * np.pi * np.linspace(0.0, 0.1, 9000))
+    getattr(data, part)[4321] = bad
+    with pytest.raises(ValueError, match="signal has non-finite samples"):
+        average(kind, Signal((9000,), data), _uniform_weights(9000))
+
+
 # -- Config validation ---------------------------------------------------------
 
 
@@ -373,7 +385,7 @@ def test_direct_back_substitution_is_the_triangular_solve_bitwise():
         (build_total_order([(i, j) for i in range(4) for j in range(4) if i + j <= 3]), (12, 10)),
     ]
     for M, N in sets:
-        T = binomial_to_monomial_matrix(M).matrix
+        T = binomial_to_monomial_matrix(M)
         for t in range(40):
             y, _ = _noisy(_cv(rng.uniform(-0.5, 0.5, len(M)), M), N, (1.0, 100.0)[t % 2], t)
             est = estimate_coefficients_direct(y, EstimatorConfig(M))
@@ -643,10 +655,10 @@ def test_cancellation_turns_match_a_fraction_oracle():
 
 @pytest.mark.parametrize("N", [(64,), (2**14,), (40, 36)], ids=str)
 def test_circular_anchor_rotates_exactly_with_the_field(N):
-    # Rotating a field by c turns moves its anchor by exactly c, under a zero
-    # and a drawn lag shift, so the contraction about the anchor is unchanged
-    # bit for bit.  The fields spread over 0.45 cycle, so float32 trig of
-    # their absolute phases would move some anchors by c plus rounding.
+    # Rotating a field by c turns moves its anchor by exactly c (a drawn lag
+    # shift s is a rotation by -s), so the contraction about the anchor is
+    # unchanged bit for bit.  The fields spread over 0.45 cycle, so float32
+    # trig of their absolute phases would move some anchors by c plus rounding.
     rng = np.random.default_rng(sum(N) + 5)
     B, m, tau = 4, (0,) * len(N), (1,) * len(N)
     w = weight_axes(m, tau, N)
@@ -658,15 +670,15 @@ def test_circular_anchor_rotates_exactly_with_the_field(N):
         c = rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)
         rotated = turns + c.reshape(lead)
         lag_shift = rng.integers(-(2**63), 2**63, size=B, dtype=np.int64)
-        for shift in (np.zeros(B, np.int64), lag_shift):
-            anchor = estimator_module._anchor(turns, m, tau, shift)
-            moved = estimator_module._anchor(rotated, m, tau, shift)
-            assert np.array_equal(moved - anchor, c)
-            base, kept = shift + anchor, shift + moved
-            linear = AveragingKind.LINEAR
-            before = estimator_module._mean_phase(linear, turns, m, tau, base, w)
-            after = estimator_module._mean_phase(linear, rotated, m, tau, kept, w)
-            assert before.tobytes() == after.tobytes()
+        anchor = estimator_module._anchor(turns, m, tau)
+        moved = estimator_module._anchor(rotated, m, tau)
+        assert np.array_equal(moved - anchor, c)
+        shifted = estimator_module._anchor(turns - lag_shift.reshape(lead), m, tau)
+        assert np.array_equal(shifted, anchor - lag_shift)
+        linear = AveragingKind.LINEAR
+        before = estimator_module._mean_phase(linear, turns, m, tau, anchor, w)
+        after = estimator_module._mean_phase(linear, rotated, m, tau, moved, w)
+        assert before.tobytes() == after.tobytes()
 
 
 def test_multilag_lag_window_guard():
@@ -801,6 +813,10 @@ def test_config_checks_the_route_rule_at_construction():
     EstimatorConfig(M012, lags=((1,), (2,)))
     with pytest.raises(ValueError, match="direct estimation needs a downward-closed"):
         estimate_coefficients_direct(Signal((8,), np.ones(8, dtype=complex)), EstimatorConfig(M02))
+    with pytest.raises(ValueError, match="direct estimation supports only the unit lag"):
+        estimate_coefficients_direct(
+            Signal((8,), np.ones(8, dtype=complex)), EstimatorConfig(M012, lags=((1,), (2,)))
+        )
 
 
 # -- Shared kernel ----------------------------------------------------------------
@@ -1040,7 +1056,7 @@ def test_circular_stage_differences_each_block_once_with_float32_trig(monkeypatc
     stages = [(m, tau) for m in M.degrees for tau in cfg.lags]
     assert len(trig) == 2 * len(stages)
     assert all(dtype == np.float32 and shape[0] == 2 and shape[-1] <= 4096 for dtype, shape in trig)
-    rows = estimator_module._block_rows(N, np.getbufsize())
+    rows = estimator_module._block_rows(N)
     blocks = sum(len(estimator_module._blocks(N[0] - tau[0] * m[0], rows)) for m, tau in stages)
     assert len(differenced) == blocks + len(stages)
     if N == (512, 512):
@@ -1150,7 +1166,7 @@ def test_cancellation_splits_each_term_once(monkeypatch, estimator):
     # remainder once, then walks the blocks: at 2^20 a cancelled degree
     # spans 32 blocks, and splitting in each made 32 calls of about 8 us.
     N = (2**20,)
-    assert len(basis_module._blocks(N[0], basis_module._block_rows(N, np.getbufsize()))) == 32
+    assert len(basis_module._blocks(N[0], basis_module._block_rows(N))) == 32
     y, _ = _noisy(_cv([0.25, -0.375, 0.125], M012), N, 1000.0, 14)
     calls = []
     original = basis_module._split

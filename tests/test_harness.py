@@ -414,6 +414,20 @@ def test_run_trial_matches_reference_at_word_boundaries(trial_index):
     assert one.coefficients.values.tobytes() == ref.coefficients.values.tobytes()
 
 
+def test_run_trial_rejects_a_negative_index():
+    cfg = _config()
+    with pytest.raises(ValueError, match="seed entries must be non-negative, got -1"):
+        run_trial(cfg, 10.0, 0, snr_index=-1)
+    with pytest.raises(ValueError, match="trial indices must be non-negative, got -2"):
+        run_trial(cfg, 10.0, -2)
+
+
+@pytest.mark.parametrize("master_seed", [-1, 2**64])
+def test_master_seed_must_fit_in_64_unsigned_bits(master_seed):
+    with pytest.raises(ValueError, match="master_seed must fit in 64 unsigned bits"):
+        _config(master_seed=master_seed)
+
+
 def test_import_and_plain_sweep_load_no_scipy():
     # The package imports no scipy anywhere; neither the import nor a plain
     # sweep may load it.

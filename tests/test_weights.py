@@ -9,7 +9,7 @@ from ppsg.basis import BINOMIAL, CoefficientVector
 from ppsg.degrees import build_total_order
 from ppsg.estimator import AveragingKind, EstimatorConfig, estimate_batch
 from ppsg.signal import add_noise, synthesize
-from ppsg.weights import _weight_axis, weight_axes, weight_multi, weight_rows
+from ppsg.weights import WeightField, _weight_axis, weight_axes, weight_multi, weight_rows
 
 from oracles import (
     build_axis,
@@ -43,6 +43,14 @@ def test_weight_lagged_congruence_classes():
 def test_weight_window_guard():
     with pytest.raises(ValueError):
         weight_1d(2, 3, 6)
+
+
+def test_weight_field_rejects_negative_or_unnormalized_weights():
+    WeightField((3,), np.array([0.25, 0.5, 0.25]))
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        WeightField((3,), np.array([-0.25, 1.0, 0.25]))
+    with pytest.raises(ValueError, match="weights sum to 1.1, expected 1"):
+        WeightField((3,), np.array([0.3, 0.5, 0.3]))
 
 
 def test_weight_multi_uniform():
